@@ -47,7 +47,6 @@ from .strategies import (
     StrategyError,
     StrategyOutcome,
     evaluate_schedule,
-    gvc_final_markov,
     gvc_new_markov,
     gvc_zeta,
     optimize_gvc,

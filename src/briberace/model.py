@@ -7,6 +7,9 @@ load so that attacker power plus main-chain power equals one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 # One satoshi, the nominal nonzero bribe used where no payment is needed.
 DUST = 1e-8
@@ -57,14 +60,25 @@ class MinerSet:
             raise PoolFileError("miners must be sorted by non-increasing power")
 
     def miner(self, miner_id: str) -> Miner:
-        for m in self.miners:
-            if m.id == miner_id:
-                return m
-        raise ScenarioError(f"unknown miner id {miner_id!r}")
+        return self.miners[self.row(miner_id)]
 
-    @property
-    def powers(self) -> tuple[float, ...]:
-        return tuple(m.power for m in self.miners)
+    def row(self, miner_id: str) -> int:
+        """Position of a miner in the roster."""
+        try:
+            return self.ids.index(miner_id)
+        except ValueError:
+            raise ScenarioError(f"unknown miner id {miner_id!r}") from None
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(m.id for m in self.miners)
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """Roster powers in roster order, built once (read-only)."""
+        powers = np.array([m.power for m in self.miners], dtype=float)
+        powers.flags.writeable = False
+        return powers
 
 
 @dataclass(frozen=True)

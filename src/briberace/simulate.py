@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .strategies import MembershipMatrix
+
 CHUNK = 1 << 16
 
 
@@ -40,9 +42,10 @@ class SimConfig:
 class RacePolicy:
     """State-indexed race description: per-state fork power and bribe.
 
-    ``sticky_memberships`` switches the retention rule: instead of the newest
+    ``sticky_membership`` switches the retention rule: instead of the newest
     recruit dropping off on every upward move (membership a function of the
     state alone), miners stay aboard once joined for the rest of the trial.
+    Its rows follow ``roster_powers``; states past its columns recruit nobody.
     """
 
     fork_power: tuple[float, ...]
@@ -50,7 +53,7 @@ class RacePolicy:
     start_state: int
     scheduled_states: int | None = None  # bribed region; default: whole chain
     mu: float | None = None
-    sticky_memberships: tuple[tuple[int, ...], ...] | None = None  # roster indices
+    sticky_membership: MembershipMatrix | None = None
     roster_powers: tuple[float, ...] | None = None
 
     @classmethod
@@ -91,11 +94,11 @@ def _mk_estimate(total: float, total_sq: float, n: int) -> MetricEstimate:
     return MetricEstimate(mean, math.sqrt(var / n))
 
 
-def simulate_race(policy: RacePolicy, config: SimConfig, tracked_states: int | None = None) -> SimReport:
+def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
     """Run independent race trials and aggregate outcome statistics.
 
-    ``tracked_states`` limits per-state visit tracking (defaults to the
-    scheduled region, i.e. states with a bribe entry).
+    Per-state visits are tracked over the scheduled region, i.e. the states
+    with a bribe entry.
     """
     h = len(policy.fork_power)
     if not (0 <= policy.start_state < h):
@@ -104,12 +107,7 @@ def simulate_race(policy: RacePolicy, config: SimConfig, tracked_states: int | N
         raise SimulationError("bribe vector must match the chain length")
     fork = np.asarray(policy.fork_power)
     bribe = np.asarray(policy.bribe)
-    if tracked_states is not None:
-        n_track = tracked_states
-    elif policy.scheduled_states is not None:
-        n_track = policy.scheduled_states
-    else:
-        n_track = h
+    n_track = h if policy.scheduled_states is None else policy.scheduled_states
     n_track = min(max(n_track, 1), h)
     if np.any(bribe[n_track:] != 0.0):
         raise SimulationError("bribes outside the tracked region would go uncounted")
@@ -117,9 +115,15 @@ def simulate_race(policy: RacePolicy, config: SimConfig, tracked_states: int | N
     if max_events < h:
         raise SimulationError("max_events too small to traverse the chain")
 
-    sticky = policy.sticky_memberships is not None
+    sticky = policy.sticky_membership is not None
     if sticky:
-        masks, mask_power = _sticky_tables(policy, h)
+        zeta = policy.sticky_membership.zeta
+        if policy.mu is None or policy.roster_powers is None or len(policy.roster_powers) != len(zeta):
+            raise SimulationError("sticky retention needs mu and one roster power per membership row")
+        powers = np.asarray(policy.roster_powers, dtype=float)
+        joins = np.zeros((h, powers.size), dtype=bool)  # per-state recruits, state x roster
+        joins[: zeta.shape[1]] = zeta.T[:h] == 1
+        recruits = joins.any(axis=1)
 
     succ = 0
     disc = 0
@@ -143,8 +147,8 @@ def simulate_race(policy: RacePolicy, config: SimConfig, tracked_states: int | N
         steps = np.zeros(n, dtype=np.int64)
         result = np.full(n, -1, dtype=np.int8)  # -1 running, 1 success, 0 failure
         if sticky:
-            member = np.zeros(n, dtype=np.int64)
-            member |= masks[policy.start_state]
+            member = np.tile(joins[policy.start_state], (n, 1))  # trials x roster
+            joined = _joined_power(member, powers)
 
         active = np.arange(n)
         for _ in range(max_events):
@@ -152,7 +156,7 @@ def simulate_race(policy: RacePolicy, config: SimConfig, tracked_states: int | N
                 break
             u = rng.random(active.size)
             if sticky:
-                p = np.minimum(policy.mu + mask_power[member[active]], 1.0 - 1e-12)
+                p = np.minimum(policy.mu + joined[active], 1.0 - 1e-12)
             else:
                 p = fork[state[active]]
             down = u < p
@@ -166,7 +170,11 @@ def simulate_race(policy: RacePolicy, config: SimConfig, tracked_states: int | N
             moved = active[still]
             s = state[moved]
             if sticky:
-                member[moved] |= masks[s]
+                at = moved[recruits[s]]  # trials now at a state that recruits someone
+                grew = at[np.any(joins[state[at]] & ~member[at], axis=1)]
+                if grew.size:
+                    member[grew] |= joins[state[grew]]
+                    joined[grew] = _joined_power(member[grew], powers)
             in_track = s < n_track
             np.add.at(visits, (moved[in_track], s[in_track]), 1)
             active = moved
@@ -222,27 +230,12 @@ def simulate_race(policy: RacePolicy, config: SimConfig, tracked_states: int | N
     )
 
 
-def _sticky_tables(policy: RacePolicy, h: int):
-    members = policy.sticky_memberships
-    powers = policy.roster_powers
-    if policy.mu is None or powers is None:
-        raise SimulationError("sticky retention needs mu and roster powers")
-    if len(powers) > 62:
-        raise SimulationError("sticky retention supports at most 62 roster miners")
-    masks = np.zeros(h, dtype=np.int64)
-    for s in range(h):
-        mask = 0
-        if s < len(members):
-            for idx in members[s]:
-                mask |= 1 << idx
-        masks[s] = mask
-    n_bits = len(powers)
-    table = np.zeros(1 << n_bits)
-    for idx, p in enumerate(powers):
-        bit = 1 << idx
-        half = (np.arange(1 << n_bits) & bit) > 0
-        table[half] += p
-    return masks, table
+def _joined_power(member: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Aboard power per trial, summed left to right in roster order."""
+    joined = np.zeros(member.shape[0])
+    for r, p in enumerate(powers):
+        joined[member[:, r]] += p
+    return joined
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,16 @@ Four strategy families are implemented over the gap chain:
   price in future recruitment, which collapses thresholds near the start.
 
 Outcomes are computed from the attacker's view: bribes exist only at gap
-states 0..C, and past C the fork is mined by the attacker alone. The default
-evaluation horizon keeps that unbribed tail open-ended (deep wall); pass
-``tail="truncate"`` to absorb the race the moment the gap exceeds C.
+states 0..C, and past C the fork is mined by the attacker alone on an
+unbribed tail kept open-ended (deep wall).
+
+Who mines the fork at each bribed state is held in one ``MembershipMatrix``;
+fork powers, recapture and the optimizer's feasibility test all read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +34,9 @@ from .model import DUST, Scenario
 MIN_MAIN_SHARE = 1e-12
 
 GVC_QUANTUM = 0.01  # BTC grid for optimized schedules
+GVC_MAX_SWEEPS = 24  # coordinate-descent cap; sweeps reach their fixed point in a handful
+GVC_SUFFIX_PASSES = 3  # suffix completion repeats, since each level feeds the next thresholds
+GVC_RESTARTS = 32  # random seeds added to the structured seed portfolio by default
 
 STRATEGY_TAGS = ("BS", "BFF", "CRB1", "CRB2", "GVC_AC", "GVC_RAC")
 
@@ -62,21 +68,39 @@ class BribeSchedule:
 
 @dataclass(frozen=True, eq=False)
 class MembershipMatrix:
-    """0/1 matrix of miner-by-state fork membership, rows ordered like the
-    roster (descending power). Within each state, membership is monotone in
-    power: whoever is persuaded, so is everyone bigger."""
+    """0/1 matrix of miner-by-state fork membership: one row per roster miner,
+    in roster order (descending power), one column per bribed state."""
 
     miner_ids: tuple[str, ...]
     zeta: np.ndarray
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.zeta, dtype=int).copy()
+        z = np.asarray(self.zeta)
+        if z.ndim != 2 or z.shape[0] != len(self.miner_ids):
+            raise StrategyError("membership needs one row per roster miner")
+        if not np.all((z == 0) | (z == 1)):
+            raise StrategyError("membership entries must be 0/1")
+        z = z.astype(int)
         z.flags.writeable = False
         object.__setattr__(self, "zeta", z)
-        if not set(np.unique(z)) <= {0, 1}:
-            raise StrategyError("membership entries must be 0/1")
-        if np.any(np.diff(z, axis=0) > 0):
-            raise StrategyError("membership must be monotone in power within each state")
+
+    def joined_power(self, powers: np.ndarray) -> np.ndarray:
+        """Recruited power per state, summed left to right in roster order
+        (an accumulation, so the rounding never depends on memory layout)."""
+        if not self.miner_ids:
+            return np.zeros(self.zeta.shape[1])
+        return np.cumsum(self.zeta * powers[:, None], axis=0)[-1]
+
+    def fork_power(self, powers: np.ndarray, mu: float) -> np.ndarray:
+        """Per-state fork power: the attacker plus every recruit, capped."""
+        return np.minimum(mu + self.joined_power(powers), 1.0 - MIN_MAIN_SHARE)
+
+    @cached_property
+    def memberships(self) -> tuple[tuple[str, ...], ...]:
+        """Id view: the recruited miners per state, in roster order."""
+        return tuple(
+            tuple(self.miner_ids[r] for r in np.flatnonzero(col)) for col in self.zeta.T
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +120,11 @@ class StrategyOutcome:
     target_recapture: float
     schedule: BribeSchedule
     final_chain: markov.AbsorbingChain
-    memberships: tuple[tuple[str, ...], ...]  # per bribed state
+    membership: MembershipMatrix  # who mines the fork, per bribed state
+
+    @property
+    def memberships(self) -> tuple[tuple[str, ...], ...]:
+        return self.membership.memberships
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +139,21 @@ def _resolve_start(scenario: Scenario, start_state: int | None) -> int:
     return start
 
 
-def _chain_from_members(
-    scenario: Scenario, memberships: Sequence[Sequence[str]], tail: str
-) -> markov.AbsorbingChain:
-    power = {m.id: m.power for m in scenario.miner_set.miners}
-    core = np.array(
-        [
-            min(scenario.mu + sum(power[mid] for mid in members), 1.0 - MIN_MAIN_SHARE)
-            for members in memberships
-        ]
-    )
-    if tail == "extended":
-        vec = markov.extend_fork_power(core, scenario.mu)
-    elif tail == "truncate":
-        vec = core
-    else:
-        raise StrategyError(f"unknown tail mode {tail!r}")
-    return markov.build_base_chain(scenario, vec)
+def _open_chain(scenario: Scenario, core: np.ndarray) -> markov.AbsorbingChain:
+    """The bribed states' fork powers followed by the unbribed open-ended tail."""
+    return markov.build_base_chain(scenario, markov.extend_fork_power(core, scenario.mu))
+
+
+def _chain_for(scenario: Scenario, membership: MembershipMatrix) -> markov.AbsorbingChain:
+    return _open_chain(scenario, membership.fork_power(scenario.miner_set.powers, scenario.mu))
+
+
+def _target_only(scenario: Scenario, states: Sequence[int]) -> MembershipMatrix:
+    """The target alone aboard at the given states."""
+    ms = scenario.miner_set
+    zeta = np.zeros((len(ms.ids), scenario.confirmations + 1), dtype=int)
+    zeta[ms.row(scenario.target_id), list(states)] = 1
+    return MembershipMatrix(ms.ids, zeta)
 
 
 def evaluate_schedule(
@@ -135,7 +161,7 @@ def evaluate_schedule(
     schedule: BribeSchedule,
     chain: markov.AbsorbingChain,
     start_state: int | None = None,
-    memberships: tuple[tuple[str, ...], ...] | None = None,
+    membership: MembershipMatrix | None = None,
 ) -> StrategyOutcome:
     """Expected costs, success probability and recapture for a schedule run
     on a given chain. The schedule spans the bribed states; the chain may
@@ -157,14 +183,11 @@ def evaluate_schedule(
         cost_success = None
 
     single_visit = float(np.sum(schedule.per_state_bribe))
-    if memberships is None:
-        memberships = tuple(() for _ in range(schedule.h))
-    attacker_rc, target_rc = recapture_split(
-        schedule.per_state_bribe,
-        scenario.mu,
-        scenario.target_id,
-        {m.id: m.power for m in scenario.miner_set.miners},
-        memberships,
+    ms = scenario.miner_set
+    if membership is None:
+        membership = MembershipMatrix(ms.ids, np.zeros((len(ms.ids), schedule.h), dtype=int))
+    attacker_rc, target_rc = _recapture(
+        schedule.per_state_bribe, scenario.mu, scenario.target_id, ms.powers, membership
     )
 
     mu_eff = float(chain.fork_power[start])
@@ -183,7 +206,7 @@ def evaluate_schedule(
         target_recapture=target_rc,
         schedule=schedule,
         final_chain=chain,
-        memberships=memberships,
+        membership=membership,
     )
 
 
@@ -200,22 +223,43 @@ def recapture_split(
     attacker taking mu and each recruited miner its own share; the function
     returns the attacker's and the target's aggregate shares.
     """
+    ids = tuple(miner_powers)
+    unknown = {mid for members in memberships for mid in members} - set(ids)
+    if unknown:
+        raise StrategyError(f"no power given for {sorted(unknown)}")
+    zeta = np.array(
+        [[mid in members for members in memberships] for mid in ids], dtype=int
+    ).reshape(len(ids), len(memberships))
+    powers = np.array([miner_powers[mid] for mid in ids], dtype=float)
+    return _recapture(spend_per_state, mu, target_id, powers, MembershipMatrix(ids, zeta))
+
+
+def _recapture(
+    spend_per_state: Sequence[float],
+    mu: float,
+    target_id: str,
+    powers: np.ndarray,
+    membership: MembershipMatrix,
+) -> tuple[float, float]:
+    joined = membership.joined_power(powers).tolist()
+    if target_id in membership.miner_ids:
+        r = membership.miner_ids.index(target_id)
+        p_t, aboard = float(powers[r]), membership.zeta[r].tolist()
+    else:
+        p_t, aboard = 0.0, [0] * len(joined)
     attacker = target = 0.0
-    for spend, members in zip(spend_per_state, memberships):
-        joined = sum(miner_powers[mid] for mid in members)
-        fork_total = mu + joined
+    for spend, joined_j, on_fork in zip(spend_per_state, joined, aboard):
+        fork_total = mu + joined_j
         attacker += spend * mu / fork_total
-        if target_id in members:
-            target += spend * miner_powers[target_id] / fork_total
+        if on_fork:
+            target += spend * p_t / fork_total
     return attacker, target
 
 
 # ---------------------------------------------------------------------------
 # single-target and biggest-first strategies
 
-def run_bs(
-    scenario: Scenario, start_state: int | None = None, tail: str = "extended"
-) -> StrategyOutcome:
+def run_bs(scenario: Scenario, start_state: int | None = None) -> StrategyOutcome:
     """Bribe only the target, state by state, at its basic minimum."""
     start = _resolve_start(scenario, start_state)
     p_m = scenario.target.power
@@ -226,25 +270,22 @@ def run_bs(
         for i in range(scenario.confirmations + 1)
     ]
     schedule = BribeSchedule(tuple(q.settled for q in quotes), False, "BS")
-    memberships = tuple((scenario.target_id,) for _ in quotes)
-    chain = _chain_from_members(scenario, memberships, tail)
-    return evaluate_schedule(scenario, schedule, chain, start, memberships)
+    membership = _target_only(scenario, range(scenario.confirmations + 1))
+    chain = _chain_for(scenario, membership)
+    return evaluate_schedule(scenario, schedule, chain, start, membership)
 
 
-def bff_memberships(scenario: Scenario) -> tuple[tuple[str, ...], ...]:
+def bff_membership(scenario: Scenario) -> MembershipMatrix:
     """Fork membership per state: at gap state i the top C-i+1 miners are
     aboard (the newest catch leaves again on every upward transition, so
     membership is a pure function of the state)."""
-    roster = scenario.miner_set.miners
+    ids = scenario.miner_set.ids
     c = scenario.confirmations
-    return tuple(
-        tuple(m.id for m in roster[: min(c - i + 1, len(roster))]) for i in range(c + 1)
-    )
+    zeta = np.arange(len(ids))[:, None] <= c - np.arange(c + 1)
+    return MembershipMatrix(ids, zeta)
 
 
-def run_bff(
-    scenario: Scenario, start_state: int | None = None, tail: str = "extended"
-) -> StrategyOutcome:
+def run_bff(scenario: Scenario, start_state: int | None = None) -> StrategyOutcome:
     """Biggest-fish-first with retention of deeper-state catches.
 
     The bribe at state i is the basic minimum of the newest (smallest)
@@ -252,18 +293,19 @@ def run_bff(
     aboard.
     """
     start = _resolve_start(scenario, start_state)
-    memberships = bff_memberships(scenario)
-    power = {m.id: m.power for m in scenario.miner_set.miners}
+    roster = scenario.miner_set.miners
+    c = scenario.confirmations
     entries = []
-    for i, members in enumerate(memberships):
-        newest = members[-1]
+    for i in range(c + 1):
+        newest = roster[min(c - i, len(roster) - 1)]
         quote = rationality.min_bribe_basic(
-            i, power[newest], scenario.mu, scenario.lam, scenario.reward, newest
+            i, newest.power, scenario.mu, scenario.lam, scenario.reward, newest.id
         )
         entries.append(quote.settled)
     schedule = BribeSchedule(tuple(entries), False, "BFF")
-    chain = _chain_from_members(scenario, memberships, tail)
-    return evaluate_schedule(scenario, schedule, chain, start, memberships)
+    membership = bff_membership(scenario)
+    chain = _chain_for(scenario, membership)
+    return evaluate_schedule(scenario, schedule, chain, start, membership)
 
 
 # ---------------------------------------------------------------------------
@@ -271,33 +313,32 @@ def run_bff(
 
 def crb_would_join(
     scenario: Scenario, constant: float, offered_states: Sequence[int]
-) -> tuple[tuple[str, ...], ...]:
+) -> MembershipMatrix:
     """Miners besides the target whose basic per-state threshold the constant
     payment clears, per state (descending-power prefix at each state)."""
+    ms = scenario.miner_set
     c = scenario.confirmations
-    out: list[tuple[str, ...]] = []
+    zeta = np.zeros((len(ms.ids), c + 1), dtype=int)
     for i in range(c + 1):
-        members: list[str] = []
-        if i in offered_states:
-            for m in scenario.miner_set.miners:
-                if m.id == scenario.target_id:
-                    continue
-                t = rationality.basic_threshold(
-                    i, m.power, scenario.mu, scenario.lam, scenario.reward
-                )
-                if constant > t:
-                    members.append(m.id)
-                else:
-                    break  # smaller miners need strictly more
-        out.append(tuple(members))
-    return tuple(out)
+        if i not in offered_states:
+            continue
+        for r, m in enumerate(ms.miners):
+            if m.id == scenario.target_id:
+                continue
+            t = rationality.basic_threshold(
+                i, m.power, scenario.mu, scenario.lam, scenario.reward
+            )
+            if constant > t:
+                zeta[r, i] = 1
+            else:
+                break  # smaller miners need strictly more
+    return MembershipMatrix(ms.ids, zeta)
 
 
 def run_crb(
     scenario: Scenario,
     variant: str,
     start_state: int | None = None,
-    tail: str = "extended",
     count_other_joiners: bool = False,
 ) -> StrategyOutcome:
     """Committed constant payment per state.
@@ -322,11 +363,8 @@ def run_crb(
         rationality.basic_threshold(i, p_m, scenario.mu, scenario.lam, scenario.reward)
         for i in range(c + 1)
     ]
-    target_members = tuple(
-        (scenario.target_id,) if i in offered else () for i in range(c + 1)
-    )
-    pricing_chain = _chain_from_members(scenario, target_members, tail)
-    pricing = markov.analyze(pricing_chain)
+    target_only = _target_only(scenario, offered)
+    pricing = markov.analyze(_chain_for(scenario, target_only))
     constant = rationality.crb_min_constant(pricing.N[calc_from, :], quotes, calc_from)
     constant = max(constant, DUST)
 
@@ -334,16 +372,14 @@ def run_crb(
     tag = variant.upper()
     schedule = BribeSchedule(entries, True, tag)
 
-    others = crb_would_join(scenario, constant, offered)
+    membership = target_only
     if count_other_joiners:
-        memberships = tuple(
-            tuple(dict.fromkeys(target_members[i] + others[i]))
-            for i in range(c + 1)
+        others = crb_would_join(scenario, constant, offered)
+        membership = MembershipMatrix(
+            scenario.miner_set.ids, np.maximum(target_only.zeta, others.zeta)
         )
-    else:
-        memberships = target_members
-    chain = _chain_from_members(scenario, memberships, tail)
-    return evaluate_schedule(scenario, schedule, chain, start, memberships)
+    chain = _chain_for(scenario, membership)
+    return evaluate_schedule(scenario, schedule, chain, start, membership)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +387,15 @@ def run_crb(
 
 @dataclass(frozen=True, eq=False)
 class RecruitmentChain:
-    """Step-1 result for a committed schedule: per-state recruited prefix of
-    the roster (basic-formula thresholds) and the induced fork powers."""
+    """Step-1 result for a committed schedule: per-state recruitment by the
+    basic-formula thresholds and the induced fork powers."""
 
     fork_power: np.ndarray          # bribed states only, before any tail
-    memberships: tuple[tuple[str, ...], ...]
-    power_floor: tuple[float | None, ...]  # smallest persuaded power per state
+    membership: MembershipMatrix
+
+    @property
+    def memberships(self) -> tuple[tuple[str, ...], ...]:
+        return self.membership.memberships
 
 
 def gvc_new_markov(scenario: Scenario, schedule: BribeSchedule) -> RecruitmentChain:
@@ -365,30 +404,20 @@ def gvc_new_markov(scenario: Scenario, schedule: BribeSchedule) -> RecruitmentCh
     accordingly."""
     if not schedule.committed:
         raise StrategyError("recruitment projection requires a committed schedule")
-    floors: list[float | None] = []
-    memberships: list[tuple[str, ...]] = []
-    core = np.empty(schedule.h)
+    ms = scenario.miner_set
+    zeta = np.zeros((len(ms.ids), schedule.h), dtype=int)
     for i, bribe in enumerate(schedule.per_state_bribe):
         floor = rationality.persuadable_threshold(
             i, bribe, scenario.mu, scenario.lam, scenario.reward
         )
-        floors.append(floor)
-        if floor is None:
-            members: tuple[str, ...] = ()
-        else:
-            members = tuple(
-                m.id for m in scenario.miner_set.miners if m.power >= floor
-            )
-        memberships.append(members)
-        joined = sum(scenario.miner_set.miner(mid).power for mid in members)
-        core[i] = min(scenario.mu + joined, 1.0 - MIN_MAIN_SHARE)
-    return RecruitmentChain(core, tuple(memberships), tuple(floors))
+        if floor is not None:
+            zeta[:, i] = ms.powers >= floor
+    membership = MembershipMatrix(ms.ids, zeta)
+    return RecruitmentChain(membership.fork_power(ms.powers, scenario.mu), membership)
 
 
-def _absorption_success(core: np.ndarray, scenario: Scenario, tail: str) -> np.ndarray:
-    vec = markov.extend_fork_power(core, scenario.mu) if tail == "extended" else core
-    chain = markov.build_base_chain(scenario, vec)
-    return markov.analyze(chain).B[: core.size, 0]
+def _absorption_success(core: np.ndarray, scenario: Scenario) -> np.ndarray:
+    return markov.analyze(_open_chain(scenario, core)).B[: core.size, 0]
 
 
 def gvc_member_thresholds(
@@ -396,7 +425,6 @@ def gvc_member_thresholds(
     schedule: BribeSchedule,
     recruit: RecruitmentChain,
     miner_id: str,
-    tail: str = "extended",
 ) -> list[float | None]:
     """Commitment-aware membership thresholds for one miner, per state.
 
@@ -404,20 +432,19 @@ def gvc_member_thresholds(
     from the same chain with the miner added at every state it has not
     already joined. None marks states where the miner is already recruited.
     """
-    p_m = scenario.miner_set.miner(miner_id).power
-    base_bv = _absorption_success(recruit.fork_power, scenario, tail)
-    pert_core = np.array(
-        [
-            recruit.fork_power[j]
-            if miner_id in recruit.memberships[j]
-            else min(recruit.fork_power[j] + p_m, 1.0 - MIN_MAIN_SHARE)
-            for j in range(schedule.h)
-        ]
+    r = scenario.miner_set.row(miner_id)
+    p_m = scenario.miner_set.miners[r].power
+    aboard = recruit.membership.zeta[r].astype(bool)
+    base_bv = _absorption_success(recruit.fork_power, scenario)
+    pert_core = np.where(
+        aboard,
+        recruit.fork_power,
+        np.minimum(recruit.fork_power + p_m, 1.0 - MIN_MAIN_SHARE),
     )
-    pert_bv = _absorption_success(pert_core, scenario, tail)
+    pert_bv = _absorption_success(pert_core, scenario)
     thresholds: list[float | None] = []
     for j in range(schedule.h):
-        if miner_id in recruit.memberships[j]:
+        if aboard[j]:
             thresholds.append(None)
             continue
         p_yf = 1.0 - base_bv[j]
@@ -432,49 +459,27 @@ def gvc_member_thresholds(
 
 
 def gvc_zeta(
-    scenario: Scenario,
-    schedule: BribeSchedule,
-    recruit: RecruitmentChain,
-    tail: str = "extended",
+    scenario: Scenario, schedule: BribeSchedule, recruit: RecruitmentChain
 ) -> MembershipMatrix:
     """Full miner-by-state membership under a committed schedule: already
-    recruited, or the commitment-aware threshold is met. Scanned in
-    descending power with early stop, which keeps columns monotone."""
-    ids = tuple(m.id for m in scenario.miner_set.miners)
+    recruited, or the commitment-aware threshold is met. Every column is then
+    made monotone in power (whoever is persuaded, so is everyone bigger),
+    resolving numerical knife edges upward."""
+    ids = scenario.miner_set.ids
     zeta = np.zeros((len(ids), schedule.h), dtype=int)
     for r, mid in enumerate(ids):
-        thresholds = gvc_member_thresholds(scenario, schedule, recruit, mid, tail)
-        for j in range(schedule.h):
-            t = thresholds[j]
+        thresholds = gvc_member_thresholds(scenario, schedule, recruit, mid)
+        for j, t in enumerate(thresholds):
             if t is None or schedule.per_state_bribe[j] >= t:
                 zeta[r, j] = 1
-    # enforce power monotonicity per state (larger miners join whenever a
-    # smaller one does; numerical knife edges are resolved upward)
     zeta = np.maximum.accumulate(zeta[::-1, :], axis=0)[::-1, :]
     return MembershipMatrix(ids, zeta)
-
-
-def gvc_final_markov(
-    zeta: MembershipMatrix, miner_powers: dict[str, float], mu: float
-) -> np.ndarray:
-    """Per-state fork power implied by a membership matrix."""
-    h = zeta.zeta.shape[1]
-    tr = np.empty(h)
-    for j in range(h):
-        joined = sum(
-            miner_powers[mid] for r, mid in enumerate(zeta.miner_ids) if zeta.zeta[r, j]
-        )
-        tr[j] = mu + joined
-    if np.any(tr > 1.0 - MIN_MAIN_SHARE):
-        tr = np.minimum(tr, 1.0 - MIN_MAIN_SHARE)
-    return tr
 
 
 def run_gvc(
     scenario: Scenario,
     schedule: BribeSchedule | Sequence[float],
     start_state: int | None = None,
-    tail: str = "extended",
 ) -> StrategyOutcome:
     """Evaluate a committed per-state bribe vector.
 
@@ -486,24 +491,15 @@ def run_gvc(
         schedule = BribeSchedule(tuple(float(b) for b in schedule), True, "GVC_AC")
     start = _resolve_start(scenario, start_state)
     recruit = gvc_new_markov(scenario, schedule)
-    thresholds = gvc_member_thresholds(
-        scenario, schedule, recruit, scenario.target_id, tail
-    )
-    memberships = []
-    for j in range(schedule.h):
-        members = recruit.memberships[j]
-        t = thresholds[j]
-        if t is not None and schedule.per_state_bribe[j] >= t and scenario.target_id not in members:
-            members = tuple(
-                sorted(
-                    members + (scenario.target_id,),
-                    key=lambda mid: (-scenario.miner_set.miner(mid).power, mid),
-                )
-            )
-        memberships.append(members)
-    memberships = tuple(memberships)
-    chain = _chain_from_members(scenario, memberships, tail)
-    return evaluate_schedule(scenario, schedule, chain, start, memberships)
+    thresholds = gvc_member_thresholds(scenario, schedule, recruit, scenario.target_id)
+    zeta = recruit.membership.zeta.copy()
+    r = scenario.miner_set.row(scenario.target_id)
+    for j, t in enumerate(thresholds):
+        if t is not None and schedule.per_state_bribe[j] >= t:
+            zeta[r, j] = 1
+    membership = MembershipMatrix(scenario.miner_set.ids, zeta)
+    chain = _chain_for(scenario, membership)
+    return evaluate_schedule(scenario, schedule, chain, start, membership)
 
 
 def _grid_above(value: float) -> float:
@@ -518,30 +514,23 @@ def optimize_gvc(
     scenario: Scenario,
     objective: str = "ac",
     start_state: int | None = None,
-    tail: str = "extended",
-    restarts: int = 32,
+    restarts: int = GVC_RESTARTS,
     seed: int = 0,
-    persuade_through: str = "all",
 ) -> tuple[BribeSchedule, StrategyOutcome]:
     """Search for the cheapest committed schedule that keeps the target on the
-    fork.
+    fork at every scheduled state (so it stays aboard through any backslide).
 
     ``objective`` is ``ac`` (expected cost regardless of outcome) or ``rac``
-    (expected cost conditioned on success). ``persuade_through`` selects the
-    states where the target must be aboard: ``all`` scheduled states (keeping
-    the target through any backslide), or only states up to the ``start``.
-    Coordinate descent over per-state recruitment levels, to a fixed point,
-    with seeded random restarts.
+    (expected cost conditioned on success). Coordinate descent over per-state
+    recruitment levels, to a fixed point, with seeded random restarts.
     """
     if objective not in ("ac", "rac"):
         raise StrategyError(f"objective must be 'ac' or 'rac', got {objective!r}")
-    if persuade_through not in ("all", "start"):
-        raise StrategyError("persuade_through must be 'all' or 'start'")
     start = _resolve_start(scenario, start_state)
     tag = "GVC_AC" if objective == "ac" else "GVC_RAC"
     c = scenario.confirmations
-    require_through = c if persuade_through == "all" else start
     p_m = scenario.target.power
+    target_row = scenario.miner_set.row(scenario.target_id)
 
     target_minima = [
         rationality.min_bribe_basic(
@@ -566,12 +555,9 @@ def optimize_gvc(
         if entries in cache:
             return cache[entries]
         schedule = BribeSchedule(entries, True, tag)
-        outcome = run_gvc(scenario, schedule, start, tail)
+        outcome = run_gvc(scenario, schedule, start)
         result: tuple[float, StrategyOutcome] | None
-        if any(
-            scenario.target_id not in outcome.memberships[j]
-            for j in range(require_through + 1)
-        ):
+        if not outcome.membership.zeta[target_row].all():
             result = None
         elif objective == "ac":
             result = (outcome.cost_unconditional, outcome)
@@ -588,7 +574,7 @@ def optimize_gvc(
         # withdrawn (otherwise the first pass hides the threshold)
         probe = BribeSchedule(entries[:j] + (DUST,) + entries[j + 1 :], True, tag)
         recruit = gvc_new_markov(scenario, probe)
-        t = gvc_member_thresholds(scenario, probe, recruit, scenario.target_id, tail)[j]
+        t = gvc_member_thresholds(scenario, probe, recruit, scenario.target_id)[j]
         if t is not None and np.isfinite(t):
             cands.append(_grid_above(t))
         return sorted(set(cands))
@@ -598,7 +584,7 @@ def optimize_gvc(
         if best is None:
             return None
         score, outcome = best
-        for _ in range(24):  # fixed-point cap; sweeps converge in a handful
+        for _ in range(GVC_MAX_SWEEPS):
             improved = False
             # deep states carry the big entries; relax them first, and take
             # the best candidate per coordinate, not the first improvement
@@ -623,13 +609,11 @@ def optimize_gvc(
         # replace entries past the split with commitment-minimal levels,
         # iterated because each level feeds the next thresholds
         entries = entries[: split + 1] + tuple(DUST for _ in range(split + 1, c + 1))
-        for _ in range(3):
+        for _ in range(GVC_SUFFIX_PASSES):
             for j in range(split + 1, c + 1):
                 probe = BribeSchedule(entries[:j] + (DUST,) + entries[j + 1 :], True, tag)
                 recruit = gvc_new_markov(scenario, probe)
-                t = gvc_member_thresholds(
-                    scenario, probe, recruit, scenario.target_id, tail
-                )[j]
+                t = gvc_member_thresholds(scenario, probe, recruit, scenario.target_id)[j]
                 level = DUST if t is None or t <= 0 else _grid_above(t)
                 entries = entries[:j] + (level,) + entries[j + 1 :]
         return entries

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from briberace import markov
+from briberace.model import load_pool_distribution, make_scenario
 from briberace.simulate import (
     RacePolicy,
     SimConfig,
@@ -9,7 +12,7 @@ from briberace.simulate import (
     compare_reports,
     simulate_race,
 )
-from briberace.strategies import run_bs, run_crb, run_gvc
+from briberace.strategies import run_bff, run_bs, run_crb, run_gvc
 
 TRIALS = 200_000  # module-level runs stay fast; full 1e6 runs live in acceptance
 
@@ -115,16 +118,14 @@ def test_sticky_retention_never_hurts_the_fork(table2_scenario):
     out = run_bs(table2_scenario, 4)
     base_policy = RacePolicy.from_outcome(out)
     roster = tuple(m.power for m in table2_scenario.miner_set.miners)
-    target_idx = next(
-        i for i, m in enumerate(table2_scenario.miner_set.miners) if m.id == "P2"
-    )
+    # the single-target matrix: P2 aboard at every bribed state
     sticky = RacePolicy(
         base_policy.fork_power,
         base_policy.bribe,
         base_policy.start_state,
         scheduled_states=base_policy.scheduled_states,
         mu=table2_scenario.mu,
-        sticky_memberships=tuple((target_idx,) for _ in range(7)),
+        sticky_membership=out.membership,
         roster_powers=roster,
     )
     cfg = SimConfig(trials=TRIALS, seed=31)
@@ -132,4 +133,34 @@ def test_sticky_retention_never_hurts_the_fork(table2_scenario):
     rep_sticky = simulate_race(sticky, cfg)
     # once aboard the target stays past the bribed region, so success can
     # only improve on the state-indexed retention rule
+    assert rep_sticky.empirical_success.mean >= rep_state.empirical_success.mean
+
+
+def test_sticky_retention_on_a_64_miner_roster():
+    # 2^64 member subsets: the run must stay linear in the roster size
+    weights = 0.93 ** np.arange(64)
+    weights *= 0.75 / weights.sum()
+    lines = ["atk 0.25 attacker"] + [f"m{i} {w!r}" for i, w in enumerate(weights.tolist())]
+    ms = load_pool_distribution("\n".join(lines))
+    out = run_bff(make_scenario(ms, "m0", 6, 1, 6.25), 4)
+    base_policy = RacePolicy.from_outcome(out)
+    sticky = RacePolicy(
+        base_policy.fork_power,
+        base_policy.bribe,
+        base_policy.start_state,
+        scheduled_states=base_policy.scheduled_states,
+        mu=ms.attacker_power,
+        sticky_membership=out.membership,
+        roster_powers=tuple(ms.powers),
+    )
+    cfg = SimConfig(trials=50_000, seed=41)
+    tracemalloc.start()
+    try:
+        rep_sticky = simulate_race(sticky, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rep_state = simulate_race(base_policy, cfg)
+    assert peak < 64 * 2**20
+    assert rep_sticky.discarded == 0
     assert rep_sticky.empirical_success.mean >= rep_state.empirical_success.mean

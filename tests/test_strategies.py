@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from briberace.model import DUST, load_pool_distribution, make_scenario
 from briberace.rationality import basic_threshold, min_bribe_basic
 from briberace.strategies import (
+    MIN_MAIN_SHARE,
     BribeSchedule,
     MembershipMatrix,
     StrategyError,
-    bff_memberships,
+    bff_membership,
     crb_would_join,
     evaluate_schedule,
-    gvc_final_markov,
     gvc_member_thresholds,
     gvc_new_markov,
     gvc_zeta,
@@ -86,7 +86,7 @@ def test_bff_first_recruit_matches_single_target(table2_scenario):
 
 
 def test_bff_membership_grows_toward_the_win(table2_scenario):
-    members = bff_memberships(table2_scenario)
+    members = bff_membership(table2_scenario).memberships
     sizes = [len(m) for m in members]
     assert sizes == [7, 6, 5, 4, 3, 2, 1]
     power = {m.id: m.power for m in table2_scenario.miner_set.miners}
@@ -95,7 +95,7 @@ def test_bff_membership_grows_toward_the_win(table2_scenario):
 
 
 def test_bff_roster_exhaustion(whale20_scenario):
-    members = bff_memberships(whale20_scenario)
+    members = bff_membership(whale20_scenario).memberships
     # only two main-chain miners exist; deep states cannot add a third
     assert all(len(m) <= 2 for m in members)
     assert members[0] == ("H", "M")
@@ -171,7 +171,7 @@ def test_crb_other_joiners_surfaced(table2_scenario):
     out_crowd = run_crb(table2_scenario, "crb2", 4, count_other_joiners=True)
     # near the winning edge the constant clears every other miner's threshold
     k = out_solo.schedule.per_state_bribe[0]
-    others = crb_would_join(table2_scenario, k, range(5))
+    others = crb_would_join(table2_scenario, k, range(5)).memberships
     assert len(others[0]) == 13
     assert len(others[4]) == 0
     assert out_crowd.success_prob > out_solo.success_prob
@@ -180,7 +180,7 @@ def test_crb_other_joiners_surfaced(table2_scenario):
 
 def test_crb_dust_constant_recruits_nobody_above_state_zero(table2_scenario):
     # moderate miners need real money anywhere past the winning edge
-    joiners = crb_would_join(table2_scenario, DUST, range(7))
+    joiners = crb_would_join(table2_scenario, DUST, range(7)).memberships
     assert len(joiners[0]) == 13
     assert all(len(j) == 0 for j in joiners[1:])
 
@@ -257,14 +257,43 @@ def test_gvc_target_thresholds_match_choice_rule(table2_scenario):
 
 
 def test_gvc_final_markov_from_zeta(table2_scenario):
-    powers = {m.id: m.power for m in table2_scenario.miner_set.miners}
-    ids = tuple(powers)
-    empty = MembershipMatrix(ids, np.zeros((14, 7), dtype=int))
-    tr = gvc_final_markov(empty, powers, table2_scenario.mu)
+    ms = table2_scenario.miner_set
+    empty = MembershipMatrix(ms.ids, np.zeros((14, 7), dtype=int))
+    tr = empty.fork_power(ms.powers, table2_scenario.mu)
     assert np.allclose(tr, table2_scenario.mu, atol=1e-15)
-    full = MembershipMatrix(ids, np.ones((14, 7), dtype=int))
-    tr = gvc_final_markov(full, powers, table2_scenario.mu)
+    full = MembershipMatrix(ms.ids, np.ones((14, 7), dtype=int))
+    tr = full.fork_power(ms.powers, table2_scenario.mu)
     assert np.all(tr <= 1.0 - 1e-12)  # saturation capped, not rejected downstream
+
+
+@pytest.mark.parametrize(
+    "ids, zeta",
+    [
+        (("a", "b"), [[0.5, 1.0], [0.0, 0.9]]),  # fractional entries
+        (("a", "b"), [[1, 1]]),  # a row missing
+        (("a",), [[1, 1], [0, 1]]),  # a row too many
+    ],
+)
+def test_membership_matrix_rejects_malformed_input(ids, zeta):
+    with pytest.raises(StrategyError):
+        MembershipMatrix(ids, np.array(zeta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), h=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_fork_power_is_a_left_to_right_roster_sum(n, h, seed):
+    rng = np.random.default_rng(seed)
+    ms = random_miner_set(rng, n)
+    zeta = rng.integers(0, 2, size=(n, h))
+    membership = MembershipMatrix(ms.ids, zeta)
+    fork = membership.fork_power(ms.powers, ms.attacker_power)
+    for j in range(h):
+        aboard = [m for r, m in enumerate(ms.miners) if zeta[r, j]]
+        joined = 0.0
+        for m in aboard:
+            joined += m.power
+        assert fork[j] == min(ms.attacker_power + joined, 1.0 - MIN_MAIN_SHARE)
+        assert membership.memberships[j] == tuple(m.id for m in aboard)
 
 
 def test_gvc_published_vector_anchor(table2_scenario):
