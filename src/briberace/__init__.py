@@ -20,6 +20,7 @@ from .markov import (
     AbsorptionAnalysis,
     CanonicalForm,
     ChainError,
+    RaceSolution,
     absorption_probs,
     analyze,
     build_base_chain,
@@ -28,6 +29,7 @@ from .markov import (
     expected_steps,
     extend_fork_power,
     fundamental_matrix,
+    solve_race,
 )
 from .rationality import (
     BribeQuote,
@@ -38,6 +40,7 @@ from .rationality import (
     crb_min_constant,
     min_bribe_basic,
     min_bribe_general,
+    persuadable_grid_floor,
     persuadable_threshold,
     staying_condition,
 )

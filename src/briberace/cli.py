@@ -282,6 +282,9 @@ def cmd_validate(cfg: RunConfig, corrupt: bool = False) -> int:
     for m in comparison.metrics:
         status = "ok " if m.passed else "FAIL"
         print(f"{status} {m.name}: analytic {m.analytic:.6g} vs empirical {m.empirical:.6g} (z={m.z:.2f})")
+    worst = max(comparison.metrics, key=lambda m: m.z)
+    print(f"discarded trials {report.discarded} of {report.trials}")
+    print(f"worst |z| {worst.z:.2f} ({worst.name})")
     print("validation", "PASSED" if comparison.passed else "FAILED")
     return 0 if comparison.passed else 1
 

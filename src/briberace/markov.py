@@ -8,6 +8,15 @@ or into the failure state W when i = h-1).
 h is configurable: h = C+1 models a race abandoned once the gap exceeds the
 confirmation depth, while a deeper wall approximates the open-ended race in
 which the attacker keeps mining alone beyond the bribed region.
+
+Two solvers read the same chain. ``analyze`` is the dense reference: it
+builds the canonical form and inverts I - Q with an LU solve, giving the
+whole fundamental matrix. ``solve_race`` is the hot path: I - Q is
+tridiagonal, so Thomas sweeps give in O(h) the three things strategy
+evaluation reads, namely the success column of B, the start row of N and
+the expected step count from the start (Kemeny & Snell, *Finite Markov
+Chains*, for the identities). Both apply the same residual and row-sum
+tolerances; the tests pin the second to the first.
 """
 from __future__ import annotations
 
@@ -45,7 +54,7 @@ class AbsorbingChain:
         object.__setattr__(self, "fork_power", _frozen(self.fork_power))
         if self.fork_power.ndim != 1 or self.fork_power.size < 1:
             raise ChainError("fork_power must be a non-empty vector")
-        if np.any(self.fork_power <= 0.0) or np.any(self.fork_power >= 1.0):
+        if not np.all((self.fork_power > 0.0) & (self.fork_power < 1.0)):
             raise ChainError("fork power must lie strictly inside (0, 1) at every state")
 
     @property
@@ -87,6 +96,16 @@ class AbsorptionAnalysis:
         object.__setattr__(self, "N", _frozen(self.N))
         object.__setattr__(self, "e", _frozen(self.e))
         object.__setattr__(self, "B", _frozen(self.B))
+
+
+@dataclass(frozen=True, eq=False)
+class RaceSolution:
+    """What strategy evaluation reads of an absorption analysis from one start
+    state: B[:, 0], N[start, :] and e[start]."""
+
+    success: np.ndarray  # absorption into the success state, from every state
+    visits: np.ndarray  # expected visits per state, from the start state
+    steps: float  # expected steps to absorption, from the start state
 
 
 def build_base_chain(scenario, per_state_fork_power=None) -> AbsorbingChain:
@@ -163,6 +182,74 @@ def analyze(chain: AbsorbingChain) -> AbsorptionAnalysis:
     cf = canonical_form(chain)
     N = fundamental_matrix(cf)
     return AbsorptionAnalysis(N, expected_steps(N), absorption_probs(N, cf.G))
+
+
+def solve_race(chain: AbsorbingChain, start: int) -> RaceSolution:
+    """Success column, start row of N and e[start] by tridiagonal sweeps.
+
+    I - Q has 1 on the diagonal, p_i below it and q_i above it, both
+    negated (p the fork power, q = 1 - p). Its transpose shares the
+    elimination pivots, so one forward pass serves the sweep for the success
+    and failure columns of B (right-hand sides p_0 e_0 and q_{h-1} e_{h-1})
+    and the sweep for the start row of N, which solves (I - Q)^T x = e_start.
+    Scalar floats throughout: at the chain lengths used here a Python loop
+    beats numpy's per-call overhead.
+    """
+    p = chain.fork_power.tolist()
+    h = len(p)
+    if not (0 <= start < h):
+        raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
+    q = [1.0 - x for x in p]
+
+    # forward elimination
+    piv = [1.0]
+    up = [q[0]]  # q_i / pivot_i: eliminated super-diagonal of I - Q
+    win = [p[0]]  # reduced right-hand side of the success column
+    u, w = q[0], p[0]
+    for pi, qi in zip(p[1:], q[1:]):
+        d = 1.0 - pi * u
+        u = qi / d
+        w = pi * w / d
+        piv.append(d)
+        up.append(u)
+        win.append(w)
+    down = [pn / d for pn, d in zip(p[1:], piv)]  # p_{i+1} / pivot_i: of (I - Q)^T
+    row = [0.0] * h
+    x = row[start] = 1.0 / piv[start]
+    for i in range(start + 1, h):
+        x = row[i] = q[i - 1] * x / piv[i]
+
+    # back substitution; the failure column is a running product of up
+    lose = up[:]
+    for i in range(h - 2, -1, -1):
+        win[i] += up[i] * win[i + 1]
+        lose[i] *= lose[i + 1]
+        row[i] += down[i] * row[i + 1]
+
+    # O(h) residuals of the three solves, and the row sums of B
+    below, above = [0.0] + p[1:], q[:-1] + [0.0]  # Q[i, i-1] and Q[i, i+1]
+    res = [
+        y - b * y_lo - a * y_hi
+        for col in (win, lose)
+        for y, b, a, y_lo, y_hi in zip(col, below, above, [0.0] + col[:-1], col[1:] + [0.0])
+    ]
+    res[0] -= p[0]
+    res[-1] -= q[-1]
+    res += [
+        y - b * y_lo - a * y_hi
+        for y, b, a, y_lo, y_hi in zip(row, [0.0] + q[:-1], p[1:] + [0.0],
+                                       [0.0] + row[:-1], row[1:] + [0.0])
+    ]
+    res[2 * h + start] -= 1.0
+    residual = max(max(res), -min(res))
+    if not residual < SOLVER_RESIDUAL_TOL:
+        raise ChainError(f"solve residual {residual:.3e} exceeds {SOLVER_RESIDUAL_TOL}")
+    sums = [b + f for b, f in zip(win, lose)]
+    if not max(max(sums) - 1.0, 1.0 - min(sums)) <= ROW_SUM_TOL:
+        raise ChainError("absorption probabilities must sum to 1 per start state")
+    success, visits = np.array(win), np.array(row)
+    success.flags.writeable = visits.flags.writeable = False
+    return RaceSolution(success, visits, math.fsum(row))
 
 
 def catchup_prob(mu_eff: float, lambda_eff: float, i: int) -> float:

@@ -109,6 +109,35 @@ class Scenario:
     def target(self) -> Miner:
         return self.miner_set.miner(self.target_id)
 
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        """Basic-formula threshold T[miner, state] of every roster miner at
+        every bribed state 0..C, rows in roster order, built once (read-only)."""
+        return self._threshold_table(snapped=False)
+
+    @cached_property
+    def recruit_thresholds(self) -> np.ndarray:
+        """The threshold table at each miner's power snapped down to the
+        persuadability bisection's grid: a bribe b recruits the miner at state
+        i iff ``recruit_thresholds[miner, i] <= b``, which is exactly
+        ``power >= persuadable_threshold(i, b, ...)``, knife edges included."""
+        return self._threshold_table(snapped=True)
+
+    def _threshold_table(self, snapped: bool) -> np.ndarray:
+        from . import rationality  # rationality reads DUST from this module
+
+        powers = [m.power for m in self.miner_set.miners]
+        if snapped:
+            powers = [rationality.persuadable_grid_floor(p, self.lam) for p in powers]
+        states = range(self.confirmations + 1)
+        table = np.array(
+            [[rationality.basic_threshold(i, p, self.mu, self.lam, self.reward) for i in states]
+             for p in powers],
+            dtype=float,
+        ).reshape(len(powers), len(states))
+        table.flags.writeable = False
+        return table
+
 
 def _parse_pool_lines(raw: str):
     for lineno, line in enumerate(raw.splitlines(), start=1):

@@ -21,6 +21,7 @@ from typing import Sequence
 from .model import DUST
 
 THRESHOLD_BISECTION_TOL = 1e-9
+PERSUADABLE_MARGIN = 1e-15  # the persuadability bisection brackets (margin, lam - margin)
 
 
 class RationalityError(ValueError):
@@ -157,7 +158,7 @@ def persuadable_threshold(
     """
     if bribe < 0:
         raise RationalityError("bribe must be nonnegative")
-    lo, hi = 1e-15, lam - 1e-15
+    lo, hi = PERSUADABLE_MARGIN, lam - PERSUADABLE_MARGIN
     if basic_threshold(i, lo, mu, lam, reward) <= bribe:
         return 0.0
     if basic_threshold(i, hi, mu, lam, reward) > bribe:
@@ -170,6 +171,28 @@ def persuadable_threshold(
         else:
             hi = mid
     return hi
+
+
+def persuadable_grid_floor(p_m: float, lam: float) -> float:
+    """The largest power at or below ``p_m`` that persuadable_threshold's
+    bisection can return, found by walking its midpoints toward ``p_m``.
+
+    For a threshold monotone in power, ``p_m >= persuadable_threshold(i, b,
+    ...)`` holds exactly when ``basic_threshold(i, floor, ...) <= b``: both
+    ask on which side of the bisection's final bracket the miner falls. A
+    table of thresholds at these floors therefore answers every bribe with
+    one comparison and the bisection's own knife edges.
+    """
+    lo, hi = PERSUADABLE_MARGIN, lam - PERSUADABLE_MARGIN
+    if p_m >= hi:
+        return hi
+    while hi - lo > THRESHOLD_BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid > p_m:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def choose_chain(

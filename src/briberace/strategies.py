@@ -17,9 +17,11 @@ unbribed tail kept open-ended (deep wall).
 
 Who mines the fork at each bribed state is held in one ``MembershipMatrix``;
 fork powers, recapture and the optimizer's feasibility test all read it.
+Every chain here is solved by ``markov.solve_race``, the tridiagonal path.
 """
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -40,9 +42,19 @@ GVC_RESTARTS = 32  # random seeds added to the structured seed portfolio by defa
 
 STRATEGY_TAGS = ("BS", "BFF", "CRB1", "CRB2", "GVC_AC", "GVC_RAC")
 
+# The optimize_gvc search in progress, None outside one: its memo of success
+# columns by core fork-power bytes (the candidates share most of their
+# projected chains). Set and reset by optimize_gvc alone.
+_SEARCH: ContextVar[dict[bytes, np.ndarray] | None] = ContextVar("gvc_search", default=None)
+
 
 class StrategyError(ValueError):
     pass
+
+
+class _Infeasible(Exception):
+    """An optimizer candidate that leaves the target off the fork at some
+    state; the search drops it before its evaluation solve."""
 
 
 @dataclass(frozen=True)
@@ -169,13 +181,13 @@ def evaluate_schedule(
     start = _resolve_start(scenario, start_state)
     if chain.h < schedule.h:
         raise StrategyError("chain must span at least the scheduled states")
-    analysis = markov.analyze(chain)
-    visits = analysis.N[start, :]
+    solution = markov.solve_race(chain, start)
+    visits = solution.visits
     bribes = np.zeros(chain.h)
     bribes[: schedule.h] = schedule.per_state_bribe
 
     cost = float(visits @ bribes)
-    b_v = analysis.B[:, 0]
+    b_v = solution.success
     success = float(b_v[start])
     if success > 0.0:
         cost_success = float(np.sum(b_v / success * visits * bribes))
@@ -197,7 +209,7 @@ def evaluate_schedule(
         start_state=start,
         success_prob=success,
         success_prob_basic=basic,
-        expected_steps=float(analysis.e[start]),
+        expected_steps=solution.steps,
         visits=visits,
         cost_unconditional=cost,
         cost_on_success=cost_success,
@@ -364,8 +376,8 @@ def run_crb(
         for i in range(c + 1)
     ]
     target_only = _target_only(scenario, offered)
-    pricing = markov.analyze(_chain_for(scenario, target_only))
-    constant = rationality.crb_min_constant(pricing.N[calc_from, :], quotes, calc_from)
+    pricing = markov.solve_race(_chain_for(scenario, target_only), calc_from)
+    constant = rationality.crb_min_constant(pricing.visits, quotes, calc_from)
     constant = max(constant, DUST)
 
     entries = tuple(constant if i in offered else 0.0 for i in range(c + 1))
@@ -400,24 +412,27 @@ class RecruitmentChain:
 
 def gvc_new_markov(scenario: Scenario, schedule: BribeSchedule) -> RecruitmentChain:
     """First pass over a committed schedule: at each state, every miner whose
-    power reaches the persuadability floor joins; fork power is adjusted
-    accordingly."""
+    power reaches the persuadability floor joins (read off the scenario's
+    recruit threshold table); fork power is adjusted accordingly."""
     if not schedule.committed:
         raise StrategyError("recruitment projection requires a committed schedule")
+    if schedule.h != scenario.confirmations + 1:
+        raise StrategyError("a committed schedule has one entry per state 0..C")
     ms = scenario.miner_set
-    zeta = np.zeros((len(ms.ids), schedule.h), dtype=int)
-    for i, bribe in enumerate(schedule.per_state_bribe):
-        floor = rationality.persuadable_threshold(
-            i, bribe, scenario.mu, scenario.lam, scenario.reward
-        )
-        if floor is not None:
-            zeta[:, i] = ms.powers >= floor
+    zeta = scenario.recruit_thresholds <= np.asarray(schedule.per_state_bribe)
     membership = MembershipMatrix(ms.ids, zeta)
     return RecruitmentChain(membership.fork_power(ms.powers, scenario.mu), membership)
 
 
 def _absorption_success(core: np.ndarray, scenario: Scenario) -> np.ndarray:
-    return markov.analyze(_open_chain(scenario, core)).B[: core.size, 0]
+    memo = _SEARCH.get()
+    key = core.tobytes()
+    if memo is not None and key in memo:
+        return memo[key]
+    success = markov.solve_race(_open_chain(scenario, core), 0).success[: core.size]
+    if memo is not None:
+        memo[key] = success
+    return success
 
 
 def gvc_member_thresholds(
@@ -497,6 +512,8 @@ def run_gvc(
     for j, t in enumerate(thresholds):
         if t is not None and schedule.per_state_bribe[j] >= t:
             zeta[r, j] = 1
+    if _SEARCH.get() is not None and not zeta[r].all():
+        raise _Infeasible  # in optimize_gvc's search: dropped unevaluated
     membership = MembershipMatrix(scenario.miner_set.ids, zeta)
     chain = _chain_for(scenario, membership)
     return evaluate_schedule(scenario, schedule, chain, start, membership)
@@ -529,24 +546,18 @@ def optimize_gvc(
     start = _resolve_start(scenario, start_state)
     tag = "GVC_AC" if objective == "ac" else "GVC_RAC"
     c = scenario.confirmations
-    p_m = scenario.target.power
     target_row = scenario.miner_set.row(scenario.target_id)
+    thresholds = scenario.thresholds.tolist()
 
     target_minima = [
-        rationality.min_bribe_basic(
-            i, p_m, scenario.mu, scenario.lam, scenario.reward
-        ).settled
-        for i in range(c + 1)
+        rationality.BribeQuote(i, scenario.target_id, t, "basic").settled
+        for i, t in enumerate(thresholds[target_row])
     ]
     # static recruitment levels: one candidate per roster prefix, per state
     static_candidates: list[list[float]] = []
     for i in range(c + 1):
         levels = {DUST, _grid_above(target_minima[i])}
-        for m in scenario.miner_set.miners:
-            t = rationality.basic_threshold(
-                i, m.power, scenario.mu, scenario.lam, scenario.reward
-            )
-            levels.add(_grid_above(t))
+        levels.update(_grid_above(row[i]) for row in thresholds)
         static_candidates.append(sorted(levels))
 
     cache: dict[tuple[float, ...], tuple[float, StrategyOutcome] | None] = {}
@@ -554,17 +565,16 @@ def optimize_gvc(
     def feasible_and_score(entries: tuple[float, ...]) -> tuple[float, StrategyOutcome] | None:
         if entries in cache:
             return cache[entries]
-        schedule = BribeSchedule(entries, True, tag)
-        outcome = run_gvc(scenario, schedule, start)
-        result: tuple[float, StrategyOutcome] | None
-        if not outcome.membership.zeta[target_row].all():
-            result = None
-        elif objective == "ac":
-            result = (outcome.cost_unconditional, outcome)
-        elif outcome.cost_on_success is None:
-            result = None
+        result: tuple[float, StrategyOutcome] | None = None
+        try:
+            outcome = run_gvc(scenario, BribeSchedule(entries, True, tag), start)
+        except _Infeasible:
+            pass
         else:
-            result = (outcome.cost_on_success, outcome)
+            if objective == "ac":
+                result = (outcome.cost_unconditional, outcome)
+            elif outcome.cost_on_success is not None:
+                result = (outcome.cost_on_success, outcome)
         cache[entries] = result
         return result
 
@@ -622,33 +632,29 @@ def optimize_gvc(
     # (uniform, and completed with commitment-minimal entries past a split
     # state; the cheap schedules concentrate spend below the start and ride
     # the commitment effect above it), plus seeded random combinations
-    seeds = [tuple(target_minima)]
-    splits = sorted({max(start - 1, 0), start, min(start + 1, c)})
-    for k in range(1, len(scenario.miner_set.miners) + 1):
-        prefix_power = scenario.miner_set.miners[k - 1].power
-        entries = tuple(
-            _grid_above(
-                rationality.basic_threshold(
-                    j, prefix_power, scenario.mu, scenario.lam, scenario.reward
-                )
+    search = _SEARCH.set({})
+    try:
+        seeds = [tuple(target_minima)]
+        splits = sorted({max(start - 1, 0), start, min(start + 1, c)})
+        for row in thresholds:
+            entries = tuple(_grid_above(t) for t in row)
+            seeds.append(entries)
+            for split in splits:
+                seeds.append(complete_suffix(entries, split))
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts):
+            entries = tuple(
+                float(rng.choice(static_candidates[j])) for j in range(c + 1)
             )
-            for j in range(c + 1)
-        )
-        seeds.append(entries)
-        for split in splits:
-            seeds.append(complete_suffix(entries, split))
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        entries = tuple(
-            float(rng.choice(static_candidates[j])) for j in range(c + 1)
-        )
-        seeds.append(entries)
+            seeds.append(entries)
 
-    results = []
-    for entries in seeds:
-        res = descend(entries)
-        if res is not None:
-            results.append(res)
+        results = []
+        for entries in seeds:
+            res = descend(entries)
+            if res is not None:
+                results.append(res)
+    finally:
+        _SEARCH.reset(search)
     if not results:
         raise StrategyError("no feasible schedule persuades the target up to the start state")
     results.sort(key=lambda r: (r[0], r[1]))

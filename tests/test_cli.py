@@ -172,6 +172,23 @@ def test_validate_passes_and_corrupt_fails(capsys):
     assert "validation FAILED" in out
 
 
+def test_validate_prints_discarded_trials_and_worst_z(capsys, tmp_path):
+    report = tmp_path / "validate.csv"
+    code, out, _ = run_cli(
+        [
+            "validate", "--pools", WHALE, "--strategy", "bs", "--target", "M",
+            "--trials", "20000", "--seed", "12", "--out", str(report),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "discarded trials 0 of 20000" in out
+    worst = grab(r"worst \|z\| ([\d.]+) \(", out)
+    rows = report.read_text().splitlines()[1:]
+    assert worst == pytest.approx(max(float(r.split(",")[4]) for r in rows), abs=0.01)
+    assert out.rstrip().endswith("validation PASSED")
+
+
 def test_reports_byte_identical_across_runs(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = [

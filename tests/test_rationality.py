@@ -12,6 +12,7 @@ from briberace.rationality import (
     crb_min_constant,
     min_bribe_basic,
     min_bribe_general,
+    persuadable_grid_floor,
     persuadable_threshold,
     staying_condition,
 )
@@ -241,3 +242,34 @@ def test_threshold_inversion_brackets_power(mu, frac, i):
     if high is not None:
         assert high >= pm - 1e-6
     assert not math.isnan(low)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=st.floats(min_value=0.02, max_value=0.7),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    i=st.integers(min_value=0, max_value=12),
+    rel=st.one_of(st.floats(min_value=-1e-6, max_value=1e-6), st.sampled_from([0.0, 1e-12, -1e-12])),
+)
+def test_threshold_at_grid_floor_answers_like_the_bisection(mu, frac, i, rel):
+    """A bribe recruits a miner by the bisection (power >= floor) exactly when
+    it reaches the basic threshold at the miner's power snapped down to the
+    bisection's grid, also for bribes within a hair of the miner's own
+    threshold and for a miner holding the whole main chain."""
+    lam = 1.0 - mu
+    pm = max(frac * lam, 1e-12)
+    snapped = basic_threshold(i, persuadable_grid_floor(pm, lam), mu, lam, F)
+    bribe = max(snapped + rel * max(abs(snapped), 1.0), 0.0)
+    floor = persuadable_threshold(i, bribe, mu, lam, F)
+    assert (snapped <= bribe) == (floor is not None and pm >= floor)
+
+
+def test_grid_floor_is_a_bisection_endpoint_at_or_below_the_power():
+    for pm in (1e-18, 1e-9, 0.1, 0.25, LAM - 1e-16, LAM):
+        floor = persuadable_grid_floor(pm, LAM)
+        assert floor <= max(pm, 1e-15)
+        assert pm - floor < 1e-9 or pm < 1e-15
+    # a bribe exactly at the snapped threshold lands the bisection on the floor
+    floor = persuadable_grid_floor(PM, LAM)
+    assert persuadable_threshold(4, basic_threshold(4, floor, MU, LAM, F), MU, LAM, F) == floor
+    assert persuadable_grid_floor(floor, LAM) == floor  # a grid point is its own floor

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from briberace.model import DUST, load_pool_distribution, make_scenario
-from briberace.rationality import basic_threshold, min_bribe_basic
+from briberace.rationality import basic_threshold, min_bribe_basic, persuadable_threshold
 from briberace.strategies import (
+    GVC_QUANTUM,
     MIN_MAIN_SHARE,
     BribeSchedule,
     MembershipMatrix,
@@ -203,6 +204,49 @@ def test_gvc_dust_everywhere_recruits_only_state_zero(table2_scenario):
     for i in range(1, 7):
         assert recruit.memberships[i] == ()
         assert recruit.fork_power[i] == pytest.approx(table2_scenario.mu, abs=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["table2", "whale20"])
+def test_recruit_table_matches_the_bisection_at_every_offered_level(
+    fixture, table2_scenario, whale20_scenario
+):
+    """Every level optimize_gvc offers is dust, a grid step above some
+    miner's basic threshold (static candidates and seeds), the target's
+    threshold plus dust (a seed), or a grid step above a commitment-aware
+    threshold, which may be any grid point. Both membership rules are monotone
+    in the bribe, so agreeing on the grid levels on either side of every
+    miner's threshold, and on the knife edges a dust away from it, covers the
+    whole grid. Zero differences are expected."""
+    sc = table2_scenario if fixture == "table2" else whale20_scenario
+    exact = sc.thresholds.ravel().tolist()
+    steps = {round((np.floor(t / GVC_QUANTUM) + k) * GVC_QUANTUM, 10) for t in exact for k in (0, 1)}
+    edges = {t + d for t in exact for d in (-DUST, 0.0, DUST)}
+    levels = sorted(b for b in steps | edges | {DUST} if b >= 0.0)
+    powers = sc.miner_set.powers
+    for i in range(sc.confirmations + 1):
+        for bribe in levels:
+            floor = persuadable_threshold(i, bribe, sc.mu, sc.lam, sc.reward)
+            by_bisection = np.zeros(powers.size, bool) if floor is None else powers >= floor
+            by_table = sc.recruit_thresholds[:, i] <= bribe
+            assert np.array_equal(by_table, by_bisection), (i, bribe)
+
+
+def test_threshold_tables_in_roster_order(table2_scenario):
+    sc = table2_scenario
+    assert sc.thresholds.shape == sc.recruit_thresholds.shape == (14, 7)
+    assert not sc.thresholds.flags.writeable
+    for r, m in enumerate(sc.miner_set.miners):
+        for i in range(7):
+            assert sc.thresholds[r, i] == basic_threshold(i, m.power, sc.mu, sc.lam, sc.reward)
+    # snapping lowers the power by under one bisection step, so the
+    # threshold can only rise, and only by a hair
+    assert np.all(sc.recruit_thresholds >= sc.thresholds)
+    assert np.allclose(sc.recruit_thresholds, sc.thresholds, rtol=1e-6, atol=1e-6)
+
+
+def test_committed_schedule_spans_the_bribed_states(table2_scenario):
+    with pytest.raises(StrategyError):
+        gvc_new_markov(table2_scenario, BribeSchedule((DUST,) * 6, True, "GVC_AC"))
 
 
 def test_gvc_saturation_capped(table2_scenario):
@@ -473,6 +517,19 @@ def test_optimize_rac_objective(table2_scenario):
     assert out.cost_on_success is not None
     ac_sched, ac_out = optimize_gvc(table2_scenario, "ac", 4, restarts=4, seed=3)
     assert out.cost_on_success <= ac_out.cost_on_success + 1e-9
+
+
+def test_run_gvc_evaluates_infeasible_vectors_outside_the_search(table2_scenario):
+    # inside optimize_gvc an infeasible candidate is dropped before its
+    # evaluation solve; a direct call, before or after a search, still
+    # evaluates it
+    dust = (DUST,) * 7
+    before = run_gvc(table2_scenario, dust, 4)
+    optimize_gvc(table2_scenario, "ac", 4, restarts=1, seed=0)
+    after = run_gvc(table2_scenario, dust, 4)
+    assert not before.membership.zeta[table2_scenario.miner_set.row("P2")].all()
+    assert after.cost_unconditional == before.cost_unconditional
+    assert after.success_prob == before.success_prob
 
 
 def test_optimize_rejects_bad_objective(table2_scenario):
