@@ -284,6 +284,7 @@ def cmd_validate(cfg: RunConfig, corrupt: bool = False) -> int:
         print(f"{status} {m.name}: analytic {m.analytic:.6g} vs empirical {m.empirical:.6g} (z={m.z:.2f})")
     worst = max(comparison.metrics, key=lambda m: m.z)
     print(f"discarded trials {report.discarded} of {report.trials}")
+    print(f"events {report.events}, longest kept trial {report.longest} steps")
     print(f"worst |z| {worst.z:.2f} ({worst.name})")
     print("validation", "PASSED" if comparison.passed else "FAILED")
     return 0 if comparison.passed else 1

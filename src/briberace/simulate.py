@@ -7,9 +7,19 @@ per-state lookup). Used to validate the absorbing-chain analysis and the
 strategy outcomes: success probability, per-state visit counts, step counts
 and both cost figures.
 
-Trials run in fixed-size chunks; each chunk draws from its own Philox
-(counter-based) stream keyed by (seed, chunk index), so reports are
-bit-identical for a given seed and independent of scheduling.
+Trials run in fixed-size chunks (``CHUNK``). Draw order, which fixes every
+report bit for a given seed: iteration k of chunk c draws one uniform per
+trial still running, in ascending trial order, from
+``Philox(SeedSequence(seed, spawn_key=(c,)))``; a trial steps toward state
+0 when its uniform is below the fork power. Any loop that keeps this order
+gives the same reports.
+
+The loop holds only the running trials, compacted (ids ascending, their
+states), so an event costs one draw and a few passes over the trials still
+in the race rather than a gather and a scatter over the whole chunk; the
+arrays shrink only where a trial absorbed. A trial ending at iteration k
+took k + 1 steps, written once. Each running trial is in one cell of the
+visit counts per event, so a plain fancy-index increment counts exactly.
 """
 from __future__ import annotations
 
@@ -86,6 +96,8 @@ class SimReport:
     cost_on_success: MetricEstimate | None  # None when no trial succeeded
     successes: int
     discarded: int  # trials that hit the event cap
+    events: int  # steps summed over the kept trials
+    longest: int  # most steps of any kept trial (0 when none was kept)
 
 
 def _mk_estimate(total: float, total_sq: float, n: int) -> MetricEstimate:
@@ -127,6 +139,7 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
 
     succ = 0
     disc = 0
+    events = longest = 0
     steps_sum = steps_sq = 0.0
     cost_sum = cost_sq = 0.0
     cost_succ_sum = cost_succ_sq = 0.0
@@ -140,44 +153,55 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_idx,)))
         )
-        state = np.full(n, policy.start_state, dtype=np.int64)
-        visits = np.zeros((n, n_track), dtype=np.int64)
-        if policy.start_state < n_track:
-            visits[:, policy.start_state] = 1
-        steps = np.zeros(n, dtype=np.int64)
+        # per-trial visit counts, one spare column for every state past the
+        # tracked region; flat cells of distinct running trials never collide
+        width = n_track + 1
+        counts = np.zeros((n, width), dtype=np.int32)
+        counts[:, min(policy.start_state, n_track)] = 1
+        flat = counts.reshape(-1)
+        steps = np.full(n, max_events, dtype=np.int64)  # a trial ending at iteration k took k + 1
         result = np.full(n, -1, dtype=np.int8)  # -1 running, 1 success, 0 failure
         if sticky:
             member = np.tile(joins[policy.start_state], (n, 1))  # trials x roster
             joined = _joined_power(member, powers)
 
+        # running trials only, compacted: trial ids ascending, their states
+        # and the flat offsets of their count rows
         active = np.arange(n)
-        for _ in range(max_events):
+        state = np.full(n, policy.start_state, dtype=np.int64)
+        row = active * width
+        for k in range(max_events):
             if active.size == 0:
                 break
             u = rng.random(active.size)
             if sticky:
                 p = np.minimum(policy.mu + joined[active], 1.0 - 1e-12)
             else:
-                p = fork[state[active]]
+                p = fork[state]
             down = u < p
-            state[active] += np.where(down, -1, 1)
-            steps[active] += 1
+            state += 1
+            state -= down
+            state -= down
 
-            s = state[active]
-            result[active[s < 0]] = 1
-            result[active[s >= h]] = 0
-            still = (s >= 0) & (s < h)
-            moved = active[still]
-            s = state[moved]
+            ended = state.view(np.uintp) >= h  # -1 wraps past h: one test for both ends
+            if ended.any():
+                ids = active[ended]
+                result[ids] = state[ended] < 0
+                steps[ids] = k + 1
+                keep = np.flatnonzero(~ended)
+                active = active[keep]
+                state = state[keep]
+                row = row[keep]
             if sticky:
-                at = moved[recruits[s]]  # trials now at a state that recruits someone
-                grew = at[np.any(joins[state[at]] & ~member[at], axis=1)]
-                if grew.size:
-                    member[grew] |= joins[state[grew]]
+                at = np.flatnonzero(recruits[state])  # positions now at a state that recruits
+                new = joins[state[at]]
+                grow = np.any(new & ~member[active[at]], axis=1)
+                if grow.any():
+                    grew = active[at[grow]]
+                    member[grew] |= new[grow]
                     joined[grew] = _joined_power(member[grew], powers)
-            in_track = s < n_track
-            np.add.at(visits, (moved[in_track], s[in_track]), 1)
-            active = moved
+            flat[row + np.minimum(state, n_track)] += 1
+        visits = counts[:, :n_track]
 
         discarded = result == -1
         kept = ~discarded
@@ -188,7 +212,10 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
             k_state = result[kept]
             cost = k_visits @ bribe[:n_track]
             succ += int((k_state == 1).sum())
-            steps_k = steps[kept].astype(float)
+            k_steps = steps[kept]
+            events += int(k_steps.sum())
+            longest = max(longest, int(k_steps.max()))
+            steps_k = k_steps.astype(float)
             steps_sum += steps_k.sum()
             steps_sq += (steps_k**2).sum()
             cost_sum += cost.sum()
@@ -227,6 +254,8 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
         ),
         successes=succ,
         discarded=disc,
+        events=events,
+        longest=longest,
     )
 
 

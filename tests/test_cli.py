@@ -189,6 +189,23 @@ def test_validate_prints_discarded_trials_and_worst_z(capsys, tmp_path):
     assert out.rstrip().endswith("validation PASSED")
 
 
+def test_validate_prints_event_count_and_longest_trial(capsys, tmp_path):
+    report = tmp_path / "validate.json"
+    args = [
+        "validate", "--pools", WHALE, "--strategy", "bs", "--target", "M",
+        "--trials", "20000", "--seed", "12",
+    ]
+    code, out, _ = run_cli(args + ["--format", "json", "--out", str(report)], capsys)
+    assert code == 0
+    events = int(grab(r"events (\d+), longest kept trial \d+ steps", out))
+    longest = int(grab(r"longest kept trial (\d+) steps", out))
+    rows = {r["metric"]: r for r in json.loads(report.read_text())["rows"]}
+    mean_steps = float(rows["expected_steps"]["empirical"])
+    assert events / 20000 == pytest.approx(mean_steps, rel=1e-5)
+    assert longest > mean_steps
+    assert "events" not in report.read_text()
+
+
 def test_reports_byte_identical_across_runs(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = [

@@ -1,11 +1,15 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from briberace import markov
+from briberace.cli import fixture_path
 from briberace.model import load_pool_distribution, make_scenario
 from briberace.simulate import (
+    CHUNK,
     RacePolicy,
     SimConfig,
     SimulationError,
@@ -164,3 +168,90 @@ def test_sticky_retention_on_a_64_miner_roster():
     assert peak < 64 * 2**20
     assert rep_sticky.discarded == 0
     assert rep_sticky.empirical_success.mean >= rep_state.empirical_success.mean
+
+
+# Golden reports: tests/data/sim_reports.txt was written by running this
+# module as a script (``PYTHONPATH=src python tests/test_simulate.py``)
+# before the event loop was rewritten; every field below must keep its bits.
+GOLDEN = Path(__file__).resolve().parent / "data" / "sim_reports.txt"
+GOLDEN_FIELDS = (
+    "trials", "seed", "empirical_success", "mean_steps", "visit_counts",
+    "cost_unconditional", "cost_on_success", "successes", "discarded",
+)
+
+
+def _golden_value(v) -> str:
+    if v is None:
+        return "None"
+    if isinstance(v, tuple):
+        return "[" + " ".join(_golden_value(x) for x in v) + "]"
+    if isinstance(v, int):
+        return str(v)
+    return f"{v.mean.hex()}/{v.se.hex()}"
+
+
+def golden_cases():
+    """(name, policy, config) for every golden report, in file order."""
+    t2 = make_scenario(load_pool_distribution(fixture_path("table2").read_text()), "P2", 6, 1, 6.25)
+    wh = make_scenario(load_pool_distribution(fixture_path("whale20").read_text()), "M", 6, 1, 6.25)
+    cfg = SimConfig(trials=20_000, seed=5)
+    for tag, scenario, start in (("table2", t2, 4), ("whale20", wh, 6)):
+        for name, run in (
+            ("bs", lambda: run_bs(scenario, start)),
+            ("bff", lambda: run_bff(scenario, start)),
+            ("crb1", lambda: run_crb(scenario, "crb1", start)),
+            ("crb2", lambda: run_crb(scenario, "crb2", start)),
+        ):
+            yield f"{name}-{tag}@{start}", RacePolicy.from_outcome(run()), cfg
+    yield "untracked-none", RacePolicy((0.3, 0.45, 0.6, 0.2, 0.5), (1.0, 0.0, 2.5, 0.5, 3.0), 2), cfg
+    bs = run_bs(t2, 4)
+    base = RacePolicy.from_outcome(bs)
+    yield "sticky-bs-table2@4", RacePolicy(
+        base.fork_power, base.bribe, base.start_state,
+        scheduled_states=base.scheduled_states, mu=t2.mu,
+        sticky_membership=bs.membership,
+        roster_powers=tuple(m.power for m in t2.miner_set.miners),
+    ), cfg
+    yield "event-capped", const_policy(0.5, 9, 4, bribe=range(9)), SimConfig(trials=2_000, seed=1, max_events=9)
+    yield "coin-flip", const_policy(0.5, 1, 0, bribe=(1.5,)), SimConfig(trials=10_000, seed=11)
+    yield "partial-chunk", const_policy(0.3, 7, 6, bribe=(0.5,) * 7), SimConfig(trials=CHUNK + 1, seed=3)
+
+
+def golden_line(name, report) -> str:
+    return name + " " + " ".join(f"{f}={_golden_value(getattr(report, f))}" for f in GOLDEN_FIELDS)
+
+
+def test_reports_are_bit_identical_to_the_golden_file():
+    want = GOLDEN.read_text().splitlines()
+    got = [golden_line(name, simulate_race(policy, cfg)) for name, policy, cfg in golden_cases()]
+    assert got == want
+    assert any(" discarded=0" not in line for line in want)  # the capped case discards
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 0.95), min_size=1, max_size=40),
+    st.data(),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_steps_equal_the_sum_of_visits_over_a_fully_tracked_chain(fork, data, trials, seed):
+    h = len(fork)
+    start = data.draw(st.integers(0, h - 1))
+    tracked = data.draw(st.sampled_from([None, h]))
+    policy = RacePolicy(tuple(fork), (0.0,) * h, start, scheduled_states=tracked)
+    try:
+        rep = simulate_race(policy, SimConfig(trials=trials, seed=seed))
+    except SimulationError:  # a deep valley can hold every trial past the cap
+        reject()
+    kept = rep.trials - rep.discarded
+    assert rep.successes <= kept
+    visits = sum(est.mean for est in rep.visit_counts)
+    assert rep.mean_steps.mean == pytest.approx(visits, rel=1e-12)
+    assert rep.events == pytest.approx(rep.mean_steps.mean * kept, rel=1e-12)
+    assert min(start + 1, h - start) <= rep.longest <= 200 * h
+
+
+if __name__ == "__main__":
+    for case_name, case_policy, case_cfg in golden_cases():
+        print(golden_line(case_name, simulate_race(case_policy, case_cfg)))
