@@ -6,8 +6,17 @@ success state V when i = 0) and on the main chain otherwise (moving to i+1,
 or into the failure state W when i = h-1).
 
 h is configurable: h = C+1 models a race abandoned once the gap exceeds the
-confirmation depth, while a deeper wall approximates the open-ended race in
-which the attacker keeps mining alone beyond the bribed region.
+confirmation depth, while ``extend_fork_power`` appends a deeper wall of
+states where the attacker mines alone. That wall stands in for the
+open-ended race's success probabilities only away from an attacker power
+of 0.5. Below about 0.486 a walk that hits it would have come back to win
+with probability under TAIL_MASS; above about 0.514 a walk hits it with
+probability under 1e-12. Near 0.5 the wall sets the numbers: at 0.5, with
+C = 2, the attacker alone reports from state 2 a success of
+1 - 3/516 = 0.99419 and 3 * 513 = 1,539 expected steps, where the
+open-ended race wins surely in unbounded expected time. Expected step
+counts are the wall's at every power up to 0.5, since the open-ended race
+then has no finite mean duration.
 
 Two solvers read the same chain. ``analyze`` is the dense reference: it
 builds the canonical form and inverts I - Q with an LU solve, giving the
@@ -17,11 +26,28 @@ evaluation reads, namely the success column of B, the start row of N and
 the expected step count from the start (Kemeny & Snell, *Finite Markov
 Chains*, for the identities). Both apply the same residual and row-sum
 tolerances; the tests pin the second to the first.
+
+``solve_race`` sweeps state by state only up to the start state and the
+chain's last change of fork power. The trailing run of equal powers above
+both (the attacker alone: 22 of the 29 states of a table2 chain, 512 of
+about 515 on a deep roster) is solved on its own and kept in a small
+bounded cache (RUN_CACHE_SIZE entries) keyed by the run's exact power and
+length. An entry holds the chance g that a walk entering the run at its
+bottom comes back down, the run's visit profile and step count from its
+bottom, its exit-down (success) profile, and the largest residuals of its
+three solves and of its row sums. The core's last row absorbs the run
+(diagonal 1 - q g, failure right-hand side q (1 - g)), and the run's part
+of each result is a boundary value of the core times a cached profile. The
+checks still cover every state: the core's residuals are taken against
+the run's first values, and at each run state the full chain's residuals
+are the run's own scaled by those boundary values, so the cached maxima,
+scaled, bound them; the run's row sums are bounded the same way.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +58,9 @@ ROW_SUM_TOL = 1e-6
 TAIL_MIN = 16
 TAIL_MAX = 512
 TAIL_MASS = 1e-12
+
+# Attacker-only runs kept solved by solve_race, by (fork power, length).
+RUN_CACHE_SIZE = 64
 
 
 class ChainError(ValueError):
@@ -123,8 +152,10 @@ def build_base_chain(scenario, per_state_fork_power=None) -> AbsorbingChain:
 def extend_fork_power(core: np.ndarray, mu: float, depth: int | None = None) -> np.ndarray:
     """Append unbribed tail states (attacker mining alone) past the core region.
 
-    The default depth makes the truncated tail mass below TAIL_MASS, so the
-    finite wall is numerically indistinguishable from an open-ended race.
+    The default depth keeps the truncated tail mass (mu / (1 - mu))^depth
+    below TAIL_MASS where TAIL_MAX states suffice, for mu below about 0.486.
+    Above that the tail is TAIL_MAX states deep, and near mu = 0.5 the wall
+    sets the success probability and the expected steps (module docstring).
     """
     if depth is None:
         rho = mu / (1.0 - mu)
@@ -184,72 +215,139 @@ def analyze(chain: AbsorbingChain) -> AbsorptionAnalysis:
     return AbsorptionAnalysis(N, expected_steps(N), absorption_probs(N, cf.G))
 
 
-def solve_race(chain: AbsorbingChain, start: int) -> RaceSolution:
-    """Success column, start row of N and e[start] by tridiagonal sweeps.
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """A run of states at one fork power solved on its own: entered at its
+    bottom state, left downward from there or upward (failure) from its top."""
+
+    power: float
+    success: np.ndarray  # s_j: leaves downward, from run state j
+    visits: np.ndarray  # v_j: expected visits to run state j, entered at the bottom
+    steps: float  # sum of v
+    g: float  # s_0: a walk that enters the run comes back down
+    lose0: float  # l_0: a walk that enters the run fails
+    residuals: tuple[float, float, float]  # largest |residual| of s, l and v
+    row_sum_error: float  # largest |s_j + l_j - 1|
+
+
+def _sweep(p: list[float], start: int, run: _Run | None = None):
+    """Thomas sweeps over states 0..n-1 of fork powers p (q = 1 - p).
 
     I - Q has 1 on the diagonal, p_i below it and q_i above it, both
-    negated (p the fork power, q = 1 - p). Its transpose shares the
-    elimination pivots, so one forward pass serves the sweep for the success
-    and failure columns of B (right-hand sides p_0 e_0 and q_{h-1} e_{h-1})
-    and the sweep for the start row of N, which solves (I - Q)^T x = e_start.
-    Scalar floats throughout: at the chain lengths used here a Python loop
-    beats numpy's per-call overhead.
+    negated. Its transpose shares the elimination pivots, so one forward
+    pass serves the sweep for the success and failure columns of B
+    (right-hand sides p_0 e_0 and q_{n-1} e_{n-1}) and the sweep for the
+    start row of N, which solves (I - Q)^T x = e_start. With ``run`` above
+    the last state, an up-move from it comes back with probability g and
+    fails otherwise: the last diagonal is 1 - q_{n-1} g and the failure
+    right-hand side q_{n-1} (1 - g). Returns the success column, the failure
+    column, the start row and the largest residual of each of the three
+    solves, each residual taken against the run's first values.
     """
-    p = chain.fork_power.tolist()
-    h = len(p)
-    if not (0 <= start < h):
-        raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
+    n = len(p)
     q = [1.0 - x for x in p]
+    if run is None:
+        g, lose0, visits0, mu = 0.0, 1.0, 0.0, 0.0
+    else:
+        g, lose0, visits0, mu = run.g, run.lose0, float(run.visits[0]), run.power
+    diag = [1.0] * n
+    diag[-1] = 1.0 - q[-1] * g
 
     # forward elimination
-    piv = [1.0]
-    up = [q[0]]  # q_i / pivot_i: eliminated super-diagonal of I - Q
-    win = [p[0]]  # reduced right-hand side of the success column
-    u, w = q[0], p[0]
-    for pi, qi in zip(p[1:], q[1:]):
-        d = 1.0 - pi * u
+    d = diag[0]
+    u, w = q[0] / d, p[0] / d
+    piv, up, win = [d], [u], [w]  # up: q_i / pivot_i; win: reduced success right-hand side
+    for pi, qi, di in zip(p[1:], q[1:], diag[1:]):
+        d = di - pi * u
         u = qi / d
         w = pi * w / d
         piv.append(d)
         up.append(u)
         win.append(w)
     down = [pn / d for pn, d in zip(p[1:], piv)]  # p_{i+1} / pivot_i: of (I - Q)^T
-    row = [0.0] * h
+    row = [0.0] * n
     x = row[start] = 1.0 / piv[start]
-    for i in range(start + 1, h):
+    for i in range(start + 1, n):
         x = row[i] = q[i - 1] * x / piv[i]
 
     # back substitution; the failure column is a running product of up
     lose = up[:]
-    for i in range(h - 2, -1, -1):
+    lose[-1] = q[-1] * (1.0 - g) / piv[-1]
+    for i in range(n - 2, -1, -1):
         win[i] += up[i] * win[i + 1]
         lose[i] *= lose[i + 1]
         row[i] += down[i] * row[i + 1]
 
-    # O(h) residuals of the three solves, and the row sums of B
-    below, above = [0.0] + p[1:], q[:-1] + [0.0]  # Q[i, i-1] and Q[i, i+1]
-    res = [
-        y - b * y_lo - a * y_hi
-        for col in (win, lose)
-        for y, b, a, y_lo, y_hi in zip(col, below, above, [0.0] + col[:-1], col[1:] + [0.0])
-    ]
-    res[0] -= p[0]
-    res[-1] -= q[-1]
-    res += [
-        y - b * y_lo - a * y_hi
-        for y, b, a, y_lo, y_hi in zip(row, [0.0] + q[:-1], p[1:] + [0.0],
-                                       [0.0] + row[:-1], row[1:] + [0.0])
-    ]
-    res[2 * h + start] -= 1.0
-    residual = max(max(res), -min(res))
-    if not residual < SOLVER_RESIDUAL_TOL:
-        raise ChainError(f"solve residual {residual:.3e} exceeds {SOLVER_RESIDUAL_TOL}")
-    sums = [b + f for b, f in zip(win, lose)]
-    if not max(max(sums) - 1.0, 1.0 - min(sums)) <= ROW_SUM_TOL:
-        raise ChainError("absorption probabilities must sum to 1 per start state")
-    success, visits = np.array(win), np.array(row)
+    # O(n) residuals of the three solves. Below state 0 sit the success and
+    # failure states, above state n-1 the failure state or the run's first
+    # values; a NaN residual is kept
+    b_hi, f_hi = win[1:] + [win[-1] * g], lose[1:] + [lose[-1] * g + lose0]
+    x_hi, p_hi = row[1:] + [q[-1] * row[-1] * visits0], p[1:] + [mu]
+    b_lo, f_lo, x_lo, q_lo = 1.0, 0.0, 0.0, 0.0
+    res_b = res_f = res_x = 0.0
+    for i in range(n):
+        pi, qi, b, f, x = p[i], q[i], win[i], lose[i], row[i]
+        r = abs(b - pi * b_lo - qi * b_hi[i])
+        if not r <= res_b:
+            res_b = r
+        r = abs(f - pi * f_lo - qi * f_hi[i])
+        if not r <= res_f:
+            res_f = r
+        r = abs(x - q_lo * x_lo - p_hi[i] * x_hi[i] - (i == start))
+        if not r <= res_x:
+            res_x = r
+        b_lo, f_lo, x_lo, q_lo = b, f, x, qi
+    return win, lose, row, (res_b, res_f, res_x)
+
+
+@lru_cache(maxsize=RUN_CACHE_SIZE)
+def _run(power: float, length: int) -> _Run:
+    s, l, v, residuals = _sweep([power] * length, 0)
+    success, visits = np.array(s), np.array(v)
     success.flags.writeable = visits.flags.writeable = False
-    return RaceSolution(success, visits, math.fsum(row))
+    return _Run(power, success, visits, math.fsum(v), s[0], l[0], residuals,
+                max(abs(a + b - 1.0) for a, b in zip(s, l)))
+
+
+def solve_race(chain: AbsorbingChain, start: int) -> RaceSolution:
+    """Success column, start row of N and e[start] by tridiagonal sweeps.
+
+    The trailing run of equal fork powers above ``start`` is not swept state
+    by state: its profile (``_run``) is folded into the last row of the
+    core below it, and the run's part of each result is a boundary value
+    times that profile. The sweeps run over Python floats: at the core
+    lengths used here a Python loop beats numpy's per-call overhead.
+    """
+    fp = chain.fork_power
+    h = fp.size
+    if not (0 <= start < h):
+        raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
+    differ = np.flatnonzero(fp != fp[-1])
+    n = max(start + 1, int(differ[-1]) + 1 if differ.size else 0)
+    p = fp[:n].tolist()
+    if n == h:
+        win, lose, row, residuals = _sweep(p, start)
+        run_residuals, run_sum_error = (), 0.0
+        tail = ((), (), 0.0)
+    else:
+        run = _run(float(fp[-1]), h - n)
+        win, lose, row, residuals = _sweep(p, start, run)
+        b, f, c = win[-1], lose[-1], (1.0 - p[-1]) * row[-1]
+        res_s, res_l, res_v = run.residuals
+        # at run state j the full chain's residuals are b r^s_j, f r^s_j + r^l_j
+        # and c r^v_j, and its row sum is 1 + (b + f - 1) s_j + (s_j + l_j - 1)
+        run_residuals = (abs(b) * res_s, abs(f) * res_s + res_l, abs(c) * res_v)
+        run_sum_error = abs(b + f - 1.0) + run.row_sum_error
+        tail = (b * run.success, c * run.visits, c * run.steps)
+    residuals += run_residuals
+    if not all(r < SOLVER_RESIDUAL_TOL for r in residuals):
+        raise ChainError(f"solve residual {max(residuals):.3e} exceeds {SOLVER_RESIDUAL_TOL}")
+    sums = [s + l for s, l in zip(win, lose)]
+    if not max(max(sums) - 1.0, 1.0 - min(sums), run_sum_error) <= ROW_SUM_TOL:
+        raise ChainError("absorption probabilities must sum to 1 per start state")
+    success, visits = np.concatenate((win, tail[0])), np.concatenate((row, tail[1]))
+    success.flags.writeable = visits.flags.writeable = False
+    return RaceSolution(success, visits, math.fsum(row + [tail[2]]))
 
 
 def catchup_prob(mu_eff: float, lambda_eff: float, i: int) -> float:

@@ -13,7 +13,9 @@ Four strategy families are implemented over the gap chain:
 
 Outcomes are computed from the attacker's view: bribes exist only at gap
 states 0..C, and past C the fork is mined by the attacker alone on an
-unbribed tail kept open-ended (deep wall).
+unbribed tail of up to 512 states (``markov.extend_fork_power``). Its wall
+stands in for the open-ended race except near an attacker power of 0.5,
+where it sets the numbers (see ``markov``).
 
 Who mines the fork at each bribed state is held in one ``MembershipMatrix``;
 fork powers, recapture and the optimizer's feasibility test all read it.
@@ -22,7 +24,7 @@ Every chain here is solved by ``markov.solve_race``, the tridiagonal path.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -41,11 +43,6 @@ GVC_SUFFIX_PASSES = 3  # suffix completion repeats, since each level feeds the n
 GVC_RESTARTS = 32  # random seeds added to the structured seed portfolio by default
 
 STRATEGY_TAGS = ("BS", "BFF", "CRB1", "CRB2", "GVC_AC", "GVC_RAC")
-
-# The optimize_gvc search in progress, None outside one: its memo of success
-# columns by core fork-power bytes (the candidates share most of their
-# projected chains). Set and reset by optimize_gvc alone.
-_SEARCH: ContextVar[dict[bytes, np.ndarray] | None] = ContextVar("gvc_search", default=None)
 
 
 class StrategyError(ValueError):
@@ -152,7 +149,7 @@ def _resolve_start(scenario: Scenario, start_state: int | None) -> int:
 
 
 def _open_chain(scenario: Scenario, core: np.ndarray) -> markov.AbsorbingChain:
-    """The bribed states' fork powers followed by the unbribed open-ended tail."""
+    """The bribed states' fork powers followed by the unbribed tail to the wall."""
     return markov.build_base_chain(scenario, markov.extend_fork_power(core, scenario.mu))
 
 
@@ -168,6 +165,32 @@ def _target_only(scenario: Scenario, states: Sequence[int]) -> MembershipMatrix:
     return MembershipMatrix(ms.ids, zeta)
 
 
+@dataclass(eq=False)
+class _Search:
+    """An optimize_gvc search in progress: its start state, and the race
+    solution of every distinct core it has solved, from that start, by core
+    fork-power bytes (the candidates share most of their projected chains)."""
+
+    start: int
+    solutions: dict[bytes, markov.RaceSolution] = field(default_factory=dict)
+
+    def solve(self, scenario: Scenario, core: np.ndarray,
+              chain: markov.AbsorbingChain | None = None) -> markov.RaceSolution:
+        """The solution of the open chain over ``core``, solved on first sight."""
+        key = core.tobytes()
+        solution = self.solutions.get(key)
+        if solution is None:
+            if chain is None:
+                chain = _open_chain(scenario, core)
+            solution = self.solutions[key] = markov.solve_race(chain, self.start)
+        return solution
+
+
+# The optimize_gvc search in progress, None outside one. Set and reset by
+# optimize_gvc alone.
+_SEARCH: ContextVar[_Search | None] = ContextVar("gvc_search", default=None)
+
+
 def evaluate_schedule(
     scenario: Scenario,
     schedule: BribeSchedule,
@@ -181,7 +204,13 @@ def evaluate_schedule(
     start = _resolve_start(scenario, start_state)
     if chain.h < schedule.h:
         raise StrategyError("chain must span at least the scheduled states")
-    solution = markov.solve_race(chain, start)
+    search = _SEARCH.get()
+    if search is not None and start == search.start:
+        # a candidate of optimize_gvc: inside the search every chain is the
+        # open chain over its bribed states, most of them solved already
+        solution = search.solve(scenario, chain.fork_power[: schedule.h], chain)
+    else:
+        solution = markov.solve_race(chain, start)
     visits = solution.visits
     bribes = np.zeros(chain.h)
     bribes[: schedule.h] = schedule.per_state_bribe
@@ -425,14 +454,11 @@ def gvc_new_markov(scenario: Scenario, schedule: BribeSchedule) -> RecruitmentCh
 
 
 def _absorption_success(core: np.ndarray, scenario: Scenario) -> np.ndarray:
-    memo = _SEARCH.get()
-    key = core.tobytes()
-    if memo is not None and key in memo:
-        return memo[key]
-    success = markov.solve_race(_open_chain(scenario, core), 0).success[: core.size]
-    if memo is not None:
-        memo[key] = success
-    return success
+    """Success probability from every state of the open chain over ``core``."""
+    search = _SEARCH.get()
+    if search is None:
+        return markov.solve_race(_open_chain(scenario, core), 0).success
+    return search.solve(scenario, core).success
 
 
 def gvc_member_thresholds(
@@ -560,23 +586,22 @@ def optimize_gvc(
         levels.update(_grid_above(row[i]) for row in thresholds)
         static_candidates.append(sorted(levels))
 
-    cache: dict[tuple[float, ...], tuple[float, StrategyOutcome] | None] = {}
+    # scores only: the winner's outcome is evaluated again at the end
+    cache: dict[tuple[float, ...], float | None] = {}
 
-    def feasible_and_score(entries: tuple[float, ...]) -> tuple[float, StrategyOutcome] | None:
-        if entries in cache:
-            return cache[entries]
-        result: tuple[float, StrategyOutcome] | None = None
-        try:
-            outcome = run_gvc(scenario, BribeSchedule(entries, True, tag), start)
-        except _Infeasible:
-            pass
-        else:
-            if objective == "ac":
-                result = (outcome.cost_unconditional, outcome)
-            elif outcome.cost_on_success is not None:
-                result = (outcome.cost_on_success, outcome)
-        cache[entries] = result
-        return result
+    def evaluate(entries: tuple[float, ...]) -> StrategyOutcome:
+        return run_gvc(scenario, BribeSchedule(entries, True, tag), start)
+
+    def feasible_and_score(entries: tuple[float, ...]) -> float | None:
+        if entries not in cache:
+            try:
+                outcome = evaluate(entries)
+            except _Infeasible:
+                cache[entries] = None
+            else:
+                cache[entries] = (outcome.cost_unconditional if objective == "ac"
+                                  else outcome.cost_on_success)
+        return cache[entries]
 
     def candidates_for(j: int, entries: tuple[float, ...]) -> list[float]:
         cands = list(static_candidates[j])
@@ -589,11 +614,10 @@ def optimize_gvc(
             cands.append(_grid_above(t))
         return sorted(set(cands))
 
-    def descend(entries: tuple[float, ...]) -> tuple[float, tuple[float, ...], StrategyOutcome] | None:
-        best = feasible_and_score(entries)
-        if best is None:
+    def descend(entries: tuple[float, ...]) -> tuple[float, tuple[float, ...]] | None:
+        score = feasible_and_score(entries)
+        if score is None:
             return None
-        score, outcome = best
         for _ in range(GVC_MAX_SWEEPS):
             improved = False
             # deep states carry the big entries; relax them first, and take
@@ -605,15 +629,15 @@ def optimize_gvc(
                         continue
                     trial = entries[:j] + (cand,) + entries[j + 1 :]
                     res = feasible_and_score(trial)
-                    if res is not None and res[0] < score - 1e-12:
-                        if best_move is None or res[0] < best_move[0]:
-                            best_move = (res[0], trial, res[1])
+                    if res is not None and res < score - 1e-12:
+                        if best_move is None or res < best_move[0]:
+                            best_move = (res, trial)
                 if best_move is not None:
-                    score, entries, outcome = best_move
+                    score, entries = best_move
                     improved = True
             if not improved:
                 break
-        return score, entries, outcome
+        return score, entries
 
     def complete_suffix(entries: tuple[float, ...], split: int) -> tuple[float, ...]:
         # replace entries past the split with commitment-minimal levels,
@@ -632,7 +656,7 @@ def optimize_gvc(
     # (uniform, and completed with commitment-minimal entries past a split
     # state; the cheap schedules concentrate spend below the start and ride
     # the commitment effect above it), plus seeded random combinations
-    search = _SEARCH.set({})
+    search = _SEARCH.set(_Search(start))
     try:
         seeds = [tuple(target_minima)]
         splits = sorted({max(start - 1, 0), start, min(start + 1, c)})
@@ -648,15 +672,10 @@ def optimize_gvc(
             )
             seeds.append(entries)
 
-        results = []
-        for entries in seeds:
-            res = descend(entries)
-            if res is not None:
-                results.append(res)
+        results = [res for res in map(descend, seeds) if res is not None]
+        if not results:
+            raise StrategyError("no feasible schedule persuades the target up to the start state")
+        best = evaluate(min(results)[1])  # the cheapest, ties to the smallest entries
     finally:
         _SEARCH.reset(search)
-    if not results:
-        raise StrategyError("no feasible schedule persuades the target up to the start state")
-    results.sort(key=lambda r: (r[0], r[1]))
-    _, best_entries, best_outcome = results[0]
-    return best_outcome.schedule, best_outcome
+    return best.schedule, best

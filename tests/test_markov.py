@@ -174,6 +174,19 @@ def test_solve_race_small_cases():
     assert solve_race(chain_const(0.3, 7), 6).success[6] == pytest.approx(closed, rel=1e-12)
 
 
+def test_wall_sets_the_numbers_at_half_power():
+    # the attacker alone at 0.5 on C = 2 plus the 512-state tail: from state
+    # 2 the walk is a fair gambler's ruin 3 steps from success and 513 from
+    # the wall, not the open-ended race's sure success in unbounded time
+    chain = AbsorbingChain(extend_fork_power(np.full(3, 0.5), 0.5))
+    assert chain.h == 515
+    dense, sol = analyze(chain), solve_race(chain, 2)
+    for success, steps in ((dense.B[2, 0], dense.e[2]), (sol.success[2], sol.steps)):
+        assert success == pytest.approx(1 - 3 / 516, rel=1e-12)
+        assert steps == pytest.approx(3 * 513, rel=1e-12)
+    assert round(sol.success[2], 5) == 0.99419
+
+
 def test_solve_race_results_are_read_only():
     sol = solve_race(chain_const(0.3, 7), 2)
     for a in (sol.success, sol.visits):
@@ -185,15 +198,22 @@ def test_solve_race_results_are_read_only():
 def race_chains(draw):
     """Chains shaped like the ones strategies solve: a bribed core whose fork
     powers lie between the attacker's power and 1 - 1e-12, then the attacker
-    alone on the tail, with 1..512 states in all."""
-    h = draw(st.integers(min_value=1, max_value=512))
+    alone on the tail. The top states of the core may hold the attacker's
+    power too, so the trailing run of equal powers that solve_race folds can
+    start inside the core, and at or below any start state. Run lengths 1, 2
+    and 512, and run powers 0.5 and 1 - 1e-12 (where r^d overflows), are
+    drawn on purpose."""
     mu = draw(st.one_of(st.floats(min_value=0.01, max_value=0.99),
                         st.sampled_from([0.5, 0.55, 1 - 1e-12])))
     core = draw(st.lists(
         st.one_of(st.floats(min_value=mu, max_value=1 - 1e-12), st.just(1 - 1e-12)),
-        max_size=min(h, 40),
+        max_size=40,
     ))
-    return np.concatenate([core, np.full(h - len(core), mu)])
+    unbribed = draw(st.integers(min_value=0, max_value=len(core)))
+    core[len(core) - unbribed:] = [mu] * unbribed
+    tail = draw(st.one_of(st.integers(min_value=0 if core else 1, max_value=512),
+                          st.sampled_from([1, 2, 512])))
+    return np.concatenate([core, np.full(tail, mu)])
 
 
 @settings(max_examples=30, deadline=None)

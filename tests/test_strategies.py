@@ -23,7 +23,7 @@ from briberace.strategies import (
     run_crb,
     run_gvc,
 )
-from briberace import markov
+from briberace import markov, strategies
 
 PUBLISHED_GVC = (DUST, 8.6, 37.02, 72.25, DUST, 6.43, 25.51)
 
@@ -530,6 +530,37 @@ def test_run_gvc_evaluates_infeasible_vectors_outside_the_search(table2_scenario
     assert not before.membership.zeta[table2_scenario.miner_set.row("P2")].all()
     assert after.cost_unconditional == before.cost_unconditional
     assert after.success_prob == before.success_prob
+
+
+def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
+    # the threshold probes and the final evaluation of a feasible candidate
+    # share the search's memo, so every chain solve is of a core not seen
+    # before in the search, and a final evaluation solves only a new core
+    core_size = table2_scenario.confirmations + 1
+    solve_race, evaluate = markov.solve_race, strategies.evaluate_schedule
+    cores: list[bytes] = []
+    final = {"calls": 0, "active": False, "repeats": 0}
+
+    def counting_solve(chain, start):
+        core = chain.fork_power[:core_size].tobytes()
+        final["repeats"] += final["active"] and core in cores
+        cores.append(core)
+        return solve_race(chain, start)
+
+    def final_evaluation(*args, **kwargs):
+        final["calls"] += 1
+        final["active"] = True
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            final["active"] = False
+
+    monkeypatch.setattr(markov, "solve_race", counting_solve)
+    monkeypatch.setattr(strategies, "evaluate_schedule", final_evaluation)
+    optimize_gvc(table2_scenario, "ac", 4)
+    assert len(cores) == len(set(cores))
+    assert final["repeats"] == 0
+    assert final["calls"] > 1000  # feasible candidates were evaluated
 
 
 def test_optimize_rejects_bad_objective(table2_scenario):
