@@ -261,6 +261,9 @@ def cmd_validate(cfg: RunConfig, corrupt: bool = False) -> int:
         policy, simulate.SimConfig(trials=cfg.trials, seed=cfg.seed)
     )
     comparison = simulate.compare_reports(outcome, report, z=3.0)
+    # a trial that hits the event cap is dropped from every estimate, so the
+    # kept trials are a biased sample: the verdict cannot pass
+    passed = comparison.passed and report.discarded == 0
     rows = [
         {
             "metric": m.name,
@@ -274,7 +277,7 @@ def cmd_validate(cfg: RunConfig, corrupt: bool = False) -> int:
     ]
     if cfg.out_format == "json":
         _emit_json(
-            {"report": "validate", "passed": comparison.passed, "rows": rows},
+            {"report": "validate", "passed": passed, "rows": rows},
             cfg.out_path,
         )
     else:
@@ -286,8 +289,10 @@ def cmd_validate(cfg: RunConfig, corrupt: bool = False) -> int:
     print(f"discarded trials {report.discarded} of {report.trials}")
     print(f"events {report.events}, longest kept trial {report.longest} steps")
     print(f"worst |z| {worst.z:.2f} ({worst.name})")
-    print("validation", "PASSED" if comparison.passed else "FAILED")
-    return 0 if comparison.passed else 1
+    if report.discarded:
+        print(f"FAIL {report.discarded} trials hit the event cap and were discarded")
+    print("validation", "PASSED" if passed else "FAILED")
+    return 0 if passed else 1
 
 
 def _replace(cfg: RunConfig, **kw) -> RunConfig:

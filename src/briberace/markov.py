@@ -27,7 +27,13 @@ the expected step count from the start (Kemeny & Snell, *Finite Markov
 Chains*, for the identities). Both apply the same residual and row-sum
 tolerances; the tests pin the second to the first.
 
-``solve_race`` sweeps state by state only up to the start state and the
+``solve_race`` and ``solve_core`` share one body (``_solve``): the first
+reads an ``AbsorbingChain``, the second a bribed core with its tail given as
+a power and a depth, checked as the chain would check them, so a search
+that solves thousands of cores builds no chain for them. Either way the
+result is the same, bit for bit.
+
+The body sweeps state by state only up to the start state and the
 chain's last change of fork power. The trailing run of equal powers above
 both (the attacker alone: 22 of the 29 states of a table2 chain, 512 of
 about 515 on a deep roster) is solved on its own and kept in a small
@@ -73,6 +79,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_fork_power(fork_power: np.ndarray) -> None:
+    if fork_power.ndim != 1 or fork_power.size < 1:
+        raise ChainError("fork_power must be a non-empty vector")
+    if not (fork_power.min() > 0.0 and fork_power.max() < 1.0):  # False on NaN
+        raise ChainError("fork power must lie strictly inside (0, 1) at every state")
+
+
 @dataclass(frozen=True, eq=False)
 class AbsorbingChain:
     """Gap-indexed birth-death chain with success/failure absorption."""
@@ -81,10 +94,7 @@ class AbsorbingChain:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fork_power", _frozen(self.fork_power))
-        if self.fork_power.ndim != 1 or self.fork_power.size < 1:
-            raise ChainError("fork_power must be a non-empty vector")
-        if not np.all((self.fork_power > 0.0) & (self.fork_power < 1.0)):
-            raise ChainError("fork power must lie strictly inside (0, 1) at every state")
+        _check_fork_power(self.fork_power)
 
     @property
     def h(self) -> int:
@@ -158,12 +168,16 @@ def extend_fork_power(core: np.ndarray, mu: float, depth: int | None = None) -> 
     sets the success probability and the expected steps (module docstring).
     """
     if depth is None:
-        rho = mu / (1.0 - mu)
-        if rho >= 1.0:
-            depth = TAIL_MAX
-        else:
-            depth = int(min(TAIL_MAX, max(TAIL_MIN, math.ceil(math.log(TAIL_MASS) / math.log(rho)))))
+        depth = tail_depth(mu)
     return np.concatenate([np.asarray(core, dtype=float), np.full(depth, mu)])
+
+
+def tail_depth(mu: float) -> int:
+    """The unbribed tail's default depth at attacker power ``mu``."""
+    rho = mu / (1.0 - mu)
+    if rho >= 1.0:
+        return TAIL_MAX
+    return int(min(TAIL_MAX, max(TAIL_MIN, math.ceil(math.log(TAIL_MASS) / math.log(rho)))))
 
 
 def canonical_form(chain: AbsorbingChain) -> CanonicalForm:
@@ -319,18 +333,35 @@ def solve_race(chain: AbsorbingChain, start: int) -> RaceSolution:
     lengths used here a Python loop beats numpy's per-call overhead.
     """
     fp = chain.fork_power
-    h = fp.size
+    return _solve(fp, float(fp[-1]), fp.size, start)
+
+
+def solve_core(core: np.ndarray, mu: float, depth: int, start: int) -> RaceSolution:
+    """``solve_race`` of the chain ``extend_fork_power(core, mu, depth)``,
+    bit for bit, without building it. It accepts exactly the chains that
+    ``AbsorbingChain`` accepts, with a tail of at least one state."""
+    core = np.asarray(core, dtype=float)
+    _check_fork_power(core)
+    if depth < 1 or not 0.0 < mu < 1.0:
+        raise ChainError("the tail needs at least one state, at a power strictly inside (0, 1)")
+    return _solve(core, mu, core.size + depth, start)
+
+
+def _solve(head: np.ndarray, power: float, h: int, start: int) -> RaceSolution:
+    """The body of both solvers: a chain of h states whose first head.size
+    fork powers are ``head`` and whose others are ``power``."""
     if not (0 <= start < h):
         raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
-    differ = np.flatnonzero(fp != fp[-1])
+    differ = (head != power).nonzero()[0]
     n = max(start + 1, int(differ[-1]) + 1 if differ.size else 0)
-    p = fp[:n].tolist()
+    p = head[:n].tolist()
+    p += [power] * (n - len(p))
     if n == h:
         win, lose, row, residuals = _sweep(p, start)
         run_residuals, run_sum_error = (), 0.0
         tail = ((), (), 0.0)
     else:
-        run = _run(float(fp[-1]), h - n)
+        run = _run(power, h - n)
         win, lose, row, residuals = _sweep(p, start, run)
         b, f, c = win[-1], lose[-1], (1.0 - p[-1]) * row[-1]
         res_s, res_l, res_v = run.residuals

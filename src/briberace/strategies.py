@@ -18,13 +18,24 @@ stands in for the open-ended race except near an attacker power of 0.5,
 where it sets the numbers (see ``markov``).
 
 Who mines the fork at each bribed state is held in one ``MembershipMatrix``;
-fork powers, recapture and the optimizer's feasibility test all read it.
-Every chain here is solved by ``markov.solve_race``, the tridiagonal path.
+fork powers and recapture read it. Every chain here is solved by
+``markov.solve_race``, the tridiagonal path.
+
+``optimize_gvc`` scores thousands of candidate schedules and keeps one float
+per candidate, so it scores them on arrays, not outcomes (``_Search``):
+membership is the boolean matrix ``recruit_thresholds <= entries``, fork
+power the same roster-order sum ``MembershipMatrix.fork_power`` takes
+(``_fork_power``), the target's thresholds the same formula
+``gvc_member_thresholds`` applies (``_commitment_thresholds``), feasibility
+a test of the target's row, and the score ``visits @ bribes`` (ac) or the
+success-conditioned sum (rac) of the final core. Each distinct core is
+solved once per search, from its start state, by ``markov.solve_core``,
+which runs ``solve_race``'s body on the core and the tail without building
+the chain. The winner alone is evaluated into an outcome, by ``run_gvc``.
 """
 from __future__ import annotations
 
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -47,11 +58,6 @@ STRATEGY_TAGS = ("BS", "BFF", "CRB1", "CRB2", "GVC_AC", "GVC_RAC")
 
 class StrategyError(ValueError):
     pass
-
-
-class _Infeasible(Exception):
-    """An optimizer candidate that leaves the target off the fork at some
-    state; the search drops it before its evaluation solve."""
 
 
 @dataclass(frozen=True)
@@ -94,15 +100,12 @@ class MembershipMatrix:
         object.__setattr__(self, "zeta", z)
 
     def joined_power(self, powers: np.ndarray) -> np.ndarray:
-        """Recruited power per state, summed left to right in roster order
-        (an accumulation, so the rounding never depends on memory layout)."""
-        if not self.miner_ids:
-            return np.zeros(self.zeta.shape[1])
-        return np.cumsum(self.zeta * powers[:, None], axis=0)[-1]
+        """Recruited power per state (``_joined_power``)."""
+        return _joined_power(self.zeta, powers)
 
     def fork_power(self, powers: np.ndarray, mu: float) -> np.ndarray:
         """Per-state fork power: the attacker plus every recruit, capped."""
-        return np.minimum(mu + self.joined_power(powers), 1.0 - MIN_MAIN_SHARE)
+        return _fork_power(self.zeta, powers, mu)
 
     @cached_property
     def memberships(self) -> tuple[tuple[str, ...], ...]:
@@ -110,6 +113,19 @@ class MembershipMatrix:
         return tuple(
             tuple(self.miner_ids[r] for r in np.flatnonzero(col)) for col in self.zeta.T
         )
+
+
+def _joined_power(zeta: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Recruited power per state of a 0/1 (or boolean) miner-by-state matrix,
+    summed left to right in roster order (an accumulation, so the rounding
+    never depends on memory layout)."""
+    if not zeta.shape[0]:
+        return np.zeros(zeta.shape[1])
+    return np.cumsum(zeta * powers[:, None], axis=0)[-1]
+
+
+def _fork_power(zeta: np.ndarray, powers: np.ndarray, mu: float) -> np.ndarray:
+    return np.minimum(mu + _joined_power(zeta, powers), 1.0 - MIN_MAIN_SHARE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,32 +181,6 @@ def _target_only(scenario: Scenario, states: Sequence[int]) -> MembershipMatrix:
     return MembershipMatrix(ms.ids, zeta)
 
 
-@dataclass(eq=False)
-class _Search:
-    """An optimize_gvc search in progress: its start state, and the race
-    solution of every distinct core it has solved, from that start, by core
-    fork-power bytes (the candidates share most of their projected chains)."""
-
-    start: int
-    solutions: dict[bytes, markov.RaceSolution] = field(default_factory=dict)
-
-    def solve(self, scenario: Scenario, core: np.ndarray,
-              chain: markov.AbsorbingChain | None = None) -> markov.RaceSolution:
-        """The solution of the open chain over ``core``, solved on first sight."""
-        key = core.tobytes()
-        solution = self.solutions.get(key)
-        if solution is None:
-            if chain is None:
-                chain = _open_chain(scenario, core)
-            solution = self.solutions[key] = markov.solve_race(chain, self.start)
-        return solution
-
-
-# The optimize_gvc search in progress, None outside one. Set and reset by
-# optimize_gvc alone.
-_SEARCH: ContextVar[_Search | None] = ContextVar("gvc_search", default=None)
-
-
 def evaluate_schedule(
     scenario: Scenario,
     schedule: BribeSchedule,
@@ -204,13 +194,7 @@ def evaluate_schedule(
     start = _resolve_start(scenario, start_state)
     if chain.h < schedule.h:
         raise StrategyError("chain must span at least the scheduled states")
-    search = _SEARCH.get()
-    if search is not None and start == search.start:
-        # a candidate of optimize_gvc: inside the search every chain is the
-        # open chain over its bribed states, most of them solved already
-        solution = search.solve(scenario, chain.fork_power[: schedule.h], chain)
-    else:
-        solution = markov.solve_race(chain, start)
+    solution = markov.solve_race(chain, start)
     visits = solution.visits
     bribes = np.zeros(chain.h)
     bribes[: schedule.h] = schedule.per_state_bribe
@@ -455,10 +439,33 @@ def gvc_new_markov(scenario: Scenario, schedule: BribeSchedule) -> RecruitmentCh
 
 def _absorption_success(core: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Success probability from every state of the open chain over ``core``."""
-    search = _SEARCH.get()
-    if search is None:
-        return markov.solve_race(_open_chain(scenario, core), 0).success
-    return search.solve(scenario, core).success
+    return markov.solve_race(_open_chain(scenario, core), 0).success
+
+
+def _with_miner(fork_power: np.ndarray, aboard: np.ndarray, power: float) -> np.ndarray:
+    """The core with a miner of ``power`` added at every state it is not aboard."""
+    return np.where(aboard, fork_power, np.minimum(fork_power + power, 1.0 - MIN_MAIN_SHARE))
+
+
+def _commitment_thresholds(
+    fork_power: np.ndarray,
+    aboard: np.ndarray,
+    power: float,
+    base_success: np.ndarray,
+    pert_success: np.ndarray,
+    reward: float,
+) -> list[float | None]:
+    """Per-state threshold of a miner of ``power`` under a commitment: its
+    failure odds off the fork (``base_success``, the projected chain) against
+    its win odds aboard (``pert_success``, the chain ``_with_miner``).
+    Infinite where aboard it cannot win; None where it is aboard already."""
+    return [
+        None if a
+        else float("inf") if x <= 0.0
+        else (1.0 - b) * (f + power) / (x * (1.0 - f)) * reward - reward
+        for a, f, b, x in zip(aboard.tolist(), fork_power.tolist(), base_success.tolist(),
+                              pert_success.tolist())
+    ]
 
 
 def gvc_member_thresholds(
@@ -477,26 +484,9 @@ def gvc_member_thresholds(
     p_m = scenario.miner_set.miners[r].power
     aboard = recruit.membership.zeta[r].astype(bool)
     base_bv = _absorption_success(recruit.fork_power, scenario)
-    pert_core = np.where(
-        aboard,
-        recruit.fork_power,
-        np.minimum(recruit.fork_power + p_m, 1.0 - MIN_MAIN_SHARE),
-    )
-    pert_bv = _absorption_success(pert_core, scenario)
-    thresholds: list[float | None] = []
-    for j in range(schedule.h):
-        if aboard[j]:
-            thresholds.append(None)
-            continue
-        p_yf = 1.0 - base_bv[j]
-        p_xs = pert_bv[j]
-        gamma = 1.0 - recruit.fork_power[j]
-        eta_with = recruit.fork_power[j] + p_m
-        if p_xs <= 0.0:
-            thresholds.append(float("inf"))
-            continue
-        thresholds.append(p_yf * eta_with / (p_xs * gamma) * scenario.reward - scenario.reward)
-    return thresholds
+    pert_bv = _absorption_success(_with_miner(recruit.fork_power, aboard, p_m), scenario)
+    reward = scenario.reward
+    return _commitment_thresholds(recruit.fork_power, aboard, p_m, base_bv, pert_bv, reward)
 
 
 def gvc_zeta(
@@ -538,8 +528,6 @@ def run_gvc(
     for j, t in enumerate(thresholds):
         if t is not None and schedule.per_state_bribe[j] >= t:
             zeta[r, j] = 1
-    if _SEARCH.get() is not None and not zeta[r].all():
-        raise _Infeasible  # in optimize_gvc's search: dropped unevaluated
     membership = MembershipMatrix(scenario.miner_set.ids, zeta)
     chain = _chain_for(scenario, membership)
     return evaluate_schedule(scenario, schedule, chain, start, membership)
@@ -551,6 +539,73 @@ def _grid_above(value: float) -> float:
         return DUST
     steps = int(np.floor(value / GVC_QUANTUM)) + 1
     return round(steps * GVC_QUANTUM, 10)
+
+
+class _Search:
+    """One optimize_gvc search: it scores candidates on arrays, as ``run_gvc``
+    scores them from the search's start state (module docstring), and keeps
+    the race solution of every distinct core it has solved, by core bytes
+    (the candidates share most of their projected chains)."""
+
+    def __init__(self, scenario: Scenario, objective: str, start: int):
+        ms = scenario.miner_set
+        self.recruit = scenario.recruit_thresholds
+        self.powers = ms.powers
+        self.mu = scenario.mu
+        self.reward = scenario.reward
+        self.row = ms.row(scenario.target_id)
+        self.power = ms.miners[self.row].power
+        self.start = start
+        self.ac = objective == "ac"
+        self.depth = markov.tail_depth(scenario.mu)
+        self.bribes = np.zeros(scenario.confirmations + 1 + self.depth)
+        self.solutions: dict[bytes, markov.RaceSolution] = {}
+
+    def solve(self, core: np.ndarray) -> markov.RaceSolution:
+        """The solution of the open chain over ``core``, solved on first sight."""
+        key = core.tobytes()
+        solution = self.solutions.get(key)
+        if solution is None:
+            solution = markov.solve_core(core, self.mu, self.depth, self.start)
+            self.solutions[key] = solution
+        return solution
+
+    def project(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float | None]]:
+        """First-pass membership and fork power, and the target's thresholds."""
+        zeta = self.recruit <= entries
+        core = _fork_power(zeta, self.powers, self.mu)
+        aboard = zeta[self.row]
+        base = self.solve(core).success
+        pert = self.solve(_with_miner(core, aboard, self.power)).success
+        return zeta, core, _commitment_thresholds(core, aboard, self.power, base, pert, self.reward)
+
+    def score(self, entries: tuple[float, ...]) -> float | None:
+        """The objective, or None for a candidate that leaves the target off
+        the fork at some state (or, for rac, never succeeds)."""
+        e = np.array(entries)
+        zeta, core, thresholds = self.project(e)
+        if not all(t is None or b >= t for b, t in zip(entries, thresholds)):
+            return None
+        if any(t is not None for t in thresholds):  # the target joins somewhere
+            zeta[self.row] = True
+            core = _fork_power(zeta, self.powers, self.mu)
+        solution = self.solve(core)
+        bribes = self.bribes
+        bribes[: e.size] = e
+        if self.ac:
+            return float(solution.visits @ bribes)
+        success = float(solution.success[self.start])
+        if success > 0.0:
+            return float(np.sum(solution.success / success * solution.visits * bribes))
+        return None
+
+    def target_level(self, entries: tuple[float, ...], j: int) -> float | None:
+        """The target's commitment-aware threshold at j with entry j
+        withdrawn (otherwise the first pass hides it); None when the first
+        pass recruits the target at j anyway."""
+        e = np.array(entries)
+        e[j] = DUST
+        return self.project(e)[2][j]
 
 
 def optimize_gvc(
@@ -566,6 +621,8 @@ def optimize_gvc(
     ``objective`` is ``ac`` (expected cost regardless of outcome) or ``rac``
     (expected cost conditioned on success). Coordinate descent over per-state
     recruitment levels, to a fixed point, with seeded random restarts.
+    Candidates are scored by ``_Search``; the winner is evaluated by
+    ``run_gvc``.
     """
     if objective not in ("ac", "rac"):
         raise StrategyError(f"objective must be 'ac' or 'rac', got {objective!r}")
@@ -586,30 +643,17 @@ def optimize_gvc(
         levels.update(_grid_above(row[i]) for row in thresholds)
         static_candidates.append(sorted(levels))
 
-    # scores only: the winner's outcome is evaluated again at the end
+    search = _Search(scenario, objective, start)
     cache: dict[tuple[float, ...], float | None] = {}
-
-    def evaluate(entries: tuple[float, ...]) -> StrategyOutcome:
-        return run_gvc(scenario, BribeSchedule(entries, True, tag), start)
 
     def feasible_and_score(entries: tuple[float, ...]) -> float | None:
         if entries not in cache:
-            try:
-                outcome = evaluate(entries)
-            except _Infeasible:
-                cache[entries] = None
-            else:
-                cache[entries] = (outcome.cost_unconditional if objective == "ac"
-                                  else outcome.cost_on_success)
+            cache[entries] = search.score(entries)
         return cache[entries]
 
     def candidates_for(j: int, entries: tuple[float, ...]) -> list[float]:
         cands = list(static_candidates[j])
-        # commitment-aware level for the target at j, probed with the entry
-        # withdrawn (otherwise the first pass hides the threshold)
-        probe = BribeSchedule(entries[:j] + (DUST,) + entries[j + 1 :], True, tag)
-        recruit = gvc_new_markov(scenario, probe)
-        t = gvc_member_thresholds(scenario, probe, recruit, scenario.target_id)[j]
+        t = search.target_level(entries, j)
         if t is not None and np.isfinite(t):
             cands.append(_grid_above(t))
         return sorted(set(cands))
@@ -645,9 +689,7 @@ def optimize_gvc(
         entries = entries[: split + 1] + tuple(DUST for _ in range(split + 1, c + 1))
         for _ in range(GVC_SUFFIX_PASSES):
             for j in range(split + 1, c + 1):
-                probe = BribeSchedule(entries[:j] + (DUST,) + entries[j + 1 :], True, tag)
-                recruit = gvc_new_markov(scenario, probe)
-                t = gvc_member_thresholds(scenario, probe, recruit, scenario.target_id)[j]
+                t = search.target_level(entries, j)
                 level = DUST if t is None or t <= 0 else _grid_above(t)
                 entries = entries[:j] + (level,) + entries[j + 1 :]
         return entries
@@ -656,26 +698,23 @@ def optimize_gvc(
     # (uniform, and completed with commitment-minimal entries past a split
     # state; the cheap schedules concentrate spend below the start and ride
     # the commitment effect above it), plus seeded random combinations
-    search = _SEARCH.set(_Search(start))
-    try:
-        seeds = [tuple(target_minima)]
-        splits = sorted({max(start - 1, 0), start, min(start + 1, c)})
-        for row in thresholds:
-            entries = tuple(_grid_above(t) for t in row)
-            seeds.append(entries)
-            for split in splits:
-                seeds.append(complete_suffix(entries, split))
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            entries = tuple(
-                float(rng.choice(static_candidates[j])) for j in range(c + 1)
-            )
-            seeds.append(entries)
+    seeds = [tuple(target_minima)]
+    splits = sorted({max(start - 1, 0), start, min(start + 1, c)})
+    for row in thresholds:
+        entries = tuple(_grid_above(t) for t in row)
+        seeds.append(entries)
+        for split in splits:
+            seeds.append(complete_suffix(entries, split))
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        entries = tuple(
+            float(rng.choice(static_candidates[j])) for j in range(c + 1)
+        )
+        seeds.append(entries)
 
-        results = [res for res in map(descend, seeds) if res is not None]
-        if not results:
-            raise StrategyError("no feasible schedule persuades the target up to the start state")
-        best = evaluate(min(results)[1])  # the cheapest, ties to the smallest entries
-    finally:
-        _SEARCH.reset(search)
+    results = [res for res in map(descend, seeds) if res is not None]
+    if not results:
+        raise StrategyError("no feasible schedule persuades the target up to the start state")
+    # the cheapest, ties to the smallest entries
+    best = run_gvc(scenario, BribeSchedule(min(results)[1], True, tag), start)
     return best.schedule, best

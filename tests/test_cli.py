@@ -1,8 +1,10 @@
+import functools
 import json
 import re
 
 import pytest
 
+from briberace import simulate
 from briberace.cli import fixture_path, format_btc, main
 
 WHALE = str(fixture_path("whale20"))
@@ -187,6 +189,27 @@ def test_validate_prints_discarded_trials_and_worst_z(capsys, tmp_path):
     rows = report.read_text().splitlines()[1:]
     assert worst == pytest.approx(max(float(r.split(",")[4]) for r in rows), abs=0.01)
     assert out.rstrip().endswith("validation PASSED")
+
+
+def test_validate_fails_when_trials_hit_the_event_cap(capsys, tmp_path, monkeypatch):
+    # at a cap of 80 events, 16 of these trials are discarded while every
+    # metric of the kept ones still agrees: the discards alone fail it
+    monkeypatch.setattr(simulate, "SimConfig", functools.partial(simulate.SimConfig, max_events=80))
+    report = tmp_path / "validate.json"
+    code, out, _ = run_cli(
+        [
+            "validate", "--pools", WHALE, "--strategy", "bs", "--target", "M",
+            "--trials", "20000", "--seed", "12", "--format", "json", "--out", str(report),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "discarded trials 16 of 20000" in out
+    assert "FAIL 16 trials hit the event cap and were discarded" in out
+    assert out.rstrip().endswith("validation FAILED")
+    data = json.loads(report.read_text())
+    assert data["passed"] is False
+    assert all(row["passed"] == "true" for row in data["rows"])
 
 
 def test_validate_prints_event_count_and_longest_trial(capsys, tmp_path):

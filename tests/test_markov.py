@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from briberace.markov import (
     AbsorbingChain,
@@ -13,6 +13,7 @@ from briberace.markov import (
     expected_steps,
     extend_fork_power,
     fundamental_matrix,
+    solve_core,
     solve_race,
 )
 
@@ -255,3 +256,44 @@ def test_both_solvers_reject_the_same_bad_chains():
     for start in (-1, 16):
         with pytest.raises(ChainError):
             solve_race(chain_const(0.3, 16), start)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fork_power=race_chains(), data=st.data())
+def test_solve_core_is_solve_race_bit_for_bit(fork_power, data):
+    """solve_core of a chain's first states, with the rest as the tail, is
+    solve_race of the chain, every bit of it, from starts in the core and in
+    the tail."""
+    assume(fork_power.size > 1)
+    mu = float(fork_power[-1])
+    differ = np.flatnonzero(fork_power != mu)
+    split = data.draw(st.integers(max(int(differ[-1]) + 1 if differ.size else 0, 1),
+                                  fork_power.size - 1))
+    core, depth = fork_power[:split], fork_power.size - split
+    chain = AbsorbingChain(fork_power)
+    for start in {0, split - 1, split, chain.h - 1}:
+        try:
+            want = solve_race(chain, start)
+        except ChainError:
+            with pytest.raises(ChainError):
+                solve_core(core, mu, depth, start)
+            continue
+        got = solve_core(core, mu, depth, start)
+        assert got.success.tobytes() == want.success.tobytes()
+        assert got.visits.tobytes() == want.visits.tobytes()
+        assert got.steps == want.steps
+
+
+def test_solve_core_rejects_what_the_chain_rejects():
+    for bad in ([], [[0.3, 0.4]], [0.3, 0.0, 0.4], [0.3, 1.0], [-0.1], [1.1],
+                [0.3, float("nan")], [float("inf")]):
+        with pytest.raises(ChainError):
+            solve_core(np.array(bad, dtype=float), 0.3, 16, 0)
+    for mu in (0.0, 1.0, -0.1, 1.1, float("nan")):
+        with pytest.raises(ChainError):
+            solve_core(np.array([0.4, 0.5]), mu, 16, 0)
+    with pytest.raises(ChainError):
+        solve_core(np.array([0.4, 0.5]), 0.3, 0, 0)
+    for start in (-1, 18):
+        with pytest.raises(ChainError):
+            solve_core(np.array([0.4, 0.5]), 0.3, 16, start)

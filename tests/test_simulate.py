@@ -16,7 +16,7 @@ from briberace.simulate import (
     compare_reports,
     simulate_race,
 )
-from briberace.strategies import run_bff, run_bs, run_crb, run_gvc
+from briberace.strategies import MembershipMatrix, run_bff, run_bs, run_crb, run_gvc
 
 TRIALS = 200_000  # module-level runs stay fast; full 1e6 runs live in acceptance
 
@@ -173,10 +173,17 @@ def test_sticky_retention_on_a_64_miner_roster():
 # Golden reports: tests/data/sim_reports.txt was written by running this
 # module as a script (``PYTHONPATH=src python tests/test_simulate.py``)
 # before the event loop was rewritten; every field below must keep its bits.
-# The crb policies take their bribe from the analytic crb constant, so their
-# three lines were written again when folding the chain solve's tail moved
-# those constants by one ulp each (to the correctly rounded values).
+# Three crb lines were written again when folding the chain solve's tail
+# moved the crb constants by one ulp each (to the correctly rounded values).
+# The crb cases now pay those constants, pinned below, so the file checks
+# the simulator alone and not the last bit of the chain solve.
 GOLDEN = Path(__file__).resolve().parent / "data" / "sim_reports.txt"
+CRB_CONSTANTS = {  # (roster, variant): run_crb's constant at the golden start
+    ("table2", "crb1"): "0x1.67e5d1ec658a0p+7",
+    ("table2", "crb2"): "0x1.6e244fd9a23efp+5",
+    ("whale20", "crb1"): "0x1.34b1db689b2ffp+9",
+    ("whale20", "crb2"): "0x1.34b1db689b2ffp+9",
+}
 GOLDEN_FIELDS = (
     "trials", "seed", "empirical_success", "mean_steps", "visit_counts",
     "cost_unconditional", "cost_on_success", "successes", "discarded",
@@ -193,20 +200,37 @@ def _golden_value(v) -> str:
     return f"{v.mean.hex()}/{v.se.hex()}"
 
 
-def golden_cases():
-    """(name, policy, config) for every golden report, in file order."""
+def golden_scenarios():
     t2 = make_scenario(load_pool_distribution(fixture_path("table2").read_text()), "P2", 6, 1, 6.25)
     wh = make_scenario(load_pool_distribution(fixture_path("whale20").read_text()), "M", 6, 1, 6.25)
+    return (("table2", t2, 4), ("whale20", wh, 6))
+
+
+def crb_policy(scenario, variant, start, constant):
+    """run_crb's policy with its constant given: the target alone is aboard,
+    and paid, at every offered state (all of them for crb1, those up to the
+    start for crb2)."""
+    ms, c = scenario.miner_set, scenario.confirmations
+    offered = c + 1 if variant == "crb1" else start + 1
+    zeta = np.zeros((len(ms.ids), c + 1), dtype=int)
+    zeta[ms.row(scenario.target_id), :offered] = 1
+    core = MembershipMatrix(ms.ids, zeta).fork_power(ms.powers, scenario.mu)
+    fork = markov.extend_fork_power(core, scenario.mu)
+    bribe = (constant,) * offered + (0.0,) * (fork.size - offered)
+    return RacePolicy(tuple(fork.tolist()), bribe, start, scheduled_states=c + 1)
+
+
+def golden_cases():
+    """(name, policy, config) for every golden report, in file order."""
     cfg = SimConfig(trials=20_000, seed=5)
-    for tag, scenario, start in (("table2", t2, 4), ("whale20", wh, 6)):
-        for name, run in (
-            ("bs", lambda: run_bs(scenario, start)),
-            ("bff", lambda: run_bff(scenario, start)),
-            ("crb1", lambda: run_crb(scenario, "crb1", start)),
-            ("crb2", lambda: run_crb(scenario, "crb2", start)),
-        ):
-            yield f"{name}-{tag}@{start}", RacePolicy.from_outcome(run()), cfg
+    for tag, scenario, start in golden_scenarios():
+        yield f"bs-{tag}@{start}", RacePolicy.from_outcome(run_bs(scenario, start)), cfg
+        yield f"bff-{tag}@{start}", RacePolicy.from_outcome(run_bff(scenario, start)), cfg
+        for variant in ("crb1", "crb2"):
+            constant = float.fromhex(CRB_CONSTANTS[tag, variant])
+            yield f"{variant}-{tag}@{start}", crb_policy(scenario, variant, start, constant), cfg
     yield "untracked-none", RacePolicy((0.3, 0.45, 0.6, 0.2, 0.5), (1.0, 0.0, 2.5, 0.5, 3.0), 2), cfg
+    t2 = golden_scenarios()[0][1]
     bs = run_bs(t2, 4)
     base = RacePolicy.from_outcome(bs)
     yield "sticky-bs-table2@4", RacePolicy(
@@ -229,6 +253,19 @@ def test_reports_are_bit_identical_to_the_golden_file():
     got = [golden_line(name, simulate_race(policy, cfg)) for name, policy, cfg in golden_cases()]
     assert got == want
     assert any(" discarded=0" not in line for line in want)  # the capped case discards
+
+
+def test_pinned_crb_policies_are_run_crbs():
+    # the golden crb cases stand for run_crb's policies: the same fork
+    # powers and schedule, with constants equal up to the solver's last bits
+    for tag, scenario, start in golden_scenarios():
+        for variant in ("crb1", "crb2"):
+            want = RacePolicy.from_outcome(run_crb(scenario, variant, start))
+            got = crb_policy(scenario, variant, start, float.fromhex(CRB_CONSTANTS[tag, variant]))
+            assert got.fork_power == want.fork_power
+            assert got.start_state == want.start_state
+            assert got.scheduled_states == want.scheduled_states
+            assert got.bribe == pytest.approx(want.bribe, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

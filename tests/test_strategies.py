@@ -533,34 +533,52 @@ def test_run_gvc_evaluates_infeasible_vectors_outside_the_search(table2_scenario
 
 
 def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
-    # the threshold probes and the final evaluation of a feasible candidate
-    # share the search's memo, so every chain solve is of a core not seen
-    # before in the search, and a final evaluation solves only a new core
-    core_size = table2_scenario.confirmations + 1
-    solve_race, evaluate = markov.solve_race, strategies.evaluate_schedule
+    # the threshold probes and the scoring of feasible candidates share the
+    # search's memo, so every chain solve the search makes is of a core it
+    # has not solved before
+    solve_core = markov.solve_core
     cores: list[bytes] = []
-    final = {"calls": 0, "active": False, "repeats": 0}
 
-    def counting_solve(chain, start):
-        core = chain.fork_power[:core_size].tobytes()
-        final["repeats"] += final["active"] and core in cores
-        cores.append(core)
-        return solve_race(chain, start)
+    def counting_solve(core, mu, depth, start):
+        cores.append(core.tobytes())
+        return solve_core(core, mu, depth, start)
 
-    def final_evaluation(*args, **kwargs):
-        final["calls"] += 1
-        final["active"] = True
-        try:
-            return evaluate(*args, **kwargs)
-        finally:
-            final["active"] = False
-
-    monkeypatch.setattr(markov, "solve_race", counting_solve)
-    monkeypatch.setattr(strategies, "evaluate_schedule", final_evaluation)
+    monkeypatch.setattr(markov, "solve_core", counting_solve)
     optimize_gvc(table2_scenario, "ac", 4)
-    assert len(cores) == len(set(cores))
-    assert final["repeats"] == 0
-    assert final["calls"] > 1000  # feasible candidates were evaluated
+    assert len(cores) == len(set(cores)) == 12_057
+
+
+@pytest.mark.parametrize("case, objective, start", [
+    ("table2", "ac", 4), ("whale20", "ac", 6), ("whale20", "rac", 6),
+])
+def test_search_scores_every_candidate_as_run_gvc_does(
+    case, objective, start, table2_scenario, whale20_scenario, monkeypatch
+):
+    # the search scores candidates on arrays; each one must get the
+    # feasibility and the exact objective that run_gvc's outcome gives it
+    scenario = table2_scenario if case == "table2" else whale20_scenario
+    score = strategies._Search.score
+    scored: dict[tuple[float, ...], float | None] = {}
+
+    def recording(search, entries):
+        scored[entries] = result = score(search, entries)
+        return result
+
+    monkeypatch.setattr(strategies._Search, "score", recording)
+    optimize_gvc(scenario, objective, start)
+    row = scenario.miner_set.row(scenario.target_id)
+    tag = "GVC_AC" if objective == "ac" else "GVC_RAC"
+    feasible = 0
+    for entries, result in scored.items():
+        out = run_gvc(scenario, BribeSchedule(entries, True, tag), start)
+        want = None
+        if out.membership.zeta[row].all():
+            want = out.cost_unconditional if objective == "ac" else out.cost_on_success
+            feasible += 1
+        assert result == want, entries
+    assert feasible > 0
+    if case == "table2":  # the whale is aboard at every state, P2 is not
+        assert feasible < len(scored)
 
 
 def test_optimize_rejects_bad_objective(table2_scenario):
