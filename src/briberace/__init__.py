@@ -23,7 +23,6 @@ from .markov import (
     RaceSolution,
     absorption_probs,
     analyze,
-    build_base_chain,
     canonical_form,
     catchup_prob,
     expected_steps,

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import model, simulate, strategies
@@ -199,9 +199,9 @@ def cmd_sweep_start(cfg: RunConfig, states: list[int]) -> int:
     strategy_list = STRATEGIES if cfg.strategy == "all" else [cfg.strategy]
     rows = []
     for strat in strategy_list:
-        sub = _replace(cfg, strategy=strat)
+        sub = replace(cfg, strategy=strat)
         for s in sorted(states):
-            outcome = _run_strategy(_replace(sub, start_state=s), scenario)
+            outcome = _run_strategy(replace(sub, start_state=s), scenario)
             rows.append(
                 {
                     "strategy": outcome.strategy_tag,
@@ -248,15 +248,10 @@ def cmd_sweep_reward(cfg: RunConfig, rewards: list[float]) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, corrupt: bool = False) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
     scenario = _load_scenario(cfg)
     outcome = _run_strategy(cfg, scenario)
     policy = simulate.RacePolicy.from_outcome(outcome)
-    if corrupt:  # negative-control aid for testing the validator itself
-        fork = tuple(min(p + 0.05, 1.0 - 1e-9) for p in policy.fork_power)
-        policy = simulate.RacePolicy(
-            fork, policy.bribe, policy.start_state, policy.scheduled_states
-        )
     report = simulate.simulate_race(
         policy, simulate.SimConfig(trials=cfg.trials, seed=cfg.seed)
     )
@@ -295,11 +290,6 @@ def cmd_validate(cfg: RunConfig, corrupt: bool = False) -> int:
     return 0 if passed else 1
 
 
-def _replace(cfg: RunConfig, **kw) -> RunConfig:
-    data = cfg.__dict__ | kw
-    return RunConfig(**data)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="briberace",
@@ -307,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, need_strategy: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pools", required=True, help="pool distribution file")
         p.add_argument("--attacker", default=None, help="attacker id (default: flagged in file)")
         p.add_argument("--target", default=None, help="target miner id (default: biggest)")
@@ -315,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--premined", type=int, default=1)
         p.add_argument("--reward", type=float, default=6.25)
         p.add_argument("--start-state", type=int, default=None)
-        if need_strategy:
-            p.add_argument("--strategy", required=True, choices=STRATEGIES + ("all",))
+        p.add_argument("--strategy", required=True, choices=STRATEGIES + ("all",))
         p.add_argument("--objective", choices=("ac", "rac"), default=None)
         p.add_argument("--trials", type=int, default=1_000_000)
         p.add_argument("--seed", type=int, default=0)
@@ -336,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="cross-check analytics against simulation")
     common(p_validate)
-    p_validate.add_argument("--debug-corrupt", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -349,7 +337,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         premined=args.premined,
         reward=args.reward,
         start_state=args.start_state,
-        strategy=getattr(args, "strategy", "bs"),
+        strategy=args.strategy,
         objective=args.objective,
         trials=args.trials,
         seed=args.seed,
@@ -379,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             rewards = [float(r) for r in args.rewards.split(",") if r.strip() != ""]
             return cmd_sweep_reward(cfg, rewards)
         if args.command == "validate":
-            return cmd_validate(cfg, corrupt=args.debug_corrupt)
+            return cmd_validate(cfg)
         raise CliError(f"unknown command {args.command!r}")
     except (CliError, model.PoolFileError, model.ScenarioError,
             strategies.StrategyError, simulate.SimulationError, ValueError) as exc:

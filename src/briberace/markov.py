@@ -5,18 +5,17 @@ the fork with probability ``fork_power[i]`` (moving to i-1, or into the
 success state V when i = 0) and on the main chain otherwise (moving to i+1,
 or into the failure state W when i = h-1).
 
-h is configurable: h = C+1 models a race abandoned once the gap exceeds the
-confirmation depth, while ``extend_fork_power`` appends a deeper wall of
-states where the attacker mines alone. That wall stands in for the
-open-ended race's success probabilities only away from an attacker power
-of 0.5. Below about 0.486 a walk that hits it would have come back to win
-with probability under TAIL_MASS; above about 0.514 a walk hits it with
-probability under 1e-12. Near 0.5 the wall sets the numbers: at 0.5, with
-C = 2, the attacker alone reports from state 2 a success of
-1 - 3/516 = 0.99419 and 3 * 513 = 1,539 expected steps, where the
-open-ended race wins surely in unbounded expected time. Expected step
-counts are the wall's at every power up to 0.5, since the open-ended race
-then has no finite mean duration.
+A race chain is the bribed states' fork powers followed by the unbribed
+tail that ``extend_fork_power`` appends: a deeper wall of states where the
+attacker mines alone. That wall stands in for the open-ended race's success
+probabilities only away from an attacker power of 0.5. Below about 0.486 a
+walk that hits it would have come back to win with probability under
+TAIL_MASS; above about 0.514 a walk hits it with probability under 1e-12.
+Near 0.5 the wall sets the numbers: at 0.5, with C = 2, the attacker alone
+reports from state 2 a success of 1 - 3/516 = 0.99419 and 3 * 513 = 1,539
+expected steps, where the open-ended race wins surely in unbounded expected
+time. Expected step counts are the wall's at every power up to 0.5, since
+the open-ended race then has no finite mean duration.
 
 Two solvers read the same chain. ``analyze`` is the dense reference: it
 builds the canonical form and inverts I - Q with an LU solve, giving the
@@ -145,18 +144,6 @@ class RaceSolution:
     success: np.ndarray  # absorption into the success state, from every state
     visits: np.ndarray  # expected visits per state, from the start state
     steps: float  # expected steps to absorption, from the start state
-
-
-def build_base_chain(scenario, per_state_fork_power=None) -> AbsorbingChain:
-    """Build the race chain for a scenario.
-
-    ``per_state_fork_power`` parameterizes the per-state fork share (length
-    may exceed C+1 to model states beyond the bribed region); omitted, it
-    defaults to the attacker mining alone at every state 0..C.
-    """
-    if per_state_fork_power is None:
-        per_state_fork_power = np.full(scenario.confirmations + 1, scenario.mu)
-    return AbsorbingChain(np.asarray(per_state_fork_power, dtype=float))
 
 
 def extend_fork_power(core: np.ndarray, mu: float, depth: int | None = None) -> np.ndarray:

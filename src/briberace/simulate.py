@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategies import MembershipMatrix
-
 CHUNK = 1 << 16
 
 
@@ -50,21 +48,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RacePolicy:
-    """State-indexed race description: per-state fork power and bribe.
-
-    ``sticky_membership`` switches the retention rule: instead of the newest
-    recruit dropping off on every upward move (membership a function of the
-    state alone), miners stay aboard once joined for the rest of the trial.
-    Its rows follow ``roster_powers``; states past its columns recruit nobody.
-    """
+    """State-indexed race description: per-state fork power and bribe."""
 
     fork_power: tuple[float, ...]
     bribe: tuple[float, ...]  # zero-padded to the same length
     start_state: int
-    scheduled_states: int | None = None  # bribed region; default: whole chain
-    mu: float | None = None
-    sticky_membership: MembershipMatrix | None = None
-    roster_powers: tuple[float, ...] | None = None
+    scheduled_states: int | None = None  # bribed region, 1..h states; default: whole chain
 
     @classmethod
     def from_outcome(cls, outcome) -> "RacePolicy":
@@ -120,22 +109,13 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
     fork = np.asarray(policy.fork_power)
     bribe = np.asarray(policy.bribe)
     n_track = h if policy.scheduled_states is None else policy.scheduled_states
-    n_track = min(max(n_track, 1), h)
+    if not (1 <= n_track <= h):
+        raise SimulationError("scheduled states must number 1 to the chain length")
     if np.any(bribe[n_track:] != 0.0):
         raise SimulationError("bribes outside the tracked region would go uncounted")
     max_events = config.max_events if config.max_events is not None else 200 * h
     if max_events < h:
         raise SimulationError("max_events too small to traverse the chain")
-
-    sticky = policy.sticky_membership is not None
-    if sticky:
-        zeta = policy.sticky_membership.zeta
-        if policy.mu is None or policy.roster_powers is None or len(policy.roster_powers) != len(zeta):
-            raise SimulationError("sticky retention needs mu and one roster power per membership row")
-        powers = np.asarray(policy.roster_powers, dtype=float)
-        joins = np.zeros((h, powers.size), dtype=bool)  # per-state recruits, state x roster
-        joins[: zeta.shape[1]] = zeta.T[:h] == 1
-        recruits = joins.any(axis=1)
 
     succ = 0
     disc = 0
@@ -161,9 +141,6 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
         flat = counts.reshape(-1)
         steps = np.full(n, max_events, dtype=np.int64)  # a trial ending at iteration k took k + 1
         result = np.full(n, -1, dtype=np.int8)  # -1 running, 1 success, 0 failure
-        if sticky:
-            member = np.tile(joins[policy.start_state], (n, 1))  # trials x roster
-            joined = _joined_power(member, powers)
 
         # running trials only, compacted: trial ids ascending, their states
         # and the flat offsets of their count rows
@@ -173,12 +150,7 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
         for k in range(max_events):
             if active.size == 0:
                 break
-            u = rng.random(active.size)
-            if sticky:
-                p = np.minimum(policy.mu + joined[active], 1.0 - 1e-12)
-            else:
-                p = fork[state]
-            down = u < p
+            down = rng.random(active.size) < fork[state]
             state += 1
             state -= down
             state -= down
@@ -192,14 +164,6 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
                 active = active[keep]
                 state = state[keep]
                 row = row[keep]
-            if sticky:
-                at = np.flatnonzero(recruits[state])  # positions now at a state that recruits
-                new = joins[state[at]]
-                grow = np.any(new & ~member[active[at]], axis=1)
-                if grow.any():
-                    grew = active[at[grow]]
-                    member[grew] |= new[grow]
-                    joined[grew] = _joined_power(member[grew], powers)
             flat[row + np.minimum(state, n_track)] += 1
         visits = counts[:, :n_track]
 
@@ -257,14 +221,6 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
         events=events,
         longest=longest,
     )
-
-
-def _joined_power(member: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Aboard power per trial, summed left to right in roster order."""
-    joined = np.zeros(member.shape[0])
-    for r, p in enumerate(powers):
-        joined[member[:, r]] += p
-    return joined
 
 
 @dataclass(frozen=True)

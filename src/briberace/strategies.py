@@ -18,8 +18,11 @@ stands in for the open-ended race except near an attacker power of 0.5,
 where it sets the numbers (see ``markov``).
 
 Who mines the fork at each bribed state is held in one ``MembershipMatrix``;
-fork powers and recapture read it. Every chain here is solved by
-``markov.solve_race``, the tridiagonal path.
+fork powers and recapture read it. ``evaluate_schedule`` is the one path
+from a matrix to an outcome: it builds the chain from the matrix and solves
+it with ``markov.solve_race``. Solves that make no outcome (crb's pricing
+chain, the gvc thresholds) call ``markov.solve_core`` on the bribed core,
+which matches ``solve_race`` bit for bit.
 
 ``optimize_gvc`` scores thousands of candidate schedules and keeps one float
 per candidate, so it scores them on arrays, not outcomes (``_Search``):
@@ -29,9 +32,8 @@ power the same roster-order sum ``MembershipMatrix.fork_power`` takes
 ``gvc_member_thresholds`` applies (``_commitment_thresholds``), feasibility
 a test of the target's row, and the score ``visits @ bribes`` (ac) or the
 success-conditioned sum (rac) of the final core. Each distinct core is
-solved once per search, from its start state, by ``markov.solve_core``,
-which runs ``solve_race``'s body on the core and the tail without building
-the chain. The winner alone is evaluated into an outcome, by ``run_gvc``.
+solved once per search, from its start state, by ``markov.solve_core``.
+The winner alone is evaluated into an outcome, by ``run_gvc``.
 """
 from __future__ import annotations
 
@@ -164,15 +166,6 @@ def _resolve_start(scenario: Scenario, start_state: int | None) -> int:
     return start
 
 
-def _open_chain(scenario: Scenario, core: np.ndarray) -> markov.AbsorbingChain:
-    """The bribed states' fork powers followed by the unbribed tail to the wall."""
-    return markov.build_base_chain(scenario, markov.extend_fork_power(core, scenario.mu))
-
-
-def _chain_for(scenario: Scenario, membership: MembershipMatrix) -> markov.AbsorbingChain:
-    return _open_chain(scenario, membership.fork_power(scenario.miner_set.powers, scenario.mu))
-
-
 def _target_only(scenario: Scenario, states: Sequence[int]) -> MembershipMatrix:
     """The target alone aboard at the given states."""
     ms = scenario.miner_set
@@ -184,16 +177,19 @@ def _target_only(scenario: Scenario, states: Sequence[int]) -> MembershipMatrix:
 def evaluate_schedule(
     scenario: Scenario,
     schedule: BribeSchedule,
-    chain: markov.AbsorbingChain,
+    membership: MembershipMatrix,
     start_state: int | None = None,
-    membership: MembershipMatrix | None = None,
 ) -> StrategyOutcome:
     """Expected costs, success probability and recapture for a schedule run
-    on a given chain. The schedule spans the bribed states; the chain may
-    extend past them with unbribed states."""
+    with the given fork membership: one row per roster miner, one column per
+    scheduled state. The chain is the membership's fork powers followed by
+    the unbribed tail."""
     start = _resolve_start(scenario, start_state)
-    if chain.h < schedule.h:
-        raise StrategyError("chain must span at least the scheduled states")
+    ms, mu = scenario.miner_set, scenario.mu
+    if membership.miner_ids != ms.ids or membership.zeta.shape[1] != schedule.h:
+        raise StrategyError("membership needs one row per roster miner, one column per state")
+    core = membership.fork_power(ms.powers, mu)
+    chain = markov.AbsorbingChain(markov.extend_fork_power(core, mu))
     solution = markov.solve_race(chain, start)
     visits = solution.visits
     bribes = np.zeros(chain.h)
@@ -208,11 +204,8 @@ def evaluate_schedule(
         cost_success = None
 
     single_visit = float(np.sum(schedule.per_state_bribe))
-    ms = scenario.miner_set
-    if membership is None:
-        membership = MembershipMatrix(ms.ids, np.zeros((len(ms.ids), schedule.h), dtype=int))
     attacker_rc, target_rc = _recapture(
-        schedule.per_state_bribe, scenario.mu, scenario.target_id, ms.powers, membership
+        schedule.per_state_bribe, mu, scenario.target_id, ms.powers, membership
     )
 
     mu_eff = float(chain.fork_power[start])
@@ -296,8 +289,7 @@ def run_bs(scenario: Scenario, start_state: int | None = None) -> StrategyOutcom
     ]
     schedule = BribeSchedule(tuple(q.settled for q in quotes), False, "BS")
     membership = _target_only(scenario, range(scenario.confirmations + 1))
-    chain = _chain_for(scenario, membership)
-    return evaluate_schedule(scenario, schedule, chain, start, membership)
+    return evaluate_schedule(scenario, schedule, membership, start)
 
 
 def bff_membership(scenario: Scenario) -> MembershipMatrix:
@@ -329,42 +321,16 @@ def run_bff(scenario: Scenario, start_state: int | None = None) -> StrategyOutco
         entries.append(quote.settled)
     schedule = BribeSchedule(tuple(entries), False, "BFF")
     membership = bff_membership(scenario)
-    chain = _chain_for(scenario, membership)
-    return evaluate_schedule(scenario, schedule, chain, start, membership)
+    return evaluate_schedule(scenario, schedule, membership, start)
 
 
 # ---------------------------------------------------------------------------
 # constant-rate bribing
 
-def crb_would_join(
-    scenario: Scenario, constant: float, offered_states: Sequence[int]
-) -> MembershipMatrix:
-    """Miners besides the target whose basic per-state threshold the constant
-    payment clears, per state (descending-power prefix at each state)."""
-    ms = scenario.miner_set
-    c = scenario.confirmations
-    zeta = np.zeros((len(ms.ids), c + 1), dtype=int)
-    for i in range(c + 1):
-        if i not in offered_states:
-            continue
-        for r, m in enumerate(ms.miners):
-            if m.id == scenario.target_id:
-                continue
-            t = rationality.basic_threshold(
-                i, m.power, scenario.mu, scenario.lam, scenario.reward
-            )
-            if constant > t:
-                zeta[r, i] = 1
-            else:
-                break  # smaller miners need strictly more
-    return MembershipMatrix(ms.ids, zeta)
-
-
 def run_crb(
     scenario: Scenario,
     variant: str,
     start_state: int | None = None,
-    count_other_joiners: bool = False,
 ) -> StrategyOutcome:
     """Committed constant payment per state.
 
@@ -372,9 +338,7 @@ def run_crb(
     start; ``crb2`` sizes it from the start state and pays nothing above it.
     The constant is the visit-weighted average of the target's per-state
     minima, with visits taken from the chain the target itself will induce by
-    accepting. The headline outcome keeps other miners on the main chain;
-    ``count_other_joiners=True`` instead folds in every miner whose own
-    threshold the constant clears.
+    accepting. Other miners stay on the main chain.
     """
     if variant not in ("crb1", "crb2"):
         raise StrategyError(f"variant must be crb1 or crb2, got {variant!r}")
@@ -389,57 +353,31 @@ def run_crb(
         for i in range(c + 1)
     ]
     target_only = _target_only(scenario, offered)
-    pricing = markov.solve_race(_chain_for(scenario, target_only), calc_from)
+    mu = scenario.mu
+    core = target_only.fork_power(scenario.miner_set.powers, mu)
+    pricing = markov.solve_core(core, mu, markov.tail_depth(mu), calc_from)
     constant = rationality.crb_min_constant(pricing.visits, quotes, calc_from)
     constant = max(constant, DUST)
 
     entries = tuple(constant if i in offered else 0.0 for i in range(c + 1))
     tag = variant.upper()
     schedule = BribeSchedule(entries, True, tag)
-
-    membership = target_only
-    if count_other_joiners:
-        others = crb_would_join(scenario, constant, offered)
-        membership = MembershipMatrix(
-            scenario.miner_set.ids, np.maximum(target_only.zeta, others.zeta)
-        )
-    chain = _chain_for(scenario, membership)
-    return evaluate_schedule(scenario, schedule, chain, start, membership)
+    return evaluate_schedule(scenario, schedule, target_only, start)
 
 
 # ---------------------------------------------------------------------------
 # committed variable-rate bribing
 
-@dataclass(frozen=True, eq=False)
-class RecruitmentChain:
-    """Step-1 result for a committed schedule: per-state recruitment by the
-    basic-formula thresholds and the induced fork powers."""
-
-    fork_power: np.ndarray          # bribed states only, before any tail
-    membership: MembershipMatrix
-
-    @property
-    def memberships(self) -> tuple[tuple[str, ...], ...]:
-        return self.membership.memberships
-
-
-def gvc_new_markov(scenario: Scenario, schedule: BribeSchedule) -> RecruitmentChain:
+def gvc_new_markov(scenario: Scenario, schedule: BribeSchedule) -> MembershipMatrix:
     """First pass over a committed schedule: at each state, every miner whose
     power reaches the persuadability floor joins (read off the scenario's
-    recruit threshold table); fork power is adjusted accordingly."""
+    recruit threshold table)."""
     if not schedule.committed:
         raise StrategyError("recruitment projection requires a committed schedule")
     if schedule.h != scenario.confirmations + 1:
         raise StrategyError("a committed schedule has one entry per state 0..C")
-    ms = scenario.miner_set
     zeta = scenario.recruit_thresholds <= np.asarray(schedule.per_state_bribe)
-    membership = MembershipMatrix(ms.ids, zeta)
-    return RecruitmentChain(membership.fork_power(ms.powers, scenario.mu), membership)
-
-
-def _absorption_success(core: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Success probability from every state of the open chain over ``core``."""
-    return markov.solve_race(_open_chain(scenario, core), 0).success
+    return MembershipMatrix(scenario.miner_set.ids, zeta)
 
 
 def _with_miner(fork_power: np.ndarray, aboard: np.ndarray, power: float) -> np.ndarray:
@@ -469,28 +407,28 @@ def _commitment_thresholds(
 
 
 def gvc_member_thresholds(
-    scenario: Scenario,
-    schedule: BribeSchedule,
-    recruit: RecruitmentChain,
-    miner_id: str,
+    scenario: Scenario, recruit: MembershipMatrix, miner_id: str
 ) -> list[float | None]:
-    """Commitment-aware membership thresholds for one miner, per state.
+    """Commitment-aware membership thresholds for one miner, per state, under
+    the first-pass membership ``recruit`` (``gvc_new_markov``).
 
     Failure odds come from the projected chain without the miner; win odds
     from the same chain with the miner added at every state it has not
     already joined. None marks states where the miner is already recruited.
     """
-    r = scenario.miner_set.row(miner_id)
-    p_m = scenario.miner_set.miners[r].power
-    aboard = recruit.membership.zeta[r].astype(bool)
-    base_bv = _absorption_success(recruit.fork_power, scenario)
-    pert_bv = _absorption_success(_with_miner(recruit.fork_power, aboard, p_m), scenario)
-    reward = scenario.reward
-    return _commitment_thresholds(recruit.fork_power, aboard, p_m, base_bv, pert_bv, reward)
+    ms, mu = scenario.miner_set, scenario.mu
+    r = ms.row(miner_id)
+    p_m = ms.miners[r].power
+    aboard = recruit.zeta[r].astype(bool)
+    core = recruit.fork_power(ms.powers, mu)
+    depth = markov.tail_depth(mu)
+    base_bv = markov.solve_core(core, mu, depth, 0).success
+    pert_bv = markov.solve_core(_with_miner(core, aboard, p_m), mu, depth, 0).success
+    return _commitment_thresholds(core, aboard, p_m, base_bv, pert_bv, scenario.reward)
 
 
 def gvc_zeta(
-    scenario: Scenario, schedule: BribeSchedule, recruit: RecruitmentChain
+    scenario: Scenario, schedule: BribeSchedule, recruit: MembershipMatrix
 ) -> MembershipMatrix:
     """Full miner-by-state membership under a committed schedule: already
     recruited, or the commitment-aware threshold is met. Every column is then
@@ -499,7 +437,7 @@ def gvc_zeta(
     ids = scenario.miner_set.ids
     zeta = np.zeros((len(ids), schedule.h), dtype=int)
     for r, mid in enumerate(ids):
-        thresholds = gvc_member_thresholds(scenario, schedule, recruit, mid)
+        thresholds = gvc_member_thresholds(scenario, recruit, mid)
         for j, t in enumerate(thresholds):
             if t is None or schedule.per_state_bribe[j] >= t:
                 zeta[r, j] = 1
@@ -522,15 +460,14 @@ def run_gvc(
         schedule = BribeSchedule(tuple(float(b) for b in schedule), True, "GVC_AC")
     start = _resolve_start(scenario, start_state)
     recruit = gvc_new_markov(scenario, schedule)
-    thresholds = gvc_member_thresholds(scenario, schedule, recruit, scenario.target_id)
-    zeta = recruit.membership.zeta.copy()
+    thresholds = gvc_member_thresholds(scenario, recruit, scenario.target_id)
+    zeta = recruit.zeta.copy()
     r = scenario.miner_set.row(scenario.target_id)
     for j, t in enumerate(thresholds):
         if t is not None and schedule.per_state_bribe[j] >= t:
             zeta[r, j] = 1
     membership = MembershipMatrix(scenario.miner_set.ids, zeta)
-    chain = _chain_for(scenario, membership)
-    return evaluate_schedule(scenario, schedule, chain, start, membership)
+    return evaluate_schedule(scenario, schedule, membership, start)
 
 
 def _grid_above(value: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import re
@@ -161,7 +162,7 @@ def test_sweep_reward_rejects_nonpositive(capsys):
     assert "positive" in json.loads(err)["error"]["message"]
 
 
-def test_validate_passes_and_corrupt_fails(capsys):
+def test_validate_passes_and_corrupt_fails(capsys, monkeypatch):
     args = [
         "validate", "--pools", WHALE, "--strategy", "bs", "--target", "M",
         "--trials", "100000", "--seed", "4",
@@ -169,7 +170,16 @@ def test_validate_passes_and_corrupt_fails(capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert "validation PASSED" in out
-    code, out, _ = run_cli(args + ["--debug-corrupt"], capsys)
+    # negative control: the oracle races a fork 0.05 stronger at every state
+    from_outcome = simulate.RacePolicy.from_outcome
+
+    def corrupted(outcome):
+        policy = from_outcome(outcome)
+        fork = tuple(min(p + 0.05, 1.0 - 1e-9) for p in policy.fork_power)
+        return dataclasses.replace(policy, fork_power=fork)
+
+    monkeypatch.setattr(simulate.RacePolicy, "from_outcome", corrupted)
+    code, out, _ = run_cli(args, capsys)
     assert code == 1
     assert "validation FAILED" in out
 

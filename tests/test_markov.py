@@ -7,7 +7,6 @@ from briberace.markov import (
     ChainError,
     absorption_probs,
     analyze,
-    build_base_chain,
     canonical_form,
     catchup_prob,
     expected_steps,
@@ -97,19 +96,6 @@ def test_degenerate_fork_power_rejected():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ChainError):
             AbsorbingChain(np.array([0.3, bad, 0.4]))
-
-
-def test_build_base_chain_defaults(whale20_scenario):
-    chain = build_base_chain(whale20_scenario)
-    assert chain.h == 7
-    assert np.allclose(chain.fork_power, 0.2, atol=1e-12)
-    assert np.allclose(chain.fork_power + chain.main_power, 1.0, atol=1e-12)
-
-
-def test_build_base_chain_accepts_vector(whale20_scenario):
-    vec = [0.3, 0.3, 0.2, 0.2, 0.2, 0.2, 0.2]
-    chain = build_base_chain(whale20_scenario, vec)
-    assert np.allclose(chain.fork_power, vec)
 
 
 def test_extended_tail_approximates_open_race():

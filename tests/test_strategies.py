@@ -11,7 +11,6 @@ from briberace.strategies import (
     MembershipMatrix,
     StrategyError,
     bff_membership,
-    crb_would_join,
     evaluate_schedule,
     gvc_member_thresholds,
     gvc_new_markov,
@@ -167,25 +166,6 @@ def test_crb_constant_sits_between_extreme_quotes(table2_scenario):
     assert min(quotes) < k < max(quotes)
 
 
-def test_crb_other_joiners_surfaced(table2_scenario):
-    out_solo = run_crb(table2_scenario, "crb2", 4)
-    out_crowd = run_crb(table2_scenario, "crb2", 4, count_other_joiners=True)
-    # near the winning edge the constant clears every other miner's threshold
-    k = out_solo.schedule.per_state_bribe[0]
-    others = crb_would_join(table2_scenario, k, range(5)).memberships
-    assert len(others[0]) == 13
-    assert len(others[4]) == 0
-    assert out_crowd.success_prob > out_solo.success_prob
-    assert out_crowd.final_chain.fork_power[0] > out_solo.final_chain.fork_power[0]
-
-
-def test_crb_dust_constant_recruits_nobody_above_state_zero(table2_scenario):
-    # moderate miners need real money anywhere past the winning edge
-    joiners = crb_would_join(table2_scenario, DUST, range(7)).memberships
-    assert len(joiners[0]) == 13
-    assert all(len(j) == 0 for j in joiners[1:])
-
-
 # ---------------------------------------------------------------------------
 # committed variable-rate bribing
 
@@ -198,12 +178,13 @@ def test_gvc_requires_commitment(table2_scenario):
 def test_gvc_dust_everywhere_recruits_only_state_zero(table2_scenario):
     sched = BribeSchedule((DUST,) * 7, True, "GVC_AC")
     recruit = gvc_new_markov(table2_scenario, sched)
+    fork = recruit.fork_power(table2_scenario.miner_set.powers, table2_scenario.mu)
     # next to the winning edge the fork is profitable for everyone already
     assert len(recruit.memberships[0]) == 14
-    assert recruit.fork_power[0] == pytest.approx(1.0 - 1e-12)
+    assert fork[0] == pytest.approx(1.0 - 1e-12)
     for i in range(1, 7):
         assert recruit.memberships[i] == ()
-        assert recruit.fork_power[i] == pytest.approx(table2_scenario.mu, abs=1e-12)
+        assert fork[i] == pytest.approx(table2_scenario.mu, abs=1e-12)
 
 
 @pytest.mark.parametrize("fixture", ["table2", "whale20"])
@@ -252,8 +233,9 @@ def test_committed_schedule_spans_the_bribed_states(table2_scenario):
 def test_gvc_saturation_capped(table2_scenario):
     sched = BribeSchedule((1e6,) * 7, True, "GVC_AC")
     recruit = gvc_new_markov(table2_scenario, sched)
-    assert np.all(recruit.fork_power < 1.0)
-    assert np.all(recruit.fork_power >= 1.0 - 1e-12 - 1e-15)
+    fork = recruit.fork_power(table2_scenario.miner_set.powers, table2_scenario.mu)
+    assert np.all(fork < 1.0)
+    assert np.all(fork >= 1.0 - 1e-12 - 1e-15)
 
 
 def test_gvc_zeta_first_disjunct_and_monotonicity(table2_scenario):
@@ -290,7 +272,7 @@ def test_gvc_zeta_raising_entry_never_drops_members(table2_scenario):
 def test_gvc_target_thresholds_match_choice_rule(table2_scenario):
     sched = BribeSchedule(PUBLISHED_GVC, True, "GVC_AC")
     recruit = gvc_new_markov(table2_scenario, sched)
-    thresholds = gvc_member_thresholds(table2_scenario, sched, recruit, "P2")
+    thresholds = gvc_member_thresholds(table2_scenario, recruit, "P2")
     out = run_gvc(table2_scenario, sched, 4)
     for j in range(7):
         joined = "P2" in out.memberships[j]
@@ -407,19 +389,38 @@ def test_committed_beliefs_cut_below_constant_probability_quote(table2_scenario)
 # ---------------------------------------------------------------------------
 # schedule evaluation and recapture
 
+def nobody_aboard(scenario, states):
+    ids = scenario.miner_set.ids
+    return MembershipMatrix(ids, np.zeros((len(ids), states), dtype=int))
+
+
 def test_evaluate_zero_schedule(whale20_scenario):
     sched = BribeSchedule((0.0,) * 7, False, "BS")
-    chain = markov.build_base_chain(whale20_scenario)
-    out = evaluate_schedule(whale20_scenario, sched, chain, 6)
+    out = evaluate_schedule(whale20_scenario, sched, nobody_aboard(whale20_scenario, 7), 6)
     assert out.cost_unconditional == 0.0
     assert out.cost_on_success == 0.0
 
 
-def test_evaluate_requires_chain_covering_schedule(whale20_scenario):
+def test_evaluate_requires_chain_covering_schedule(whale20_scenario, table2_scenario):
     sched = BribeSchedule((1.0,) * 7, False, "BS")
-    chain = markov.build_base_chain(whale20_scenario, [0.2] * 3)
     with pytest.raises(StrategyError):
-        evaluate_schedule(whale20_scenario, sched, chain, 2)
+        evaluate_schedule(whale20_scenario, sched, nobody_aboard(whale20_scenario, 3), 2)
+    with pytest.raises(StrategyError):  # a matrix over another roster
+        evaluate_schedule(whale20_scenario, sched, nobody_aboard(table2_scenario, 7), 2)
+
+
+@pytest.mark.parametrize("fixture,start", [("table2", 4), ("whale20", 6)])
+def test_every_outcome_chain_is_its_membership_chain(fixture, start, table2_scenario,
+                                                     whale20_scenario):
+    # RacePolicy.from_outcome hands final_chain's fork powers to the oracle:
+    # they must be exactly the chain of the outcome's own membership
+    sc = table2_scenario if fixture == "table2" else whale20_scenario
+    outcomes = [run_bs(sc, start), run_bff(sc, start), run_crb(sc, "crb1", start),
+                run_crb(sc, "crb2", start), run_gvc(sc, PUBLISHED_GVC, start)]
+    for out in outcomes:
+        core = out.membership.fork_power(sc.miner_set.powers, sc.mu)
+        want = markov.extend_fork_power(core, sc.mu)
+        assert out.final_chain.fork_power.tobytes() == want.tobytes(), out.strategy_tag
 
 
 def test_costs_match_visit_weighted_sums(table2_scenario):
@@ -535,17 +536,26 @@ def test_run_gvc_evaluates_infeasible_vectors_outside_the_search(table2_scenario
 def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
     # the threshold probes and the scoring of feasible candidates share the
     # search's memo, so every chain solve the search makes is of a core it
-    # has not solved before
-    solve_core = markov.solve_core
-    cores: list[bytes] = []
+    # has not solved before; run_gvc then evaluates the winner outside it
+    solve_core, run_gvc = markov.solve_core, strategies.run_gvc
+    cores: dict[str, list[bytes]] = {"search": [], "winner": []}
+    phase = ["search"]
 
     def counting_solve(core, mu, depth, start):
-        cores.append(core.tobytes())
+        cores[phase[0]].append(core.tobytes())
         return solve_core(core, mu, depth, start)
 
+    def evaluate_winner(*args):
+        phase[0] = "winner"
+        return run_gvc(*args)
+
     monkeypatch.setattr(markov, "solve_core", counting_solve)
+    monkeypatch.setattr(strategies, "run_gvc", evaluate_winner)
     optimize_gvc(table2_scenario, "ac", 4)
-    assert len(cores) == len(set(cores)) == 12_057
+    search = cores["search"]
+    assert len(search) == len(set(search)) == 12_057
+    # the winner's two threshold solves are of cores the search has solved
+    assert len(cores["winner"]) == 2 and set(cores["winner"]) <= set(search)
 
 
 @pytest.mark.parametrize("case, objective, start", [
