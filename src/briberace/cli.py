@@ -346,10 +346,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
     if cfg.start_state is not None and cfg.start_state > cfg.confirmations:
         raise CliError("start state must not exceed the confirmation depth")
+    if cfg.strategy == "all" and args.command != "sweep-start":
+        raise CliError("only sweep-start takes --strategy all")
     if cfg.strategy == "gvc" and cfg.objective is None:
         raise CliError("gvc requires --objective ac|rac")
-    if cfg.strategy != "gvc" and cfg.objective is not None:
-        raise CliError("--objective only applies to gvc")
+    # with all, the objective applies to the gvc rows (ac when not given)
+    if cfg.strategy not in ("gvc", "all") and cfg.objective is not None:
+        raise CliError("--objective only applies to gvc and all")
     return cfg
 
 

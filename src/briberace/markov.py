@@ -26,11 +26,14 @@ the expected step count from the start (Kemeny & Snell, *Finite Markov
 Chains*, for the identities). Both apply the same residual and row-sum
 tolerances; the tests pin the second to the first.
 
-``solve_race`` and ``solve_core`` share one body (``_solve``): the first
-reads an ``AbsorbingChain``, the second a bribed core with its tail given as
-a power and a depth, checked as the chain would check them, so a search
-that solves thousands of cores builds no chain for them. Either way the
-result is the same, bit for bit.
+``solve_race`` and ``solve_core`` share one body (``_solve``), which reads
+the states below the trailing run as a list of Python floats: at the core
+lengths used here a Python loop beats numpy's per-call overhead. The first
+reads an ``AbsorbingChain`` and finds the run on its array, so a deep chain
+pays no Python scan; the second a bribed core with its tail given as a
+power and a depth, converted once and checked as the chain would check
+them, so a search that solves thousands of cores builds no chain for them.
+Either way the result is the same, bit for bit.
 
 The body sweeps state by state only up to the start state and the
 chain's last change of fork power. The trailing run of equal powers above
@@ -316,11 +319,14 @@ def solve_race(chain: AbsorbingChain, start: int) -> RaceSolution:
     The trailing run of equal fork powers above ``start`` is not swept state
     by state: its profile (``_run``) is folded into the last row of the
     core below it, and the run's part of each result is a boundary value
-    times that profile. The sweeps run over Python floats: at the core
-    lengths used here a Python loop beats numpy's per-call overhead.
+    times that profile. The run is found on the chain's array, so a deep
+    chain hands the sweeps only the states below it, as Python floats.
     """
     fp = chain.fork_power
-    return _solve(fp, float(fp[-1]), fp.size, start)
+    power = float(fp[-1])
+    differ = (fp != power).nonzero()[0]
+    last = int(differ[-1]) + 1 if differ.size else 0
+    return _solve(fp[:last].tolist(), power, fp.size, start)
 
 
 def solve_core(core: np.ndarray, mu: float, depth: int, start: int) -> RaceSolution:
@@ -328,25 +334,31 @@ def solve_core(core: np.ndarray, mu: float, depth: int, start: int) -> RaceSolut
     bit for bit, without building it. It accepts exactly the chains that
     ``AbsorbingChain`` accepts, with a tail of at least one state."""
     core = np.asarray(core, dtype=float)
-    _check_fork_power(core)
+    if core.ndim != 1 or core.size < 1:
+        raise ChainError("fork_power must be a non-empty vector")
+    head = core.tolist()
+    if not all(0.0 < x < 1.0 for x in head):  # False on NaN
+        raise ChainError("fork power must lie strictly inside (0, 1) at every state")
     if depth < 1 or not 0.0 < mu < 1.0:
         raise ChainError("the tail needs at least one state, at a power strictly inside (0, 1)")
-    return _solve(core, mu, core.size + depth, start)
+    return _solve(head, mu, len(head) + depth, start)
 
 
-def _solve(head: np.ndarray, power: float, h: int, start: int) -> RaceSolution:
-    """The body of both solvers: a chain of h states whose first head.size
+def _solve(head: list[float], power: float, h: int, start: int) -> RaceSolution:
+    """The body of both solvers: a chain of h states whose first len(head)
     fork powers are ``head`` and whose others are ``power``."""
     if not (0 <= start < h):
         raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
-    differ = (head != power).nonzero()[0]
-    n = max(start + 1, int(differ[-1]) + 1 if differ.size else 0)
-    p = head[:n].tolist()
+    last = len(head)
+    while last and head[last - 1] == power:
+        last -= 1
+    n = max(start + 1, last)
+    p = head[:n]
     p += [power] * (n - len(p))
+    success, visits = np.empty(h), np.empty(h)
     if n == h:
         win, lose, row, residuals = _sweep(p, start)
-        run_residuals, run_sum_error = (), 0.0
-        tail = ((), (), 0.0)
+        run_residuals, run_sum_error, run_steps = (), 0.0, 0.0
     else:
         run = _run(power, h - n)
         win, lose, row, residuals = _sweep(p, start, run)
@@ -356,16 +368,18 @@ def _solve(head: np.ndarray, power: float, h: int, start: int) -> RaceSolution:
         # and c r^v_j, and its row sum is 1 + (b + f - 1) s_j + (s_j + l_j - 1)
         run_residuals = (abs(b) * res_s, abs(f) * res_s + res_l, abs(c) * res_v)
         run_sum_error = abs(b + f - 1.0) + run.row_sum_error
-        tail = (b * run.success, c * run.visits, c * run.steps)
+        np.multiply(run.success, b, out=success[n:])
+        np.multiply(run.visits, c, out=visits[n:])
+        run_steps = c * run.steps
     residuals += run_residuals
     if not all(r < SOLVER_RESIDUAL_TOL for r in residuals):
         raise ChainError(f"solve residual {max(residuals):.3e} exceeds {SOLVER_RESIDUAL_TOL}")
     sums = [s + l for s, l in zip(win, lose)]
     if not max(max(sums) - 1.0, 1.0 - min(sums), run_sum_error) <= ROW_SUM_TOL:
         raise ChainError("absorption probabilities must sum to 1 per start state")
-    success, visits = np.concatenate((win, tail[0])), np.concatenate((row, tail[1]))
+    success[:n], visits[:n] = win, row
     success.flags.writeable = visits.flags.writeable = False
-    return RaceSolution(success, visits, math.fsum(row + [tail[2]]))
+    return RaceSolution(success, visits, math.fsum(row + [run_steps]))
 
 
 def catchup_prob(mu_eff: float, lambda_eff: float, i: int) -> float:

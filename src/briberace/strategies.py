@@ -25,12 +25,16 @@ chain, the gvc thresholds) call ``markov.solve_core`` on the bribed core,
 which matches ``solve_race`` bit for bit.
 
 ``optimize_gvc`` scores thousands of candidate schedules and keeps one float
-per candidate, so it scores them on arrays, not outcomes (``_Search``):
-membership is the boolean matrix ``recruit_thresholds <= entries``, fork
-power the same roster-order sum ``MembershipMatrix.fork_power`` takes
-(``_fork_power``), the target's thresholds the same formula
+per candidate, so it scores them from tables, not outcomes (``_Search``).
+The first-pass membership at state i is ``recruit_thresholds[:, i] <=
+entries[i]``, so everything the search reads at i depends on entry i alone:
+the fork power (``_fork_power``), whether the target is aboard, the fork
+power with the target added (``_with_miner``) and with its row set. Each
+(state, level) column is built once, on its one-column slice through those
+helpers, and a candidate's first-pass, perturbed and final cores are tuples
+of table entries. The target's thresholds take the formula
 ``gvc_member_thresholds`` applies (``_commitment_thresholds``), feasibility
-a test of the target's row, and the score ``visits @ bribes`` (ac) or the
+is a test of them, and the score is ``visits @ bribes`` (ac) or the
 success-conditioned sum (rac) of the final core. Each distinct core is
 solved once per search, from its start state, by ``markov.solve_core``.
 The winner alone is evaluated into an outcome, by ``run_gvc``.
@@ -52,7 +56,6 @@ MIN_MAIN_SHARE = 1e-12
 
 GVC_QUANTUM = 0.01  # BTC grid for optimized schedules
 GVC_MAX_SWEEPS = 24  # coordinate-descent cap; sweeps reach their fixed point in a handful
-GVC_SUFFIX_PASSES = 3  # suffix completion repeats, since each level feeds the next thresholds
 GVC_RESTARTS = 32  # random seeds added to the structured seed portfolio by default
 
 STRATEGY_TAGS = ("BS", "BFF", "CRB1", "CRB2", "GVC_AC", "GVC_RAC")
@@ -386,23 +389,23 @@ def _with_miner(fork_power: np.ndarray, aboard: np.ndarray, power: float) -> np.
 
 
 def _commitment_thresholds(
-    fork_power: np.ndarray,
-    aboard: np.ndarray,
+    fork_power: Sequence[float],
+    aboard: Sequence[bool],
     power: float,
-    base_success: np.ndarray,
-    pert_success: np.ndarray,
+    base_success: Sequence[float],
+    pert_success: Sequence[float],
     reward: float,
 ) -> list[float | None]:
     """Per-state threshold of a miner of ``power`` under a commitment: its
     failure odds off the fork (``base_success``, the projected chain) against
     its win odds aboard (``pert_success``, the chain ``_with_miner``).
-    Infinite where aboard it cannot win; None where it is aboard already."""
+    Infinite where aboard it cannot win; None where it is aboard already.
+    The sequences are Python floats and bools, read up to the shortest."""
     return [
         None if a
         else float("inf") if x <= 0.0
         else (1.0 - b) * (f + power) / (x * (1.0 - f)) * reward - reward
-        for a, f, b, x in zip(aboard.tolist(), fork_power.tolist(), base_success.tolist(),
-                              pert_success.tolist())
+        for a, f, b, x in zip(aboard, fork_power, base_success, pert_success)
     ]
 
 
@@ -422,9 +425,10 @@ def gvc_member_thresholds(
     aboard = recruit.zeta[r].astype(bool)
     core = recruit.fork_power(ms.powers, mu)
     depth = markov.tail_depth(mu)
-    base_bv = markov.solve_core(core, mu, depth, 0).success
-    pert_bv = markov.solve_core(_with_miner(core, aboard, p_m), mu, depth, 0).success
-    return _commitment_thresholds(core, aboard, p_m, base_bv, pert_bv, scenario.reward)
+    base_bv = markov.solve_core(core, mu, depth, 0).success[: core.size]
+    pert_bv = markov.solve_core(_with_miner(core, aboard, p_m), mu, depth, 0).success[: core.size]
+    return _commitment_thresholds(core.tolist(), aboard.tolist(), p_m, base_bv.tolist(),
+                                  pert_bv.tolist(), scenario.reward)
 
 
 def gvc_zeta(
@@ -479,10 +483,12 @@ def _grid_above(value: float) -> float:
 
 
 class _Search:
-    """One optimize_gvc search: it scores candidates on arrays, as ``run_gvc``
-    scores them from the search's start state (module docstring), and keeps
-    the race solution of every distinct core it has solved, by core bytes
-    (the candidates share most of their projected chains)."""
+    """One optimize_gvc search: it scores candidates as ``run_gvc`` scores
+    them from the search's start state (module docstring). A state's column
+    depends on that state's entry alone, so each (state, level) column is
+    built once, and a candidate's cores are tuples of table entries. The
+    search keeps the race solution of every distinct core it has solved,
+    by core (the candidates share most of their projected chains)."""
 
     def __init__(self, scenario: Scenario, objective: str, start: int):
         ms = scenario.miner_set
@@ -496,39 +502,54 @@ class _Search:
         self.ac = objective == "ac"
         self.depth = markov.tail_depth(scenario.mu)
         self.bribes = np.zeros(scenario.confirmations + 1 + self.depth)
-        self.solutions: dict[bytes, markov.RaceSolution] = {}
+        self.columns: list[dict[float, tuple[float, bool, float, float]]] = [
+            {} for _ in range(scenario.confirmations + 1)
+        ]
+        self.solutions: dict[tuple[float, ...], markov.RaceSolution] = {}
 
-    def solve(self, core: np.ndarray) -> markov.RaceSolution:
+    def column(self, i: int, level: float) -> tuple[float, bool, float, float]:
+        """State i under entry ``level``: the first-pass fork power, whether
+        the target is aboard, the fork power with the target added
+        (``_with_miner``) and with the target's row set."""
+        col = self.columns[i].get(level)
+        if col is None:
+            zeta = self.recruit[:, i : i + 1] <= level
+            fork = _fork_power(zeta, self.powers, self.mu)
+            aboard = zeta[self.row].copy()
+            pert = _with_miner(fork, aboard, self.power)
+            zeta[self.row] = True
+            final = _fork_power(zeta, self.powers, self.mu)
+            col = (float(fork[0]), bool(aboard[0]), float(pert[0]), float(final[0]))
+            self.columns[i][level] = col
+        return col
+
+    def solve(self, core: tuple[float, ...]) -> markov.RaceSolution:
         """The solution of the open chain over ``core``, solved on first sight."""
-        key = core.tobytes()
-        solution = self.solutions.get(key)
+        solution = self.solutions.get(core)
         if solution is None:
-            solution = markov.solve_core(core, self.mu, self.depth, self.start)
-            self.solutions[key] = solution
+            solution = markov.solve_core(np.array(core), self.mu, self.depth, self.start)
+            self.solutions[core] = solution
         return solution
 
-    def project(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float | None]]:
-        """First-pass membership and fork power, and the target's thresholds."""
-        zeta = self.recruit <= entries
-        core = _fork_power(zeta, self.powers, self.mu)
-        aboard = zeta[self.row]
-        base = self.solve(core).success
-        pert = self.solve(_with_miner(core, aboard, self.power)).success
-        return zeta, core, _commitment_thresholds(core, aboard, self.power, base, pert, self.reward)
+    def project(self, entries: tuple[float, ...]) -> tuple[tuple[float, ...], list[float | None]]:
+        """The final core (the target's row set), and the target's
+        thresholds under the first-pass membership."""
+        n = len(entries)
+        fork, aboard, pert, final = zip(*map(self.column, range(n), entries))
+        base = self.solve(fork).success[:n].tolist()
+        perturbed = self.solve(pert).success[:n].tolist()
+        return final, _commitment_thresholds(fork, aboard, self.power, base, perturbed,
+                                             self.reward)
 
     def score(self, entries: tuple[float, ...]) -> float | None:
         """The objective, or None for a candidate that leaves the target off
         the fork at some state (or, for rac, never succeeds)."""
-        e = np.array(entries)
-        zeta, core, thresholds = self.project(e)
+        final, thresholds = self.project(entries)
         if not all(t is None or b >= t for b, t in zip(entries, thresholds)):
             return None
-        if any(t is not None for t in thresholds):  # the target joins somewhere
-            zeta[self.row] = True
-            core = _fork_power(zeta, self.powers, self.mu)
-        solution = self.solve(core)
+        solution = self.solve(final)
         bribes = self.bribes
-        bribes[: e.size] = e
+        bribes[: len(entries)] = entries
         if self.ac:
             return float(solution.visits @ bribes)
         success = float(solution.success[self.start])
@@ -540,9 +561,7 @@ class _Search:
         """The target's commitment-aware threshold at j with entry j
         withdrawn (otherwise the first pass hides it); None when the first
         pass recruits the target at j anyway."""
-        e = np.array(entries)
-        e[j] = DUST
-        return self.project(e)[2][j]
+        return self.project(entries[:j] + (DUST,) + entries[j + 1 :])[1][j]
 
 
 def optimize_gvc(
@@ -621,14 +640,13 @@ def optimize_gvc(
         return score, entries
 
     def complete_suffix(entries: tuple[float, ...], split: int) -> tuple[float, ...]:
-        # replace entries past the split with commitment-minimal levels,
-        # iterated because each level feeds the next thresholds
+        # replace entries past the split with commitment-minimal levels, in
+        # one upward pass: each level feeds the thresholds of the next
         entries = entries[: split + 1] + tuple(DUST for _ in range(split + 1, c + 1))
-        for _ in range(GVC_SUFFIX_PASSES):
-            for j in range(split + 1, c + 1):
-                t = search.target_level(entries, j)
-                level = DUST if t is None or t <= 0 else _grid_above(t)
-                entries = entries[:j] + (level,) + entries[j + 1 :]
+        for j in range(split + 1, c + 1):
+            t = search.target_level(entries, j)
+            level = DUST if t is None or t <= 0 else _grid_above(t)
+            entries = entries[:j] + (level,) + entries[j + 1 :]
         return entries
 
     # seed portfolio: single-target minima, roster-prefix recruitment levels

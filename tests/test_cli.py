@@ -88,6 +88,48 @@ def test_gvc_requires_objective(capsys):
     assert "objective" in json.loads(err)["error"]["message"]
 
 
+def test_sweep_start_all_applies_the_objective_to_gvc_rows(capsys, tmp_path):
+    def sweep(*extra):
+        out_file = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            [
+                "sweep-start", "--pools", WHALE, "--target", "M", "--strategy",
+                *extra, "--states", "6", "--out", str(out_file),
+            ],
+            capsys,
+        )
+        assert code == 0
+        return out_file.read_text().strip().split("\n")[1:]
+
+    rac = sweep("all", "--objective", "rac")
+    assert [r.split(",")[0] for r in rac] == ["BS", "BFF", "CRB1", "CRB2", "GVC_RAC"]
+    assert rac[-1] == sweep("gvc", "--objective", "rac")[0]
+    assert rac[:-1] == sweep("all", "--objective", "ac")[:-1]
+    # without the flag the gvc rows stay ac
+    assert sweep("all")[-1] == sweep("gvc", "--objective", "ac")[0]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", []), ("sweep-reward", ["--rewards", "6.25"]), ("validate", ["--trials", "1000"]),
+])
+def test_only_sweep_start_takes_strategy_all(command, extra, capsys):
+    code, _, err = run_cli(
+        [command, "--pools", WHALE, "--strategy", "all", *extra], capsys
+    )
+    assert code == 2
+    record = json.loads(err)["error"]
+    assert record["type"] == "CliError"
+    assert record["message"] == "only sweep-start takes --strategy all"
+
+
+def test_objective_refused_for_a_strategy_without_one(capsys):
+    code, _, err = run_cli(
+        ["analyze", "--pools", WHALE, "--strategy", "bs", "--objective", "rac"], capsys
+    )
+    assert code == 2
+    assert "objective" in json.loads(err)["error"]["message"]
+
+
 def test_sweep_start_monotone_bs(capsys, tmp_path):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from briberace.model import DUST, load_pool_distribution, make_scenario
-from briberace.rationality import basic_threshold, min_bribe_basic, persuadable_threshold
+from briberace.rationality import (
+    BribeQuote,
+    basic_threshold,
+    min_bribe_basic,
+    persuadable_threshold,
+)
 from briberace.strategies import (
     GVC_QUANTUM,
     MIN_MAIN_SHARE,
@@ -558,24 +563,40 @@ def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
     assert len(cores["winner"]) == 2 and set(cores["winner"]) <= set(search)
 
 
+def random_scenario():
+    """Eight random miners, C = 5, the target mid-roster."""
+    ms = random_miner_set(np.random.default_rng(7), 8)
+    return make_scenario(ms, ms.miners[4].id, 5, 1, 6.25)
+
+
 @pytest.mark.parametrize("case, objective, start", [
-    ("table2", "ac", 4), ("whale20", "ac", 6), ("whale20", "rac", 6),
+    ("table2", "ac", 4), ("whale20", "ac", 6), ("whale20", "rac", 6), ("random", "rac", 5),
 ])
 def test_search_scores_every_candidate_as_run_gvc_does(
     case, objective, start, table2_scenario, whale20_scenario, monkeypatch
 ):
-    # the search scores candidates on arrays; each one must get the
-    # feasibility and the exact objective that run_gvc's outcome gives it
-    scenario = table2_scenario if case == "table2" else whale20_scenario
-    score = strategies._Search.score
+    # the search scores candidates from its column tables; each one must get
+    # the feasibility and the exact objective that run_gvc's outcome gives it
+    scenario = {"table2": table2_scenario, "whale20": whale20_scenario}.get(case)
+    scenario = scenario or random_scenario()
+    score, solve_core = strategies._Search.score, markov.solve_core
     scored: dict[tuple[float, ...], float | None] = {}
+    tops: list[float] = []
 
     def recording(search, entries):
         scored[entries] = result = score(search, entries)
         return result
 
+    def recording_solve(core, mu, depth, start):
+        tops.append(core[-1])
+        return solve_core(core, mu, depth, start)
+
     monkeypatch.setattr(strategies._Search, "score", recording)
+    monkeypatch.setattr(markov, "solve_core", recording_solve)
     optimize_gvc(scenario, objective, start)
+    monkeypatch.undo()
+    if case == "random":  # some cores end at mu: the folded run starts inside them
+        assert scenario.mu in tops
     row = scenario.miner_set.row(scenario.target_id)
     tag = "GVC_AC" if objective == "ac" else "GVC_RAC"
     feasible = 0
@@ -589,6 +610,40 @@ def test_search_scores_every_candidate_as_run_gvc_does(
     assert feasible > 0
     if case == "table2":  # the whale is aboard at every state, P2 is not
         assert feasible < len(scored)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 10), c=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_search_columns_are_membership_columns(n, c, seed):
+    # each (state, level) column the search tabulates is, bit for bit, that
+    # column of the first-pass fork power, of _with_miner and of the fork
+    # power with the target's row set, whatever the other entries are
+    rng = np.random.default_rng(seed)
+    ms = random_miner_set(rng, n)
+    for row, target in enumerate(ms.miners):
+        sc = make_scenario(ms, target.id, c, 1, 6.25)
+        search = strategies._Search(sc, "ac", 0)
+        levels = [
+            sorted({DUST, strategies._grid_above(BribeQuote(
+                i, target.id, float(sc.thresholds[row, i]), "basic").settled)}
+                | {strategies._grid_above(t) for t in sc.thresholds[:, i].tolist()})
+            for i in range(c + 1)
+        ]
+        shift = rng.integers(0, n + 2, size=c + 1)
+        for k in range(max(map(len, levels))):
+            entries = tuple(lv[(k + s) % len(lv)] for lv, s in zip(levels, shift))
+            recruit = gvc_new_markov(sc, BribeSchedule(entries, True, "GVC_AC"))
+            fork = recruit.fork_power(ms.powers, sc.mu)
+            aboard = recruit.zeta[row].astype(bool)
+            pert = strategies._with_miner(fork, aboard, target.power)
+            zeta = recruit.zeta.copy()
+            zeta[row] = 1
+            final = strategies._fork_power(zeta, ms.powers, sc.mu)
+            for i, level in enumerate(entries):
+                got = search.column(i, level)
+                assert got[1] is bool(aboard[i])
+                assert (np.array(got[::2] + got[3:]).tobytes()
+                        == np.array([fork[i], pert[i], final[i]]).tobytes())
 
 
 def test_optimize_rejects_bad_objective(table2_scenario):
