@@ -19,21 +19,13 @@ the open-ended race then has no finite mean duration.
 
 Two solvers read the same chain. ``analyze`` is the dense reference: it
 builds the canonical form and inverts I - Q with an LU solve, giving the
-whole fundamental matrix. ``solve_race`` is the hot path: I - Q is
-tridiagonal, so Thomas sweeps give in O(h) the three things strategy
-evaluation reads, namely the success column of B, the start row of N and
-the expected step count from the start (Kemeny & Snell, *Finite Markov
-Chains*, for the identities). Both apply the same residual and row-sum
-tolerances; the tests pin the second to the first.
-
-``solve_race`` and ``solve_core`` share one body (``_solve``), which reads
-the states below the trailing run as a list of Python floats: at the core
-lengths used here a Python loop beats numpy's per-call overhead. The first
-reads an ``AbsorbingChain`` and finds the run on its array, so a deep chain
-pays no Python scan; the second a bribed core with its tail given as a
-power and a depth, converted once and checked as the chain would check
-them, so a search that solves thousands of cores builds no chain for them.
-Either way the result is the same, bit for bit.
+whole fundamental matrix. ``solve_race`` is the hot path: it reads the
+chain as its bribed core and the attacker's power, and builds no chain.
+I - Q is tridiagonal, so Thomas sweeps give in O(h) the three things
+strategy evaluation reads, namely the success column of B, the start row
+of N and the expected step count from the start (Kemeny & Snell, *Finite
+Markov Chains*, for the identities). Both apply the same residual and
+row-sum tolerances; the tests pin the second to the first.
 
 The body sweeps state by state only up to the start state and the
 chain's last change of fork power. The trailing run of equal powers above
@@ -102,10 +94,6 @@ class AbsorbingChain:
     def h(self) -> int:
         return self.fork_power.size
 
-    @property
-    def main_power(self) -> np.ndarray:
-        return 1.0 - self.fork_power
-
 
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
@@ -149,21 +137,20 @@ class RaceSolution:
     steps: float  # expected steps to absorption, from the start state
 
 
-def extend_fork_power(core: np.ndarray, mu: float, depth: int | None = None) -> np.ndarray:
+def extend_fork_power(core: np.ndarray, mu: float) -> np.ndarray:
     """Append unbribed tail states (attacker mining alone) past the core region.
 
-    The default depth keeps the truncated tail mass (mu / (1 - mu))^depth
-    below TAIL_MASS where TAIL_MAX states suffice, for mu below about 0.486.
-    Above that the tail is TAIL_MAX states deep, and near mu = 0.5 the wall
-    sets the success probability and the expected steps (module docstring).
+    The tail is ``tail_depth(mu)`` states deep, which keeps the truncated
+    tail mass (mu / (1 - mu))^depth below TAIL_MASS where TAIL_MAX states
+    suffice, for mu below about 0.486. Above that the tail is TAIL_MAX
+    states deep, and near mu = 0.5 the wall sets the success probability
+    and the expected steps (module docstring).
     """
-    if depth is None:
-        depth = tail_depth(mu)
-    return np.concatenate([np.asarray(core, dtype=float), np.full(depth, mu)])
+    return np.concatenate([np.asarray(core, dtype=float), np.full(tail_depth(mu), mu)])
 
 
 def tail_depth(mu: float) -> int:
-    """The unbribed tail's default depth at attacker power ``mu``."""
+    """The unbribed tail's depth at attacker power ``mu``."""
     rho = mu / (1.0 - mu)
     if rho >= 1.0:
         return TAIL_MAX
@@ -313,40 +300,31 @@ def _run(power: float, length: int) -> _Run:
                 max(abs(a + b - 1.0) for a, b in zip(s, l)))
 
 
-def solve_race(chain: AbsorbingChain, start: int) -> RaceSolution:
-    """Success column, start row of N and e[start] by tridiagonal sweeps.
+def solve_race(core: np.ndarray, mu: float, start: int) -> RaceSolution:
+    """Success column, start row of N and e[start] of the race chain
+    ``extend_fork_power(core, mu)``, by tridiagonal sweeps, without building
+    it. It accepts exactly the chains that ``AbsorbingChain`` accepts.
 
     The trailing run of equal fork powers above ``start`` is not swept state
-    by state: its profile (``_run``) is folded into the last row of the
-    core below it, and the run's part of each result is a boundary value
-    times that profile. The run is found on the chain's array, so a deep
-    chain hands the sweeps only the states below it, as Python floats.
-    """
-    fp = chain.fork_power
-    power = float(fp[-1])
-    differ = (fp != power).nonzero()[0]
-    last = int(differ[-1]) + 1 if differ.size else 0
-    return _solve(fp[:last].tolist(), power, fp.size, start)
-
-
-def solve_core(core: np.ndarray, mu: float, depth: int, start: int) -> RaceSolution:
-    """``solve_race`` of the chain ``extend_fork_power(core, mu, depth)``,
-    bit for bit, without building it. It accepts exactly the chains that
-    ``AbsorbingChain`` accepts, with a tail of at least one state."""
+    by state: its profile (``_run``) is folded into the last row of the core
+    below it, and the run's part of each result is a boundary value times
+    that profile."""
     core = np.asarray(core, dtype=float)
     if core.ndim != 1 or core.size < 1:
         raise ChainError("fork_power must be a non-empty vector")
     head = core.tolist()
     if not all(0.0 < x < 1.0 for x in head):  # False on NaN
         raise ChainError("fork power must lie strictly inside (0, 1) at every state")
-    if depth < 1 or not 0.0 < mu < 1.0:
-        raise ChainError("the tail needs at least one state, at a power strictly inside (0, 1)")
-    return _solve(head, mu, len(head) + depth, start)
+    if not 0.0 < mu < 1.0:
+        raise ChainError("the tail's power must lie strictly inside (0, 1)")
+    return _solve(head, mu, len(head) + tail_depth(mu), start)
 
 
 def _solve(head: list[float], power: float, h: int, start: int) -> RaceSolution:
-    """The body of both solvers: a chain of h states whose first len(head)
-    fork powers are ``head`` and whose others are ``power``."""
+    """The body of ``solve_race``: a chain of h states whose first len(head)
+    fork powers are ``head`` and whose others are ``power``. The states below
+    the trailing run are swept as Python floats: at the core lengths used
+    here a Python loop beats numpy's per-call overhead."""
     if not (0 <= start < h):
         raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
     last = len(head)

@@ -6,6 +6,7 @@ load so that attacker power plus main-chain power equals one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -220,8 +221,8 @@ def make_scenario(
         raise ScenarioError(
             f"premined blocks must be in [1, {confirmations}], got {premined}"
         )
-    if reward <= 0:
-        raise ScenarioError(f"block reward must be positive, got {reward}")
+    if not (math.isfinite(reward) and reward > 0):
+        raise ScenarioError(f"block reward must be positive and finite, got {reward}")
     if target_id == miner_set.attacker_id:
         raise ScenarioError("target must not be the attacker")
     miner_set.miner(target_id)  # raises on unknown id

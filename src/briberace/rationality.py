@@ -80,6 +80,14 @@ def min_bribe_basic(
     return BribeQuote(i, miner_id, basic_threshold(i, p_m, mu, lam, reward), "basic")
 
 
+def general_threshold(
+    p_m: float, mu_i: float, lam_i: float, p_xs_i: float, p_yf_i: float, reward: float
+) -> float:
+    """Raw explicit-probability threshold value (may be negative); unchecked,
+    and finite only for ``p_xs_i > 0``."""
+    return p_yf_i * (p_m + mu_i) / (lam_i * p_xs_i) * reward - reward
+
+
 def min_bribe_general(
     i: int,
     p_m: float,
@@ -101,7 +109,7 @@ def min_bribe_general(
             raise RationalityError(f"{name} must be a probability, got {p}")
     if p_xs_i == 0.0:
         return BribeQuote(i, miner_id, None, "general")
-    value = p_yf_i * (p_m + mu_i) / (lam_i * p_xs_i) * reward - reward
+    value = general_threshold(p_m, mu_i, lam_i, p_xs_i, p_yf_i, reward)
     return BribeQuote(i, miner_id, value, "general")
 
 

@@ -19,10 +19,9 @@ where it sets the numbers (see ``markov``).
 
 Who mines the fork at each bribed state is held in one ``MembershipMatrix``;
 fork powers and recapture read it. ``evaluate_schedule`` is the one path
-from a matrix to an outcome: it builds the chain from the matrix and solves
-it with ``markov.solve_race``. Solves that make no outcome (crb's pricing
-chain, the gvc thresholds) call ``markov.solve_core`` on the bribed core,
-which matches ``solve_race`` bit for bit.
+from a matrix to an outcome: it solves the matrix's core with
+``markov.solve_race``, as do the solves that make no outcome (crb's pricing
+chain, the gvc thresholds).
 
 ``optimize_gvc`` scores thousands of candidate schedules and keeps one float
 per candidate, so it scores them from tables, not outcomes (``_Search``).
@@ -36,7 +35,7 @@ of table entries. The target's thresholds take the formula
 ``gvc_member_thresholds`` applies (``_commitment_thresholds``), feasibility
 is a test of them, and the score is ``visits @ bribes`` (ac) or the
 success-conditioned sum (rac) of the final core. Each distinct core is
-solved once per search, from its start state, by ``markov.solve_core``.
+solved once per search, from its start state, by ``markov.solve_race``.
 The winner alone is evaluated into an outcome, by ``run_gvc``.
 """
 from __future__ import annotations
@@ -193,7 +192,7 @@ def evaluate_schedule(
         raise StrategyError("membership needs one row per roster miner, one column per state")
     core = membership.fork_power(ms.powers, mu)
     chain = markov.AbsorbingChain(markov.extend_fork_power(core, mu))
-    solution = markov.solve_race(chain, start)
+    solution = markov.solve_race(core, mu, start)
     visits = solution.visits
     bribes = np.zeros(chain.h)
     bribes[: schedule.h] = schedule.per_state_bribe
@@ -358,7 +357,7 @@ def run_crb(
     target_only = _target_only(scenario, offered)
     mu = scenario.mu
     core = target_only.fork_power(scenario.miner_set.powers, mu)
-    pricing = markov.solve_core(core, mu, markov.tail_depth(mu), calc_from)
+    pricing = markov.solve_race(core, mu, calc_from)
     constant = rationality.crb_min_constant(pricing.visits, quotes, calc_from)
     constant = max(constant, DUST)
 
@@ -398,13 +397,14 @@ def _commitment_thresholds(
 ) -> list[float | None]:
     """Per-state threshold of a miner of ``power`` under a commitment: its
     failure odds off the fork (``base_success``, the projected chain) against
-    its win odds aboard (``pert_success``, the chain ``_with_miner``).
-    Infinite where aboard it cannot win; None where it is aboard already.
-    The sequences are Python floats and bools, read up to the shortest."""
+    its win odds aboard (``pert_success``, the chain ``_with_miner``), by
+    ``rationality.general_threshold``. Infinite where aboard it cannot win;
+    None where it is aboard already. The sequences are Python floats and
+    bools, read up to the shortest."""
     return [
         None if a
         else float("inf") if x <= 0.0
-        else (1.0 - b) * (f + power) / (x * (1.0 - f)) * reward - reward
+        else rationality.general_threshold(power, f, 1.0 - f, x, 1.0 - b, reward)
         for a, f, b, x in zip(aboard, fork_power, base_success, pert_success)
     ]
 
@@ -424,9 +424,8 @@ def gvc_member_thresholds(
     p_m = ms.miners[r].power
     aboard = recruit.zeta[r].astype(bool)
     core = recruit.fork_power(ms.powers, mu)
-    depth = markov.tail_depth(mu)
-    base_bv = markov.solve_core(core, mu, depth, 0).success[: core.size]
-    pert_bv = markov.solve_core(_with_miner(core, aboard, p_m), mu, depth, 0).success[: core.size]
+    base_bv = markov.solve_race(core, mu, 0).success[: core.size]
+    pert_bv = markov.solve_race(_with_miner(core, aboard, p_m), mu, 0).success[: core.size]
     return _commitment_thresholds(core.tolist(), aboard.tolist(), p_m, base_bv.tolist(),
                                   pert_bv.tolist(), scenario.reward)
 
@@ -500,8 +499,7 @@ class _Search:
         self.power = ms.miners[self.row].power
         self.start = start
         self.ac = objective == "ac"
-        self.depth = markov.tail_depth(scenario.mu)
-        self.bribes = np.zeros(scenario.confirmations + 1 + self.depth)
+        self.bribes = np.zeros(scenario.confirmations + 1 + markov.tail_depth(self.mu))
         self.columns: list[dict[float, tuple[float, bool, float, float]]] = [
             {} for _ in range(scenario.confirmations + 1)
         ]
@@ -527,7 +525,7 @@ class _Search:
         """The solution of the open chain over ``core``, solved on first sight."""
         solution = self.solutions.get(core)
         if solution is None:
-            solution = markov.solve_core(np.array(core), self.mu, self.depth, self.start)
+            solution = markov.solve_race(core, self.mu, self.start)
             self.solutions[core] = solution
         return solution
 

@@ -196,12 +196,13 @@ def test_sweep_reward_monotone_and_single_point(capsys, tmp_path):
 
 
 def test_sweep_reward_rejects_nonpositive(capsys):
-    code, _, err = run_cli(
-        ["sweep-reward", "--pools", WHALE, "--strategy", "bs", "--rewards", "6.25,-1"],
-        capsys,
-    )
-    assert code == 2
-    assert "positive" in json.loads(err)["error"]["message"]
+    for rewards in ("6.25,-1", "6.25,nan"):
+        code, out, err = run_cli(
+            ["sweep-reward", "--pools", WHALE, "--strategy", "bs", "--rewards", rewards],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "positive" in json.loads(err)["error"]["message"]
 
 
 def test_validate_passes_and_corrupt_fails(capsys, monkeypatch):

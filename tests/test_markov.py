@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from briberace.markov import (
     AbsorbingChain,
@@ -12,8 +12,9 @@ from briberace.markov import (
     expected_steps,
     extend_fork_power,
     fundamental_matrix,
-    solve_core,
     solve_race,
+    tail_depth,
+    _solve,
 )
 
 EPS = np.finfo(float).eps
@@ -149,16 +150,22 @@ def test_success_monotone_in_fork_power(h, seed, bump):
 # ---------------------------------------------------------------------------
 # the tridiagonal hot path against the dense reference
 
+def solve_chain(fork_power, start):
+    """solve_race's body on a whole chain, its last power taken as the tail's:
+    any chain, with runs of any length, not only the tails tail_depth gives."""
+    return _solve(fork_power.tolist(), float(fork_power[-1]), fork_power.size, start)
+
+
 def test_solve_race_small_cases():
-    one = solve_race(chain_const(0.3, 1), 0)
+    one = solve_chain(np.full(1, 0.3), 0)
     assert one.success.tolist() == [0.3]
     assert one.visits.tolist() == [1.0] and one.steps == 1.0
-    two = solve_race(chain_const(0.5, 2), 1)
+    two = solve_chain(np.full(2, 0.5), 1)
     assert np.max(np.abs(two.visits - [2 / 3, 4 / 3])) < 1e-15
     assert two.steps == pytest.approx(2.0, rel=1e-15)
     r = 0.3 / 0.7
     closed = (r**7 - r**8) / (1 - r**8)
-    assert solve_race(chain_const(0.3, 7), 6).success[6] == pytest.approx(closed, rel=1e-12)
+    assert solve_chain(np.full(7, 0.3), 6).success[6] == pytest.approx(closed, rel=1e-12)
 
 
 def test_wall_sets_the_numbers_at_half_power():
@@ -167,7 +174,7 @@ def test_wall_sets_the_numbers_at_half_power():
     # the wall, not the open-ended race's sure success in unbounded time
     chain = AbsorbingChain(extend_fork_power(np.full(3, 0.5), 0.5))
     assert chain.h == 515
-    dense, sol = analyze(chain), solve_race(chain, 2)
+    dense, sol = analyze(chain), solve_race(np.full(3, 0.5), 0.5, 2)
     for success, steps in ((dense.B[2, 0], dense.e[2]), (sol.success[2], sol.steps)):
         assert success == pytest.approx(1 - 3 / 516, rel=1e-12)
         assert steps == pytest.approx(3 * 513, rel=1e-12)
@@ -175,7 +182,7 @@ def test_wall_sets_the_numbers_at_half_power():
 
 
 def test_solve_race_results_are_read_only():
-    sol = solve_race(chain_const(0.3, 7), 2)
+    sol = solve_race(np.full(7, 0.3), 0.3, 2)
     for a in (sol.success, sol.visits):
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -216,7 +223,7 @@ def test_solve_race_matches_dense_reference(fork_power):
     tol = max(1e-12, EPS * 2.0 * dense.e.max())
     b = dense.B[:, 0]
     for start in range(chain.h):
-        sol = solve_race(chain, start)
+        sol = solve_chain(fork_power, start)
         assert np.max(np.abs(sol.success - b)) <= tol * np.max(np.abs(b))
         row = dense.N[start, :]
         assert np.max(np.abs(sol.visits - row)) <= tol * np.max(np.abs(row))
@@ -230,56 +237,18 @@ def test_both_solvers_reject_the_same_bad_chains():
         with pytest.raises(ChainError):
             analyze(AbsorbingChain(np.array(bad, dtype=float)))
         with pytest.raises(ChainError):
-            solve_race(AbsorbingChain(np.array(bad, dtype=float)), 0)
-    # a valley the walk almost never leaves: N ~ 1e10, so both residual
-    # checks trip rather than return visit counts accurate to a few digits
-    trap = AbsorbingChain(np.array([0.05] * 8 + [0.95] * 8))
-    with pytest.raises(ChainError):
-        analyze(trap)
-    for start in (0, 8, 15):
-        with pytest.raises(ChainError):
-            solve_race(trap, start)
-    for start in (-1, 16):
-        with pytest.raises(ChainError):
-            solve_race(chain_const(0.3, 16), start)
-
-
-@settings(max_examples=30, deadline=None)
-@given(fork_power=race_chains(), data=st.data())
-def test_solve_core_is_solve_race_bit_for_bit(fork_power, data):
-    """solve_core of a chain's first states, with the rest as the tail, is
-    solve_race of the chain, every bit of it, from starts in the core and in
-    the tail."""
-    assume(fork_power.size > 1)
-    mu = float(fork_power[-1])
-    differ = np.flatnonzero(fork_power != mu)
-    split = data.draw(st.integers(max(int(differ[-1]) + 1 if differ.size else 0, 1),
-                                  fork_power.size - 1))
-    core, depth = fork_power[:split], fork_power.size - split
-    chain = AbsorbingChain(fork_power)
-    for start in {0, split - 1, split, chain.h - 1}:
-        try:
-            want = solve_race(chain, start)
-        except ChainError:
-            with pytest.raises(ChainError):
-                solve_core(core, mu, depth, start)
-            continue
-        got = solve_core(core, mu, depth, start)
-        assert got.success.tobytes() == want.success.tobytes()
-        assert got.visits.tobytes() == want.visits.tobytes()
-        assert got.steps == want.steps
-
-
-def test_solve_core_rejects_what_the_chain_rejects():
-    for bad in ([], [[0.3, 0.4]], [0.3, 0.0, 0.4], [0.3, 1.0], [-0.1], [1.1],
-                [0.3, float("nan")], [float("inf")]):
-        with pytest.raises(ChainError):
-            solve_core(np.array(bad, dtype=float), 0.3, 16, 0)
+            solve_race(np.array(bad, dtype=float), 0.3, 0)
     for mu in (0.0, 1.0, -0.1, 1.1, float("nan")):
         with pytest.raises(ChainError):
-            solve_core(np.array([0.4, 0.5]), mu, 16, 0)
-    with pytest.raises(ChainError):
-        solve_core(np.array([0.4, 0.5]), 0.3, 0, 0)
-    for start in (-1, 18):
+            solve_race(np.array([0.4, 0.5]), mu, 0)
+    for start in (-1, 2 + tail_depth(0.3)):
         with pytest.raises(ChainError):
-            solve_core(np.array([0.4, 0.5]), 0.3, 16, start)
+            solve_race(np.array([0.4, 0.5]), 0.3, start)
+    # a valley the walk almost never leaves: N ~ 1e10, so both residual
+    # checks trip rather than return visit counts accurate to a few digits
+    trap = np.array([0.05] * 8 + [0.95] * 8)
+    with pytest.raises(ChainError):
+        analyze(AbsorbingChain(trap))
+    for start in (0, 8, 15, 15 + tail_depth(0.95)):
+        with pytest.raises(ChainError):
+            solve_race(trap, 0.95, start)

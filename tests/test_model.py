@@ -99,6 +99,8 @@ def test_scenario_start_gap(whale20_set, table2_set):
         (dict(confirmations=6, premined=1, reward=0.0), "reward"),
         (dict(confirmations=6, premined=1, target="nope"), "unknown miner"),
         (dict(confirmations=6, premined=1, target="A"), "attacker"),
+        (dict(confirmations=6, premined=1, reward=float("nan")), "reward"),
+        (dict(confirmations=6, premined=1, reward=float("inf")), "reward"),
     ],
 )
 def test_scenario_errors(whale20_set, kwargs, match):

@@ -542,25 +542,26 @@ def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
     # the threshold probes and the scoring of feasible candidates share the
     # search's memo, so every chain solve the search makes is of a core it
     # has not solved before; run_gvc then evaluates the winner outside it
-    solve_core, run_gvc = markov.solve_core, strategies.run_gvc
+    solve_race, run_gvc = markov.solve_race, strategies.run_gvc
     cores: dict[str, list[bytes]] = {"search": [], "winner": []}
     phase = ["search"]
 
-    def counting_solve(core, mu, depth, start):
-        cores[phase[0]].append(core.tobytes())
-        return solve_core(core, mu, depth, start)
+    def counting_solve(core, mu, start):
+        cores[phase[0]].append(np.asarray(core, dtype=float).tobytes())
+        return solve_race(core, mu, start)
 
     def evaluate_winner(*args):
         phase[0] = "winner"
         return run_gvc(*args)
 
-    monkeypatch.setattr(markov, "solve_core", counting_solve)
+    monkeypatch.setattr(markov, "solve_race", counting_solve)
     monkeypatch.setattr(strategies, "run_gvc", evaluate_winner)
     optimize_gvc(table2_scenario, "ac", 4)
     search = cores["search"]
     assert len(search) == len(set(search)) == 12_057
-    # the winner's two threshold solves are of cores the search has solved
-    assert len(cores["winner"]) == 2 and set(cores["winner"]) <= set(search)
+    # the winner's two threshold solves and its evaluation solve are of
+    # cores the search has solved
+    assert len(cores["winner"]) == 3 and set(cores["winner"]) <= set(search)
 
 
 def random_scenario():
@@ -579,7 +580,7 @@ def test_search_scores_every_candidate_as_run_gvc_does(
     # the feasibility and the exact objective that run_gvc's outcome gives it
     scenario = {"table2": table2_scenario, "whale20": whale20_scenario}.get(case)
     scenario = scenario or random_scenario()
-    score, solve_core = strategies._Search.score, markov.solve_core
+    score, solve_race = strategies._Search.score, markov.solve_race
     scored: dict[tuple[float, ...], float | None] = {}
     tops: list[float] = []
 
@@ -587,12 +588,12 @@ def test_search_scores_every_candidate_as_run_gvc_does(
         scored[entries] = result = score(search, entries)
         return result
 
-    def recording_solve(core, mu, depth, start):
+    def recording_solve(core, mu, start):
         tops.append(core[-1])
-        return solve_core(core, mu, depth, start)
+        return solve_race(core, mu, start)
 
     monkeypatch.setattr(strategies._Search, "score", recording)
-    monkeypatch.setattr(markov, "solve_core", recording_solve)
+    monkeypatch.setattr(markov, "solve_race", recording_solve)
     optimize_gvc(scenario, objective, start)
     monkeypatch.undo()
     if case == "random":  # some cores end at mu: the folded run starts inside them
