@@ -238,12 +238,6 @@ def test_both_solvers_reject_the_same_bad_chains():
             analyze(AbsorbingChain(np.array(bad, dtype=float)))
         with pytest.raises(ChainError):
             solve_race(np.array(bad, dtype=float), 0.3, 0)
-    for mu in (0.0, 1.0, -0.1, 1.1, float("nan")):
-        with pytest.raises(ChainError):
-            solve_race(np.array([0.4, 0.5]), mu, 0)
-    for start in (-1, 2 + tail_depth(0.3)):
-        with pytest.raises(ChainError):
-            solve_race(np.array([0.4, 0.5]), 0.3, start)
     # a valley the walk almost never leaves: N ~ 1e10, so both residual
     # checks trip rather than return visit counts accurate to a few digits
     trap = np.array([0.05] * 8 + [0.95] * 8)
@@ -252,3 +246,21 @@ def test_both_solvers_reject_the_same_bad_chains():
     for start in (0, 8, 15, 15 + tail_depth(0.95)):
         with pytest.raises(ChainError):
             solve_race(trap, 0.95, start)
+
+
+def test_solve_core_rejects_what_the_chain_rejects():
+    """solve_race on a core refuses the cores and tail powers AbsorbingChain
+    refuses as fork powers, and starts outside extend_fork_power(core, mu)."""
+    for bad in ([], [[0.3, 0.4]], [0.3, 0.0, 0.4], [0.3, 1.0], [-0.1], [1.1],
+                [0.3, float("nan")], [float("inf")]):
+        with pytest.raises(ChainError):
+            solve_race(np.array(bad, dtype=float), 0.3, 0)
+    for mu in (0.0, 1.0, -0.1, 1.1, float("nan")):
+        with pytest.raises(ChainError):
+            solve_race(np.array([0.4, 0.5]), mu, 0)
+    h = 2 + tail_depth(0.3)
+    assert AbsorbingChain(extend_fork_power(np.array([0.4, 0.5]), 0.3)).h == h
+    solve_race(np.array([0.4, 0.5]), 0.3, h - 1)
+    for start in (-1, h):
+        with pytest.raises(ChainError):
+            solve_race(np.array([0.4, 0.5]), 0.3, start)
