@@ -172,23 +172,24 @@ def _fmt_row_value(v) -> str:
 def cmd_analyze(cfg: RunConfig) -> int:
     scenario = _load_scenario(cfg)
     outcome = _run_strategy(cfg, scenario)
-    for line in _summary_lines(outcome):
-        print(line)
+    # without --out, the JSON record takes the summary's place on stdout
+    if cfg.out_path is not None or cfg.out_format != "json":
+        for line in _summary_lines(outcome):
+            print(line)
     rec = _outcome_record(outcome)
-    if cfg.out_path is not None:
-        if cfg.out_format == "json":
-            _emit_json({"report": "analyze", "outcome": rec}, cfg.out_path)
-        else:
-            rows = [
-                {"metric": k, "value": _fmt_row_value(v)}
-                for k, v in rec.items()
-                if k != "schedule"
-            ]
-            rows += [
-                {"metric": f"bribe_state_{i}", "value": format_btc(b)}
-                for i, b in enumerate(outcome.schedule.per_state_bribe)
-            ]
-            _emit_csv(rows, cfg.out_path)
+    if cfg.out_format == "json":
+        _emit_json({"report": "analyze", "outcome": rec}, cfg.out_path)
+    elif cfg.out_path is not None:
+        rows = [
+            {"metric": k, "value": _fmt_row_value(v)}
+            for k, v in rec.items()
+            if k != "schedule"
+        ]
+        rows += [
+            {"metric": f"bribe_state_{i}", "value": format_btc(b)}
+            for i, b in enumerate(outcome.schedule.per_state_bribe)
+        ]
+        _emit_csv(rows, cfg.out_path)
     return 0
 
 

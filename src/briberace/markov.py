@@ -27,6 +27,16 @@ of N and the expected step count from the start (Kemeny & Snell, *Finite
 Markov Chains*, for the identities). Both apply the same residual and
 row-sum tolerances; the tests pin the second to the first.
 
+``solve_race`` and the private ``_success`` share one elimination
+(``_columns``): the success and failure columns of B, their residuals and
+every row sum. Only ``solve_race`` goes on to the start row of N, its
+residual, the step count and the full-length arrays. ``_success`` returns
+the success column over the core as Python floats, bit for bit
+``solve_race``'s, for the gvc search's first-pass cores, which it never
+scores. It refuses what ``solve_race`` refuses except where only the start
+row's residual trips: below the top of a valley the walk almost never
+leaves (N ~ 1e10), whose success column checks out to about 1e-16.
+
 The body sweeps state by state only up to the start state and the
 chain's last change of fork power. The trailing run of equal powers above
 both (the attacker alone: 22 of the 29 states of a table2 chain, 512 of
@@ -149,8 +159,9 @@ def extend_fork_power(core: np.ndarray, mu: float) -> np.ndarray:
     return np.concatenate([np.asarray(core, dtype=float), np.full(tail_depth(mu), mu)])
 
 
+@lru_cache(maxsize=RUN_CACHE_SIZE)
 def tail_depth(mu: float) -> int:
-    """The unbribed tail's depth at attacker power ``mu``."""
+    """The unbribed tail's depth at attacker power ``mu`` (kept per ``mu``)."""
     rho = mu / (1.0 - mu)
     if rho >= 1.0:
         return TAIL_MAX
@@ -221,26 +232,20 @@ class _Run:
     row_sum_error: float  # largest |s_j + l_j - 1|
 
 
-def _sweep(p: list[float], start: int, run: _Run | None = None):
-    """Thomas sweeps over states 0..n-1 of fork powers p (q = 1 - p).
+def _eliminate(p: list[float], run: _Run | None):
+    """The success and failure columns of B over states 0..n-1 of fork
+    powers p (q = 1 - p), by one Thomas sweep.
 
     I - Q has 1 on the diagonal, p_i below it and q_i above it, both
-    negated. Its transpose shares the elimination pivots, so one forward
-    pass serves the sweep for the success and failure columns of B
-    (right-hand sides p_0 e_0 and q_{n-1} e_{n-1}) and the sweep for the
-    start row of N, which solves (I - Q)^T x = e_start. With ``run`` above
-    the last state, an up-move from it comes back with probability g and
-    fails otherwise: the last diagonal is 1 - q_{n-1} g and the failure
-    right-hand side q_{n-1} (1 - g). Returns the success column, the failure
-    column, the start row and the largest residual of each of the three
-    solves, each residual taken against the run's first values.
-    """
+    negated; the right-hand sides are p_0 e_0 and q_{n-1} e_{n-1}. With
+    ``run`` above the last state, an up-move from it comes back with
+    probability g and fails otherwise: the last diagonal is 1 - q_{n-1} g
+    and the failure right-hand side q_{n-1} (1 - g). Returns q, the pivots,
+    the two columns and the largest residual of each, taken against the
+    run's first values."""
     n = len(p)
     q = [1.0 - x for x in p]
-    if run is None:
-        g, lose0, visits0, mu = 0.0, 1.0, 0.0, 0.0
-    else:
-        g, lose0, visits0, mu = run.g, run.lose0, float(run.visits[0]), run.power
+    g, lose0 = (0.0, 1.0) if run is None else (run.g, run.lose0)
     diag = [1.0] * n
     diag[-1] = 1.0 - q[-1] * g
 
@@ -255,49 +260,124 @@ def _sweep(p: list[float], start: int, run: _Run | None = None):
         piv.append(d)
         up.append(u)
         win.append(w)
+
+    # back substitution; the failure column is a running product of up
+    lose = up[:]
+    lose[-1] = q[-1] * (1.0 - g) / d
+    for i in range(n - 2, -1, -1):
+        win[i] += up[i] * win[i + 1]
+        lose[i] *= lose[i + 1]
+
+    # O(n) residuals. Below state 0 sit the success and failure states,
+    # above state n-1 the failure state or the run's first values
+    b_hi, f_hi = win[1:] + [win[-1] * g], lose[1:] + [lose[-1] * g + lose0]
+    b_lo, f_lo = 1.0, 0.0
+    res_b = res_f = 0.0
+    for pi, qi, b, f, bh, fh in zip(p, q, win, lose, b_hi, f_hi):
+        r = abs(b - pi * b_lo - qi * bh)
+        if not r <= res_b:
+            res_b = r
+        r = abs(f - pi * f_lo - qi * fh)
+        if not r <= res_f:
+            res_f = r
+        b_lo, f_lo = b, f
+    return q, piv, win, lose, res_b, res_f
+
+
+def _visit_row(p: list[float], q: list[float], piv: list[float], start: int,
+               run: _Run | None):
+    """The start row of N over the states of ``_eliminate``: it solves
+    (I - Q)^T x = e_start, whose elimination has the same pivots. Returns the
+    row and its largest residual, taken against the run's first values."""
+    n = len(p)
+    visits0, mu = (0.0, 0.0) if run is None else (float(run.visits[0]), run.power)
     down = [pn / d for pn, d in zip(p[1:], piv)]  # p_{i+1} / pivot_i: of (I - Q)^T
     row = [0.0] * n
     x = row[start] = 1.0 / piv[start]
     for i in range(start + 1, n):
         x = row[i] = q[i - 1] * x / piv[i]
-
-    # back substitution; the failure column is a running product of up
-    lose = up[:]
-    lose[-1] = q[-1] * (1.0 - g) / piv[-1]
     for i in range(n - 2, -1, -1):
-        win[i] += up[i] * win[i + 1]
-        lose[i] *= lose[i + 1]
         row[i] += down[i] * row[i + 1]
 
-    # O(n) residuals of the three solves. Below state 0 sit the success and
-    # failure states, above state n-1 the failure state or the run's first
-    # values; a NaN residual is kept
-    b_hi, f_hi = win[1:] + [win[-1] * g], lose[1:] + [lose[-1] * g + lose0]
     x_hi, p_hi = row[1:] + [q[-1] * row[-1] * visits0], p[1:] + [mu]
-    b_lo, f_lo, x_lo, q_lo = 1.0, 0.0, 0.0, 0.0
-    res_b = res_f = res_x = 0.0
-    for i in range(n):
-        pi, qi, b, f, x = p[i], q[i], win[i], lose[i], row[i]
-        r = abs(b - pi * b_lo - qi * b_hi[i])
-        if not r <= res_b:
-            res_b = r
-        r = abs(f - pi * f_lo - qi * f_hi[i])
-        if not r <= res_f:
-            res_f = r
-        r = abs(x - q_lo * x_lo - p_hi[i] * x_hi[i] - (i == start))
-        if not r <= res_x:
-            res_x = r
-        b_lo, f_lo, x_lo, q_lo = b, f, x, qi
-    return win, lose, row, (res_b, res_f, res_x)
+    x_lo = q_lo = res = 0.0
+    for i, (x, qi, ph, xh) in enumerate(zip(row, q, p_hi, x_hi)):
+        r = abs(x - q_lo * x_lo - ph * xh - (i == start))
+        if not r <= res:
+            res = r
+        x_lo, q_lo = x, qi
+    return row, res
+
+
+def _check_residuals(residuals: list[float], of: str) -> None:
+    for r in residuals:
+        if not r < SOLVER_RESIDUAL_TOL:  # True on NaN
+            raise ChainError(f"solve residual {max(residuals):.3e} of {of} exceeds "
+                             f"{SOLVER_RESIDUAL_TOL}")
 
 
 @lru_cache(maxsize=RUN_CACHE_SIZE)
 def _run(power: float, length: int) -> _Run:
-    s, l, v, residuals = _sweep([power] * length, 0)
+    p = [power] * length
+    q, piv, s, l, res_s, res_l = _eliminate(p, None)
+    v, res_v = _visit_row(p, q, piv, 0, None)
     success, visits = np.array(s), np.array(v)
     success.flags.writeable = visits.flags.writeable = False
-    return _Run(power, success, visits, math.fsum(v), s[0], l[0], residuals,
+    return _Run(power, success, visits, math.fsum(v), s[0], l[0], (res_s, res_l, res_v),
                 max(abs(a + b - 1.0) for a, b in zip(s, l)))
+
+
+def _head(core, mu: float) -> list[float]:
+    """``core`` as Python floats, after the input checks of both entries:
+    a non-empty vector of fork powers and an attacker power, all strictly
+    inside (0, 1). The gvc search's cores, tuples of Python floats, pass
+    without a round trip through numpy."""
+    if type(core) is tuple and core and all(type(x) is float and 0.0 < x < 1.0 for x in core):
+        head = list(core)
+    else:
+        core = np.asarray(core, dtype=float)
+        if core.ndim != 1 or core.size < 1:
+            raise ChainError("fork_power must be a non-empty vector")
+        head = core.tolist()
+        if not all(0.0 < x < 1.0 for x in head):  # False on NaN
+            raise ChainError("fork power must lie strictly inside (0, 1) at every state")
+    if not 0.0 < mu < 1.0:
+        raise ChainError("the tail's power must lie strictly inside (0, 1)")
+    return head
+
+
+def _columns(head: list[float], power: float, h: int, start: int):
+    """What both entries solve of a chain of h states whose first len(head)
+    fork powers are ``head`` and whose others are ``power``: the success and
+    failure columns of the states below the trailing run, swept as Python
+    floats (at the core lengths used here a Python loop beats numpy's
+    per-call overhead), with the run folded into the last of them. Checks
+    both columns' residuals, the run's scaled ones included, and every row
+    sum. Returns p, q, the pivots, the two columns and the run (None when
+    the sweep reaches state h-1)."""
+    if not (0 <= start < h):
+        raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
+    last = len(head)
+    while last and head[last - 1] == power:
+        last -= 1
+    n = max(start + 1, last)
+    p = head[:n]
+    p += [power] * (n - len(p))
+    run = None if n == h else _run(power, h - n)
+    q, piv, win, lose, res_b, res_f = _eliminate(p, run)
+    residuals, run_sum_error = [res_b, res_f], 0.0
+    if run is not None:
+        b, f = win[-1], lose[-1]
+        res_s, res_l, _ = run.residuals
+        # at run state j the full chain's residuals are b r^s_j and
+        # f r^s_j + r^l_j, and its row sum is 1 + (b + f - 1) s_j + (s_j + l_j - 1)
+        residuals += (abs(b) * res_s, abs(f) * res_s + res_l)
+        run_sum_error = abs(b + f - 1.0) + run.row_sum_error
+    _check_residuals(residuals, "B")
+    sums = [s + l for s, l in zip(win, lose)]
+    if not max(max(sums) - 1.0, 1.0 - min(sums), run_sum_error) <= ROW_SUM_TOL:
+        raise ChainError("absorption probabilities must sum to 1 per start state")
+    return p, q, piv, win, lose, run
 
 
 def solve_race(core: np.ndarray, mu: float, start: int) -> RaceSolution:
@@ -309,55 +389,44 @@ def solve_race(core: np.ndarray, mu: float, start: int) -> RaceSolution:
     by state: its profile (``_run``) is folded into the last row of the core
     below it, and the run's part of each result is a boundary value times
     that profile."""
-    core = np.asarray(core, dtype=float)
-    if core.ndim != 1 or core.size < 1:
-        raise ChainError("fork_power must be a non-empty vector")
-    head = core.tolist()
-    if not all(0.0 < x < 1.0 for x in head):  # False on NaN
-        raise ChainError("fork power must lie strictly inside (0, 1) at every state")
-    if not 0.0 < mu < 1.0:
-        raise ChainError("the tail's power must lie strictly inside (0, 1)")
+    head = _head(core, mu)
     return _solve(head, mu, len(head) + tail_depth(mu), start)
 
 
 def _solve(head: list[float], power: float, h: int, start: int) -> RaceSolution:
-    """The body of ``solve_race``: a chain of h states whose first len(head)
-    fork powers are ``head`` and whose others are ``power``. The states below
-    the trailing run are swept as Python floats: at the core lengths used
-    here a Python loop beats numpy's per-call overhead."""
-    if not (0 <= start < h):
-        raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
-    last = len(head)
-    while last and head[last - 1] == power:
-        last -= 1
-    n = max(start + 1, last)
-    p = head[:n]
-    p += [power] * (n - len(p))
+    """The body of ``solve_race`` (``_columns``' chain): the shared columns,
+    then the start row of N, its residuals (the run's scaled) and the
+    full-length arrays."""
+    p, q, piv, win, lose, run = _columns(head, power, h, start)
+    row, res_x = _visit_row(p, q, piv, start, run)
+    n = len(p)
     success, visits = np.empty(h), np.empty(h)
-    if n == h:
-        win, lose, row, residuals = _sweep(p, start)
-        run_residuals, run_sum_error, run_steps = (), 0.0, 0.0
-    else:
-        run = _run(power, h - n)
-        win, lose, row, residuals = _sweep(p, start, run)
-        b, f, c = win[-1], lose[-1], (1.0 - p[-1]) * row[-1]
-        res_s, res_l, res_v = run.residuals
-        # at run state j the full chain's residuals are b r^s_j, f r^s_j + r^l_j
-        # and c r^v_j, and its row sum is 1 + (b + f - 1) s_j + (s_j + l_j - 1)
-        run_residuals = (abs(b) * res_s, abs(f) * res_s + res_l, abs(c) * res_v)
-        run_sum_error = abs(b + f - 1.0) + run.row_sum_error
-        np.multiply(run.success, b, out=success[n:])
+    residuals, run_steps = [res_x], 0.0
+    if run is not None:
+        # at run state j the full chain's visit residual is c r^v_j
+        c = q[-1] * row[-1]
+        residuals.append(abs(c) * run.residuals[2])
+        np.multiply(run.success, win[-1], out=success[n:])
         np.multiply(run.visits, c, out=visits[n:])
         run_steps = c * run.steps
-    residuals += run_residuals
-    if not all(r < SOLVER_RESIDUAL_TOL for r in residuals):
-        raise ChainError(f"solve residual {max(residuals):.3e} exceeds {SOLVER_RESIDUAL_TOL}")
-    sums = [s + l for s, l in zip(win, lose)]
-    if not max(max(sums) - 1.0, 1.0 - min(sums), run_sum_error) <= ROW_SUM_TOL:
-        raise ChainError("absorption probabilities must sum to 1 per start state")
+    _check_residuals(residuals, "the start row of N")
     success[:n], visits[:n] = win, row
     success.flags.writeable = visits.flags.writeable = False
     return RaceSolution(success, visits, math.fsum(row + [run_steps]))
+
+
+def _success(core, mu: float, start: int) -> list[float]:
+    """``solve_race(core, mu, start).success[:len(core)]`` as Python floats,
+    bit for bit, after the same input checks and the same checks of the
+    success and failure columns. It solves no row of N, so it takes neither
+    that row's check nor the full-length arrays."""
+    head = _head(core, mu)
+    _, _, _, win, _, run = _columns(head, mu, len(head) + tail_depth(mu), start)
+    k = len(head) - len(win)
+    if k > 0:  # the run starts inside the core
+        b = win[-1]
+        win += [s * b for s in run.success[:k].tolist()]
+    return win[: len(head)]
 
 
 def catchup_prob(mu_eff: float, lambda_eff: float, i: int) -> float:

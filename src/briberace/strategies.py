@@ -34,9 +34,13 @@ helpers, and a candidate's first-pass, perturbed and final cores are tuples
 of table entries. The target's thresholds take the formula
 ``gvc_member_thresholds`` applies (``_commitment_thresholds``), feasibility
 is a test of them, and the score is ``visits @ bribes`` (ac) or the
-success-conditioned sum (rac) of the final core. Each distinct core is
-solved once per search, from its start state, by ``markov.solve_race``.
-The winner alone is evaluated into an outcome, by ``run_gvc``.
+success-conditioned sum (rac) of the final core. The search solves each
+distinct core once per kind, from its start state, and only for what it
+reads: a first-pass core, never scored, for its success column alone
+(``markov._success``, bit for bit ``solve_race``'s) unless it already holds
+the core's full solution; a perturbed core in full (``markov.solve_race``),
+since every final core it scores is one of them. The winner alone is
+evaluated into an outcome, by ``run_gvc``.
 """
 from __future__ import annotations
 
@@ -486,8 +490,9 @@ class _Search:
     them from the search's start state (module docstring). A state's column
     depends on that state's entry alone, so each (state, level) column is
     built once, and a candidate's cores are tuples of table entries. The
-    search keeps the race solution of every distinct core it has solved,
-    by core (the candidates share most of their projected chains)."""
+    search keeps, by core, the race solution of every perturbed core and
+    the success column of every first-pass core it has solved (the
+    candidates share most of their projected chains)."""
 
     def __init__(self, scenario: Scenario, objective: str, start: int):
         ms = scenario.miner_set
@@ -504,6 +509,7 @@ class _Search:
             {} for _ in range(scenario.confirmations + 1)
         ]
         self.solutions: dict[tuple[float, ...], markov.RaceSolution] = {}
+        self.successes: dict[tuple[float, ...], list[float]] = {}
 
     def column(self, i: int, level: float) -> tuple[float, bool, float, float]:
         """State i under entry ``level``: the first-pass fork power, whether
@@ -529,12 +535,24 @@ class _Search:
             self.solutions[core] = solution
         return solution
 
+    def success(self, core: tuple[float, ...]) -> list[float]:
+        """``success[:len(core)]`` of a first-pass core, which is never
+        scored: read from a full solution when there is one, else solved
+        (``markov._success``) on first sight."""
+        solution = self.solutions.get(core)
+        if solution is not None:
+            return solution.success[: len(core)].tolist()
+        success = self.successes.get(core)
+        if success is None:
+            success = self.successes[core] = markov._success(core, self.mu, self.start)
+        return success
+
     def project(self, entries: tuple[float, ...]) -> tuple[tuple[float, ...], list[float | None]]:
         """The final core (the target's row set), and the target's
         thresholds under the first-pass membership."""
         n = len(entries)
         fork, aboard, pert, final = zip(*map(self.column, range(n), entries))
-        base = self.solve(fork).success[:n].tolist()
+        base = self.success(fork)
         perturbed = self.solve(pert).success[:n].tolist()
         return final, _commitment_thresholds(fork, aboard, self.power, base, perturbed,
                                              self.reward)

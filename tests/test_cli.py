@@ -56,6 +56,19 @@ def test_analyze_gvc_emits_schedule_and_outcome(capsys, tmp_path):
     assert 0.3 < rec["success_prob"] < 0.6
 
 
+def test_analyze_json_without_out_prints_the_record(capsys, tmp_path):
+    # as sweep-start and sweep-reward do, analyze --format json prints the
+    # record that --out would write, in place of the text summary
+    args = ["analyze", "--pools", WHALE, "--strategy", "bs", "--target", "M", "--format", "json"]
+    out_file = tmp_path / "bs.json"
+    code, to_file, _ = run_cli([*args, "--out", str(out_file)], capsys)
+    assert code == 0 and "single-visit cost" in to_file
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert json.loads(out)["outcome"]["strategy"] == "BS"
+    assert out.encode() == out_file.read_bytes()
+
+
 def test_analyze_csv_report(capsys, tmp_path):
     out_file = tmp_path / "bs.csv"
     code, _, _ = run_cli(

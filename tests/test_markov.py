@@ -15,6 +15,7 @@ from briberace.markov import (
     solve_race,
     tail_depth,
     _solve,
+    _success,
 )
 
 EPS = np.finfo(float).eps
@@ -188,6 +189,14 @@ def test_solve_race_results_are_read_only():
             a[0] = 0.0
 
 
+ATTACKER_POWERS = st.one_of(st.floats(min_value=0.01, max_value=0.99),
+                            st.sampled_from([0.5, 0.55, 1 - 1e-12]))
+
+
+def fork_powers(mu):
+    return st.one_of(st.floats(min_value=mu, max_value=1 - 1e-12), st.just(1 - 1e-12))
+
+
 @st.composite
 def race_chains(draw):
     """Chains shaped like the ones strategies solve: a bribed core whose fork
@@ -197,12 +206,8 @@ def race_chains(draw):
     start inside the core, and at or below any start state. Run lengths 1, 2
     and 512, and run powers 0.5 and 1 - 1e-12 (where r^d overflows), are
     drawn on purpose."""
-    mu = draw(st.one_of(st.floats(min_value=0.01, max_value=0.99),
-                        st.sampled_from([0.5, 0.55, 1 - 1e-12])))
-    core = draw(st.lists(
-        st.one_of(st.floats(min_value=mu, max_value=1 - 1e-12), st.just(1 - 1e-12)),
-        max_size=40,
-    ))
+    mu = draw(ATTACKER_POWERS)
+    core = draw(st.lists(fork_powers(mu), max_size=40))
     unbribed = draw(st.integers(min_value=0, max_value=len(core)))
     core[len(core) - unbribed:] = [mu] * unbribed
     tail = draw(st.one_of(st.integers(min_value=0 if core else 1, max_value=512),
@@ -264,3 +269,80 @@ def test_solve_core_rejects_what_the_chain_rejects():
     for start in (-1, h):
         with pytest.raises(ChainError):
             solve_race(np.array([0.4, 0.5]), 0.3, start)
+
+
+@st.composite
+def race_cores(draw):
+    """(core, mu) as strategies pass them to solve_race: the bribed core of
+    race_chains, not empty, with C = 1 (a two-state core) drawn on purpose;
+    its tail is tail_depth(mu) deep."""
+    mu = draw(ATTACKER_POWERS)
+    size = draw(st.one_of(st.integers(min_value=1, max_value=40), st.just(2)))
+    core = draw(st.lists(fork_powers(mu), min_size=size, max_size=size))
+    unbribed = draw(st.integers(min_value=0, max_value=size))
+    core[size - unbribed:] = [mu] * unbribed
+    return np.array(core), mu
+
+
+@settings(max_examples=10, deadline=None)
+@given(core_mu=race_cores())
+def test_success_only_solve_is_solve_race_bit_for_bit(core_mu):
+    """From every start state, _success gives solve_race's success column
+    over the core, bit for bit, and refuses exactly when solve_race refuses
+    for a reason other than the start row of N's residual. A core passed as
+    a tuple of Python floats, as the gvc search passes it, gives the same
+    list."""
+    core, mu = core_mu
+    as_tuple = tuple(core.tolist())
+    for start in range(core.size + tail_depth(mu)):
+        try:
+            want = solve_race(core, mu, start).success[: core.size]
+        except ChainError as exc:
+            if "start row" in str(exc):
+                _success(core, mu, start)
+            else:
+                with pytest.raises(ChainError):
+                    _success(core, mu, start)
+            continue
+        got = _success(core, mu, start)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == want.tobytes()
+        if start <= core.size:
+            assert _success(as_tuple, mu, start) == got
+
+
+def test_success_only_solve_rejects_what_solve_race_rejects():
+    for bad in ([], [[0.3, 0.4]], [0.3, 0.0, 0.4], [0.3, 1.0], [-0.1], [1.1],
+                [0.3, float("nan")], [float("inf")]):
+        for core in (np.array(bad, dtype=float), tuple(bad)):
+            with pytest.raises(ChainError):
+                _success(core, 0.3, 0)
+    for mu in (0.0, 1.0, -0.1, 1.1, float("nan")):
+        with pytest.raises(ChainError):
+            _success(np.array([0.4, 0.5]), mu, 0)
+    h = 2 + tail_depth(0.3)
+    assert len(_success(np.array([0.4, 0.5]), 0.3, h - 1)) == 2
+    for start in (-1, h):
+        with pytest.raises(ChainError):
+            _success(np.array([0.4, 0.5]), 0.3, start)
+
+
+def test_trap_valley_trips_only_the_visit_row_below_its_top():
+    # solve_race refuses the trap valley from every start. From start 0 the
+    # sweep stops below the valley's top (the run of 0.95 folds from state
+    # 8): the success column checks out to about 1e-16 and only the start row
+    # of N (N ~ 1e10) trips, so _success accepts. From state 8 up the sweep
+    # crosses the top and the row sums miss 1 by about 1.6e-6: both refuse
+    trap = np.array([0.05] * 8 + [0.95] * 8)
+    with pytest.raises(ChainError, match="residual .* of the start row of N"):
+        solve_race(trap, 0.95, 0)
+    s = _success(trap, 0.95, 0)
+    p = trap.tolist()
+    residuals = [abs(s[0] - p[0] - (1 - p[0]) * s[1])] + [
+        abs(s[i] - p[i] * s[i - 1] - (1 - p[i]) * s[i + 1]) for i in range(1, 15)
+    ]
+    assert max(residuals) < 1e-15
+    for start in (8, 15, 15 + tail_depth(0.95)):
+        for solve in (solve_race, _success):
+            with pytest.raises(ChainError, match="sum to 1"):
+                solve(trap, 0.95, start)

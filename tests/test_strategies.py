@@ -539,29 +539,46 @@ def test_run_gvc_evaluates_infeasible_vectors_outside_the_search(table2_scenario
 
 
 def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
-    # the threshold probes and the scoring of feasible candidates share the
-    # search's memo, so every chain solve the search makes is of a core it
-    # has not solved before; run_gvc then evaluates the winner outside it
-    solve_race, run_gvc = markov.solve_race, strategies.run_gvc
-    cores: dict[str, list[bytes]] = {"search": [], "winner": []}
+    # the search solves a first-pass core for its success column alone
+    # (markov._success) and a perturbed core in full (markov.solve_race),
+    # each on first sight, and reads a first-pass core it has already solved
+    # in full from that solution; run_gvc then evaluates the winner outside
+    # the search
+    names = {"full": "solve_race", "success": "_success"}
+    solves = {kind: getattr(markov, name) for kind, name in names.items()}
+    cores = {(phase, kind): [] for phase in ("search", "winner") for kind in names}
     phase = ["search"]
+    run_gvc = strategies.run_gvc
 
-    def counting_solve(core, mu, start):
-        cores[phase[0]].append(np.asarray(core, dtype=float).tobytes())
-        return solve_race(core, mu, start)
+    def recording(kind):
+        def record(core, mu, start):
+            cores[phase[0], kind].append(np.asarray(core, dtype=float).tobytes())
+            return solves[kind](core, mu, start)
+        return record
 
     def evaluate_winner(*args):
         phase[0] = "winner"
         return run_gvc(*args)
 
-    monkeypatch.setattr(markov, "solve_race", counting_solve)
+    for kind, name in names.items():
+        monkeypatch.setattr(markov, name, recording(kind))
     monkeypatch.setattr(strategies, "run_gvc", evaluate_winner)
     optimize_gvc(table2_scenario, "ac", 4)
-    search = cores["search"]
-    assert len(search) == len(set(search)) == 12_057
-    # the winner's two threshold solves and its evaluation solve are of
-    # cores the search has solved
-    assert len(cores["winner"]) == 3 and set(cores["winner"]) <= set(search)
+    success, full = cores["search", "success"], cores["search", "full"]
+    # no core is solved twice by the same kind: 6,749 first-pass cores were
+    # not yet solved in full when first seen; 5,999 perturbed cores were
+    # solved in full, and every scored final core is one of them
+    assert len(success) == len(set(success)) == 6_749
+    assert len(full) == len(set(full)) == 5_999
+    # 691 first-pass cores came up later as perturbed cores, so 5,308 full
+    # solves are of cores first seen as perturbed; 12,057 distinct cores in all
+    assert len(set(success) & set(full)) == 691
+    assert len(set(success) | set(full)) == 12_057
+    # the winner's two threshold solves and its evaluation solve are full
+    # solves of cores the search has solved
+    winner = cores["winner", "full"]
+    assert len(winner) == 3 and not cores["winner", "success"]
+    assert set(winner) <= set(success) | set(full)
 
 
 def random_scenario():
