@@ -1,99 +1,113 @@
 #!/usr/bin/env python3
-"""Layer number for the chain solve: microseconds per call, by kind, over
-the solves of one gvc search.
+"""Layer number for the chain solve: microseconds per core, by kind, over
+the solves of one gvc search, batched as the search solves them and one by
+one through ``solve_race``.
 
     PYTHONPATH=src python3 scripts/solve_layer.py [--repeats 7]
 
 Runs optimize_gvc on table2 (target P2, C 6, objective ac, start 4) once
-and records its solves by kind: ``success`` (``markov._success``, the
-success column of a first-pass core) and ``full`` (``markov.solve_race``,
-a perturbed or final core). Each kind's calls are then replayed, and so
-are the success-kind cores through ``solve_race``, which shows what the
-success-only entry saves on the same cores. A time is the best chunk of
-500 calls over ``--repeats`` replays, the kinds taking turns: raw
-wall-clock time on this host, so compare trees on one host, run after run.
+and records its rounds: each round solves the new cores of every live
+descent as one batch (``markov._solve_cores``), a first-pass core for its
+success column alone (``success``), a perturbed or final core in full
+(``full``). It prints the rounds and the cores per round. Each round's
+cores of each kind are then replayed as one batch, and the same cores one
+at a time through ``markov.solve_race``, the scalar path on Python floats
+(it always solves in full). A time is the best of ``--repeats`` replays,
+the cases taking turns: raw wall-clock time on this host, so compare trees
+on one host, run after run.
 
 The counts are deterministic: the script prints them and exits 1 unless
-those of the search equal SEARCH_SOLVES (the winner's evaluation by
-``run_gvc`` adds WINNER_SOLVES full solves). On a tree whose ``markov``
-has no success-only entry every solve is full, so the counts differ; the
-times still read.
+the search's rounds and its solves by kind equal ROUNDS and SEARCH_SOLVES
+and the winner's evaluation by ``run_gvc`` makes WINNER_SOLVES calls of
+``solve_race``.
 """
 import argparse
 import sys
 from time import perf_counter
 
+import numpy as np
+
 import briberace as br
 from briberace import markov, strategies
 from briberace.cli import fixture_path
 
-SEARCH_SOLVES = {"success": 6_749, "full": 5_999}
+ROUNDS = 28
+SEARCH_SOLVES = {"success": 6_058, "full": 5_999}
 WINNER_SOLVES = 3
-KINDS = {"success": "_success", "full": "solve_race"}
+KINDS = {False: "success", True: "full"}
 
 
-def record_search(solvers: dict) -> dict[tuple[str, str], list[tuple]]:
-    """The solve calls of the search and of the winner's evaluation, by
-    (phase, kind)."""
+def record_search():
+    """The search's rounds, each as its cores by kind, the attacker power,
+    the start state and the winner's ``solve_race`` calls."""
     ms = br.load_pool_distribution(fixture_path("table2").read_text())
     sc = br.make_scenario(ms, "P2", 6, 1, 6.25)
-    calls = {(phase, kind): [] for phase in ("search", "winner") for kind in KINDS}
-    phase = ["search"]
-    run_gvc = strategies.run_gvc
+    rounds: list[dict[str, list[tuple[float, ...]]]] = []
+    winner = []
+    batch, solve_race, run_gvc = markov._solve_cores, markov.solve_race, strategies.run_gvc
 
-    def recording(kind):
-        def record(core, mu, start):
-            calls[phase[0], kind].append((core, mu, start))
-            return solvers[kind](core, mu, start)
-        return record
+    def record_round(cores, mu, start, full):
+        rounds.append({kind: [core for core, f in zip(cores, full) if bool(f) is flag]
+                       for flag, kind in KINDS.items()})
+        return batch(cores, mu, start, full)
+
+    def record_winner(core, mu, start):
+        winner.append(core)
+        return solve_race(core, mu, start)
 
     def evaluate_winner(*args):
-        phase[0] = "winner"
+        markov.solve_race = record_winner
         return run_gvc(*args)
 
-    for kind in solvers:
-        setattr(markov, KINDS[kind], recording(kind))
+    markov._solve_cores = record_round
     strategies.run_gvc = evaluate_winner
-    br.optimize_gvc(sc, "ac", 4)
-    return calls
+    try:
+        br.optimize_gvc(sc, "ac", 4)
+    finally:
+        markov._solve_cores, markov.solve_race, strategies.run_gvc = batch, solve_race, run_gvc
+    return rounds, sc.mu, 4, winner
 
 
-def us_per_call(cases: dict, repeats: int, chunk: int = 500) -> dict[str, float]:
-    """Microseconds per call of each (solve, calls) case: the best chunk of
-    ``chunk`` calls over ``repeats`` replays, the cases taking turns, so that
-    a slow spell of the host falls on all of them alike."""
-    best = {label: float("inf") for label in cases}
+def us_per_core(rounds, mu: float, start: int, repeats: int) -> dict[tuple[str, str], float]:
+    """Microseconds per core of each kind, solved in the rounds' batches and
+    one by one through ``solve_race``: the best of ``repeats`` replays."""
+    best: dict[tuple[str, str], float] = {}
     for _ in range(repeats):
-        for label, (solve, calls) in cases.items():
-            for i in range(0, len(calls), chunk):
-                part = calls[i : i + chunk]
-                t0 = perf_counter()
-                for args in part:
-                    solve(*args)
-                best[label] = min(best[label], (perf_counter() - t0) / len(part))
-    return {label: t * 1e6 for label, t in best.items()}
+        for flag, kind in KINDS.items():
+            batches = [r[kind] for r in rounds if r[kind]]
+            count = sum(map(len, batches))
+            t0 = perf_counter()
+            for cores in batches:
+                markov._solve_cores(cores, mu, start, [flag] * len(cores))
+            t1 = perf_counter()
+            for cores in batches:
+                for core in cores:
+                    markov.solve_race(np.array(core), mu, start)
+            t2 = perf_counter()
+            for label, t in (("batched", t1 - t0), ("solve_race", t2 - t1)):
+                best[kind, label] = min(best.get((kind, label), float("inf")), t / count * 1e6)
+    return best
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
-    solvers = {kind: getattr(markov, name) for kind, name in KINDS.items() if hasattr(markov, name)}
-    calls = record_search(solvers)
-    cases = {kind: (solvers[kind], calls["search", kind]) for kind in solvers}
-    if calls["search", "success"]:
-        cases["success via full"] = (solvers["full"], calls["search", "success"])
-    print(f"{'kind':<18}{'calls':>8}{'distinct':>10}{'us/call':>10}")
-    for label, us in us_per_call(cases, args.repeats).items():
-        replayed = cases[label][1]
-        distinct = len({core for core, _, _ in replayed})
-        print(f"{label:<18}{len(replayed):>8}{distinct:>10}{us:>10.2f}")
-    counts = {kind: len(calls["search", kind]) for kind in KINDS}
-    winner = sum(len(calls["winner", kind]) for kind in KINDS)
-    print(f"winner: {winner} solves")
-    if counts != SEARCH_SOLVES or winner != WINNER_SOLVES:
-        print(f"search solves {counts} and winner solves {winner} differ from the "
-              f"pinned {SEARCH_SOLVES} and {WINNER_SOLVES}")
+    rounds, mu, start, winner = record_search()
+    sizes = [sum(map(len, r.values())) for r in rounds]
+    print(f"rounds {len(rounds)}; cores per round: median {np.median(sizes):.0f}, "
+          f"p90 {np.percentile(sizes, 90):.0f}, max {max(sizes)}")
+    times = us_per_core(rounds, mu, start, args.repeats)
+    counts = {kind: sum(len(r[kind]) for r in rounds) for kind in KINDS.values()}
+    print(f"{'kind':<10}{'cores':>8}{'distinct':>10}{'batched us':>12}{'solve_race us':>15}")
+    for kind, count in counts.items():
+        distinct = len({core for r in rounds for core in r[kind]})
+        print(f"{kind:<10}{count:>8}{distinct:>10}{times[kind, 'batched']:>12.2f}"
+              f"{times[kind, 'solve_race']:>15.2f}")
+    print(f"winner: {len(winner)} solve_race calls")
+    if len(rounds) != ROUNDS or counts != SEARCH_SOLVES or len(winner) != WINNER_SOLVES:
+        print(f"rounds {len(rounds)}, search solves {counts} and winner solves {len(winner)} "
+              f"differ from the pinned {ROUNDS}, {SEARCH_SOLVES} and {WINNER_SOLVES}")
         return 1
     return 0
 

@@ -278,16 +278,19 @@ def cmd_validate(cfg: RunConfig) -> int:
         )
     else:
         _emit_csv(rows, cfg.out_path)
-    for m in comparison.metrics:
-        status = "ok " if m.passed else "FAIL"
-        print(f"{status} {m.name}: analytic {m.analytic:.6g} vs empirical {m.empirical:.6g} (z={m.z:.2f})")
-    worst = max(comparison.metrics, key=lambda m: m.z)
-    print(f"discarded trials {report.discarded} of {report.trials}")
-    print(f"events {report.events}, longest kept trial {report.longest} steps")
-    print(f"worst |z| {worst.z:.2f} ({worst.name})")
-    if report.discarded:
-        print(f"FAIL {report.discarded} trials hit the event cap and were discarded")
-    print("validation", "PASSED" if passed else "FAILED")
+    # without --out, the JSON record is the whole of stdout, as for analyze
+    if cfg.out_path is not None or cfg.out_format != "json":
+        for m in comparison.metrics:
+            status = "ok " if m.passed else "FAIL"
+            print(f"{status} {m.name}: analytic {m.analytic:.6g} vs empirical "
+                  f"{m.empirical:.6g} (z={m.z:.2f})")
+        worst = max(comparison.metrics, key=lambda m: m.z)
+        print(f"discarded trials {report.discarded} of {report.trials}")
+        print(f"events {report.events}, longest kept trial {report.longest} steps")
+        print(f"worst |z| {worst.z:.2f} ({worst.name})")
+        if report.discarded:
+            print(f"FAIL {report.discarded} trials hit the event cap and were discarded")
+        print("validation", "PASSED" if passed else "FAILED")
     return 0 if passed else 1
 
 

@@ -27,15 +27,20 @@ of N and the expected step count from the start (Kemeny & Snell, *Finite
 Markov Chains*, for the identities). Both apply the same residual and
 row-sum tolerances; the tests pin the second to the first.
 
-``solve_race`` and the private ``_success`` share one elimination
-(``_columns``): the success and failure columns of B, their residuals and
-every row sum. Only ``solve_race`` goes on to the start row of N, its
-residual, the step count and the full-length arrays. ``_success`` returns
-the success column over the core as Python floats, bit for bit
-``solve_race``'s, for the gvc search's first-pass cores, which it never
-scores. It refuses what ``solve_race`` refuses except where only the start
-row's residual trips: below the top of a valley the walk almost never
-leaves (N ~ 1e10), whose success column checks out to about 1e-16.
+One elimination (``_eliminate``, then ``_visit_row`` for the start row of
+N) serves one core and many. Its per-state values are Python floats for one
+core (``solve_race``: at the core lengths used here a Python loop beats
+numpy's per-call overhead) or numpy columns, an element per core, for a
+batch (the private ``_solve_cores``, which the gvc search calls once per
+round with hundreds of cores). Every step is the same IEEE operation
+either way, so a core gets the same bits in a batch as alone. Each core
+takes the same checks either way: its input, both residuals of B, its
+run's scaled residuals, its row sums and, where its visit row is solved,
+that row's residual. A batch solves the visit row only of the cores it is
+asked to solve in full; the others get the success column alone, and so
+are refused only where that column is: below the top of a valley the walk
+almost never leaves (N ~ 1e10), the success column checks out to about
+1e-16 while the start row's residual trips.
 
 The body sweeps state by state only up to the start state and the
 chain's last change of fork power. The trailing run of equal powers above
@@ -56,6 +61,7 @@ scaled, bound them; the run's row sums are bounded the same way.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -232,17 +238,38 @@ class _Run:
     row_sum_error: float  # largest |s_j + l_j - 1|
 
 
-def _eliminate(p: list[float], run: _Run | None):
+def _largest(values: list[float]) -> float:
+    """The largest of nonnegative Python floats, NaN where any is NaN."""
+    total = sum(values)
+    return max(values) if total == total else total
+
+
+def _holds(compare, values: list, tol: float) -> bool:
+    """Whether ``compare(value, tol)`` holds for every per-state value:
+    Python floats for one core, numpy columns (an element per core) for a
+    batch. False where a value is NaN, so every check of a NaN fails."""
+    if type(values[0]) is float:
+        return compare(_largest(values), tol)
+    return bool(compare(np.array(values), tol).all())
+
+
+def _eliminate(p: list, run: _Run | None):
     """The success and failure columns of B over states 0..n-1 of fork
     powers p (q = 1 - p), by one Thomas sweep.
+
+    Each p_i is a Python float (one core) or a numpy column (a batch of
+    cores, one per element, that share the run): every step is the same
+    IEEE operation, element by element, so a core gets the same bits either
+    way. Entries are rebound, never updated in place, because the failure
+    column starts as a copy of the list ``up`` and shares its columns.
 
     I - Q has 1 on the diagonal, p_i below it and q_i above it, both
     negated; the right-hand sides are p_0 e_0 and q_{n-1} e_{n-1}. With
     ``run`` above the last state, an up-move from it comes back with
     probability g and fails otherwise: the last diagonal is 1 - q_{n-1} g
     and the failure right-hand side q_{n-1} (1 - g). Returns q, the pivots,
-    the two columns and the largest residual of each, taken against the
-    run's first values."""
+    the two columns and the residuals of each, state by state, taken
+    against the run's first values."""
     n = len(p)
     q = [1.0 - x for x in p]
     g, lose0 = (0.0, 1.0) if run is None else (run.g, run.lose0)
@@ -265,30 +292,26 @@ def _eliminate(p: list[float], run: _Run | None):
     lose = up[:]
     lose[-1] = q[-1] * (1.0 - g) / d
     for i in range(n - 2, -1, -1):
-        win[i] += up[i] * win[i + 1]
-        lose[i] *= lose[i + 1]
+        win[i] = win[i] + up[i] * win[i + 1]
+        lose[i] = lose[i] * lose[i + 1]
 
     # O(n) residuals. Below state 0 sit the success and failure states,
     # above state n-1 the failure state or the run's first values
     b_hi, f_hi = win[1:] + [win[-1] * g], lose[1:] + [lose[-1] * g + lose0]
     b_lo, f_lo = 1.0, 0.0
-    res_b = res_f = 0.0
+    res_b, res_f = [], []
     for pi, qi, b, f, bh, fh in zip(p, q, win, lose, b_hi, f_hi):
-        r = abs(b - pi * b_lo - qi * bh)
-        if not r <= res_b:
-            res_b = r
-        r = abs(f - pi * f_lo - qi * fh)
-        if not r <= res_f:
-            res_f = r
+        res_b.append(abs(b - pi * b_lo - qi * bh))
+        res_f.append(abs(f - pi * f_lo - qi * fh))
         b_lo, f_lo = b, f
     return q, piv, win, lose, res_b, res_f
 
 
-def _visit_row(p: list[float], q: list[float], piv: list[float], start: int,
-               run: _Run | None):
-    """The start row of N over the states of ``_eliminate``: it solves
-    (I - Q)^T x = e_start, whose elimination has the same pivots. Returns the
-    row and its largest residual, taken against the run's first values."""
+def _visit_row(p: list, q: list, piv: list, start: int, run: _Run | None):
+    """The start row of N over the states of ``_eliminate``, floats or
+    columns as there: it solves (I - Q)^T x = e_start, whose elimination has
+    the same pivots. Returns the row and its residuals, state by state,
+    taken against the run's first values."""
     n = len(p)
     visits0, mu = (0.0, 0.0) if run is None else (float(run.visits[0]), run.power)
     down = [pn / d for pn, d in zip(p[1:], piv)]  # p_{i+1} / pivot_i: of (I - Q)^T
@@ -297,23 +320,26 @@ def _visit_row(p: list[float], q: list[float], piv: list[float], start: int,
     for i in range(start + 1, n):
         x = row[i] = q[i - 1] * x / piv[i]
     for i in range(n - 2, -1, -1):
-        row[i] += down[i] * row[i + 1]
+        row[i] = row[i] + down[i] * row[i + 1]
 
     x_hi, p_hi = row[1:] + [q[-1] * row[-1] * visits0], p[1:] + [mu]
-    x_lo = q_lo = res = 0.0
+    x_lo = q_lo = 0.0
+    res = []
     for i, (x, qi, ph, xh) in enumerate(zip(row, q, p_hi, x_hi)):
-        r = abs(x - q_lo * x_lo - ph * xh - (i == start))
-        if not r <= res:
-            res = r
+        res.append(abs(x - q_lo * x_lo - ph * xh - (i == start)))
         x_lo, q_lo = x, qi
     return row, res
 
 
-def _check_residuals(residuals: list[float], of: str) -> None:
-    for r in residuals:
-        if not r < SOLVER_RESIDUAL_TOL:  # True on NaN
-            raise ChainError(f"solve residual {max(residuals):.3e} of {of} exceeds "
-                             f"{SOLVER_RESIDUAL_TOL}")
+def _check_residuals(residuals: list, of: str) -> None:
+    if not _holds(operator.lt, residuals, SOLVER_RESIDUAL_TOL):
+        raise ChainError(f"solve residual {np.max(residuals):.3e} of {of} exceeds "
+                         f"{SOLVER_RESIDUAL_TOL}")
+
+
+def _check_start(start: int, h: int) -> None:
+    if not (0 <= start < h):
+        raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
 
 
 @lru_cache(maxsize=RUN_CACHE_SIZE)
@@ -323,61 +349,50 @@ def _run(power: float, length: int) -> _Run:
     v, res_v = _visit_row(p, q, piv, 0, None)
     success, visits = np.array(s), np.array(v)
     success.flags.writeable = visits.flags.writeable = False
-    return _Run(power, success, visits, math.fsum(v), s[0], l[0], (res_s, res_l, res_v),
-                max(abs(a + b - 1.0) for a, b in zip(s, l)))
+    return _Run(power, success, visits, math.fsum(v), s[0], l[0],
+                (_largest(res_s), _largest(res_l), _largest(res_v)),
+                _largest([abs(a + b - 1.0) for a, b in zip(s, l)]))
 
 
 def _head(core, mu: float) -> list[float]:
-    """``core`` as Python floats, after the input checks of both entries:
-    a non-empty vector of fork powers and an attacker power, all strictly
-    inside (0, 1). The gvc search's cores, tuples of Python floats, pass
-    without a round trip through numpy."""
-    if type(core) is tuple and core and all(type(x) is float and 0.0 < x < 1.0 for x in core):
-        head = list(core)
-    else:
-        core = np.asarray(core, dtype=float)
-        if core.ndim != 1 or core.size < 1:
-            raise ChainError("fork_power must be a non-empty vector")
-        head = core.tolist()
-        if not all(0.0 < x < 1.0 for x in head):  # False on NaN
-            raise ChainError("fork power must lie strictly inside (0, 1) at every state")
-    if not 0.0 < mu < 1.0:
-        raise ChainError("the tail's power must lie strictly inside (0, 1)")
+    """``core`` as Python floats, after ``solve_race``'s input checks: a
+    non-empty vector of fork powers and an attacker power, all strictly
+    inside (0, 1)."""
+    core = np.asarray(core, dtype=float)
+    if core.ndim != 1 or core.size < 1:
+        raise ChainError("fork_power must be a non-empty vector")
+    head = core.tolist()
+    if not all(0.0 < x < 1.0 for x in head):  # False on NaN
+        raise ChainError("fork power must lie strictly inside (0, 1) at every state")
+    _check_mu(mu)
     return head
 
 
-def _columns(head: list[float], power: float, h: int, start: int):
-    """What both entries solve of a chain of h states whose first len(head)
-    fork powers are ``head`` and whose others are ``power``: the success and
-    failure columns of the states below the trailing run, swept as Python
-    floats (at the core lengths used here a Python loop beats numpy's
-    per-call overhead), with the run folded into the last of them. Checks
-    both columns' residuals, the run's scaled ones included, and every row
-    sum. Returns p, q, the pivots, the two columns and the run (None when
-    the sweep reaches state h-1)."""
-    if not (0 <= start < h):
-        raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
-    last = len(head)
-    while last and head[last - 1] == power:
-        last -= 1
-    n = max(start + 1, last)
-    p = head[:n]
-    p += [power] * (n - len(p))
-    run = None if n == h else _run(power, h - n)
+def _check_mu(mu: float) -> None:
+    if not 0.0 < mu < 1.0:
+        raise ChainError("the tail's power must lie strictly inside (0, 1)")
+
+
+def _columns(p: list, run: _Run | None):
+    """The success and failure columns of the swept states p (floats or
+    columns), with the run (None when the sweep reaches state h-1) folded
+    into the last of them, after their checks: both columns' residuals, the
+    run's scaled ones included, and every row sum. Returns q, the pivots
+    and the two columns."""
     q, piv, win, lose, res_b, res_f = _eliminate(p, run)
-    residuals, run_sum_error = [res_b, res_f], 0.0
+    residuals = res_b + res_f
+    sums = [abs(s + l - 1.0) for s, l in zip(win, lose)]
     if run is not None:
         b, f = win[-1], lose[-1]
         res_s, res_l, _ = run.residuals
         # at run state j the full chain's residuals are b r^s_j and
         # f r^s_j + r^l_j, and its row sum is 1 + (b + f - 1) s_j + (s_j + l_j - 1)
         residuals += (abs(b) * res_s, abs(f) * res_s + res_l)
-        run_sum_error = abs(b + f - 1.0) + run.row_sum_error
+        sums.append(abs(b + f - 1.0) + run.row_sum_error)
     _check_residuals(residuals, "B")
-    sums = [s + l for s, l in zip(win, lose)]
-    if not max(max(sums) - 1.0, 1.0 - min(sums), run_sum_error) <= ROW_SUM_TOL:
+    if not _holds(operator.le, sums, ROW_SUM_TOL):
         raise ChainError("absorption probabilities must sum to 1 per start state")
-    return p, q, piv, win, lose, run
+    return q, piv, win, lose
 
 
 def solve_race(core: np.ndarray, mu: float, start: int) -> RaceSolution:
@@ -394,14 +409,23 @@ def solve_race(core: np.ndarray, mu: float, start: int) -> RaceSolution:
 
 
 def _solve(head: list[float], power: float, h: int, start: int) -> RaceSolution:
-    """The body of ``solve_race`` (``_columns``' chain): the shared columns,
-    then the start row of N, its residuals (the run's scaled) and the
-    full-length arrays."""
-    p, q, piv, win, lose, run = _columns(head, power, h, start)
-    row, res_x = _visit_row(p, q, piv, start, run)
-    n = len(p)
+    """The body of ``solve_race``, over Python floats, for a chain of h
+    states whose first len(head) fork powers are ``head`` and whose others
+    are ``power``: the checked columns, then the start row of N, its
+    residuals (the run's scaled) and the full-length arrays."""
+    _check_start(start, h)
+    # sweep up to the start state and the core's last change of power
+    last = len(head)
+    while last and head[last - 1] == power:
+        last -= 1
+    n = max(start + 1, last)
+    p = head[:n]
+    p += [power] * (n - len(p))
+    run = None if n == h else _run(power, h - n)
+    q, piv, win, lose = _columns(p, run)
+    row, residuals = _visit_row(p, q, piv, start, run)
     success, visits = np.empty(h), np.empty(h)
-    residuals, run_steps = [res_x], 0.0
+    run_steps = 0.0
     if run is not None:
         # at run state j the full chain's visit residual is c r^v_j
         c = q[-1] * row[-1]
@@ -415,18 +439,64 @@ def _solve(head: list[float], power: float, h: int, start: int) -> RaceSolution:
     return RaceSolution(success, visits, math.fsum(row + [run_steps]))
 
 
-def _success(core, mu: float, start: int) -> list[float]:
-    """``solve_race(core, mu, start).success[:len(core)]`` as Python floats,
-    bit for bit, after the same input checks and the same checks of the
-    success and failure columns. It solves no row of N, so it takes neither
-    that row's check nor the full-length arrays."""
-    head = _head(core, mu)
-    _, _, _, win, _, run = _columns(head, mu, len(head) + tail_depth(mu), start)
-    k = len(head) - len(win)
-    if k > 0:  # the run starts inside the core
-        b = win[-1]
-        win += [s * b for s in run.success[:k].tolist()]
-    return win[: len(head)]
+def _solve_cores(cores, mu: float, start: int, full) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_race(core, mu, start)`` of many cores of one length at once,
+    bit for bit: the full-length success column of every core, and the
+    start row of N of every core flagged in ``full`` (the other rows are
+    NaN), as the rows of two arrays. It leaves out the step counts.
+
+    Cores that share their trim point (the start state or the core's last
+    change of power, whichever is higher, as in ``_solve``) are swept
+    together as numpy columns through the same elimination and visit row as
+    ``solve_race``, with their shared run folded in. Every core takes
+    ``solve_race``'s input checks and the checks of its columns; a flagged
+    core takes those of its visit row too. So a batch of one refuses what
+    ``solve_race`` refuses, except that an unflagged core takes no check of
+    the row it does not get: below the top of a valley the walk almost never
+    leaves (N ~ 1e10), only that row's residual trips, and the success
+    column checks out to about 1e-16. One bad core refuses the batch."""
+    try:
+        cores = np.array(cores, dtype=float)
+    except ValueError as exc:  # cores of different lengths
+        raise ChainError("fork_power must be a non-empty vector") from exc
+    if cores.ndim != 2 or cores.size < 1:
+        raise ChainError("fork_power must be a non-empty vector")
+    if not (cores.min() > 0.0 and cores.max() < 1.0):  # False on NaN
+        raise ChainError("fork power must lie strictly inside (0, 1) at every state")
+    _check_mu(mu)
+    width, length = cores.shape
+    h = length + tail_depth(mu)
+    _check_start(start, h)
+    full = np.asarray(full, dtype=bool)
+    # each core's last change of power: the highest state (counted from 1)
+    # whose power is not mu, 0 when there is none
+    last = ((cores != mu) * np.arange(1, length + 1)).max(axis=1)
+    trims = np.maximum(last, start + 1)
+    success, visits = np.empty((width, h)), np.full((width, h), np.nan)
+    for n in sorted(set(trims.tolist())):
+        batch = np.flatnonzero(trims == n)
+        p = np.full((n, batch.size), mu)
+        p[: min(n, length)] = cores[batch, :n].T
+        p = list(p)
+        run = None if n == h else _run(mu, h - n)
+        q, piv, win, lose = _columns(p, run)
+        success[batch, :n] = np.array(win).T
+        if run is not None:
+            success[batch, n:] = win[-1][:, None] * run.success
+        flagged = np.flatnonzero(full[batch])
+        if not flagged.size:
+            continue
+        if flagged.size < batch.size:  # the visit row of the flagged cores alone
+            batch = batch[flagged]
+            p, q, piv = ([x if type(x) is float else x[flagged] for x in v] for v in (p, q, piv))
+        row, residuals = _visit_row(p, q, piv, start, run)
+        visits[batch, :n] = np.array(row).T
+        if run is not None:
+            c = q[-1] * row[-1]
+            residuals.append(abs(c) * run.residuals[2])
+            visits[batch, n:] = c[:, None] * run.visits
+        _check_residuals(residuals, "the start row of N")
+    return success, visits
 
 
 def catchup_prob(mu_eff: float, lambda_eff: float, i: int) -> float:

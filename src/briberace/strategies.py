@@ -34,13 +34,18 @@ helpers, and a candidate's first-pass, perturbed and final cores are tuples
 of table entries. The target's thresholds take the formula
 ``gvc_member_thresholds`` applies (``_commitment_thresholds``), feasibility
 is a test of them, and the score is ``visits @ bribes`` (ac) or the
-success-conditioned sum (rac) of the final core. The search solves each
-distinct core once per kind, from its start state, and only for what it
-reads: a first-pass core, never scored, for its success column alone
-(``markov._success``, bit for bit ``solve_race``'s) unless it already holds
-the core's full solution; a perturbed core in full (``markov.solve_race``),
-since every final core it scores is one of them. The winner alone is
-evaluated into an outcome, by ``run_gvc``.
+success-conditioned sum (rac) of the final core.
+
+The search's descents are independent, so they run in lockstep. Each is a
+generator that yields the cores its next target-level probe or coordinate
+scan needs, when any is not solved yet, and each round solves the new cores
+of every waiting descent as one batch of numpy columns
+(``markov._solve_cores``: the elimination that ``solve_race`` runs on
+Python floats, so the same bits). Each distinct core is solved once per
+kind, from the search's start state, and only for what the search reads: a
+first-pass core, never scored, for its success column alone, a perturbed or
+final core in full, and a core that one round needs both ways in full. The
+winner alone is evaluated into an outcome, by ``run_gvc``.
 """
 from __future__ import annotations
 
@@ -489,9 +494,14 @@ class _Search:
     """One optimize_gvc search: it scores candidates as ``run_gvc`` scores
     them from the search's start state (module docstring). A state's column
     depends on that state's entry alone, so each (state, level) column is
-    built once, and a candidate's cores are tuples of table entries. The
-    search keeps, by core, the race solution of every perturbed core and
-    the success column of every first-pass core it has solved (the
+    built once, and a candidate's cores are tuples of table entries.
+
+    The search's descents run in lockstep (``lockstep``): each is a
+    generator that yields the cores its next step needs, and each round
+    solves the new cores of every waiting descent as one batch
+    (``markov._solve_cores``) before any of them resumes. The search keeps,
+    by core, the success column over the core of every core it has solved,
+    and the score weights of every core it has solved in full (the
     candidates share most of their projected chains)."""
 
     def __init__(self, scenario: Scenario, objective: str, start: int):
@@ -508,8 +518,11 @@ class _Search:
         self.columns: list[dict[float, tuple[float, bool, float, float]]] = [
             {} for _ in range(scenario.confirmations + 1)
         ]
-        self.solutions: dict[tuple[float, ...], markov.RaceSolution] = {}
         self.successes: dict[tuple[float, ...], list[float]] = {}
+        # per core solved in full: the visits (ac) or the success-conditioned
+        # visits (rac) that the score weighs the bribes by; None where rac's
+        # success is 0
+        self.weights: dict[tuple[float, ...], np.ndarray | None] = {}
 
     def column(self, i: int, level: float) -> tuple[float, bool, float, float]:
         """State i under entry ``level``: the first-pass fork power, whether
@@ -527,57 +540,97 @@ class _Search:
             self.columns[i][level] = col
         return col
 
-    def solve(self, core: tuple[float, ...]) -> markov.RaceSolution:
-        """The solution of the open chain over ``core``, solved on first sight."""
-        solution = self.solutions.get(core)
-        if solution is None:
-            solution = markov.solve_race(core, self.mu, self.start)
-            self.solutions[core] = solution
-        return solution
+    def lockstep(self, tasks: list) -> list:
+        """Run generators in lockstep and return their results in order. A
+        task yields the cores it needs next, as (core, full) pairs, and
+        returns its result. Each round solves the cores that the live tasks
+        yielded as one batch: in full where any task needs the core in full,
+        else for its success column alone."""
+        results = [None] * len(tasks)
+        live = list(enumerate(tasks))
+        while live:
+            needs: dict[tuple[float, ...], bool] = {}
+            waiting = []
+            for k, task in live:
+                try:
+                    wants = next(task)
+                except StopIteration as done:
+                    results[k] = done.value
+                    continue
+                waiting.append((k, task))
+                for core, full in wants:
+                    needs[core] = needs.get(core, False) or full
+            if needs:
+                self.solve(list(needs), list(needs.values()))
+            live = waiting
+        return results
 
-    def success(self, core: tuple[float, ...]) -> list[float]:
-        """``success[:len(core)]`` of a first-pass core, which is never
-        scored: read from a full solution when there is one, else solved
-        (``markov._success``) on first sight."""
-        solution = self.solutions.get(core)
-        if solution is not None:
-            return solution.success[: len(core)].tolist()
-        success = self.successes.get(core)
-        if success is None:
-            success = self.successes[core] = markov._success(core, self.mu, self.start)
-        return success
-
-    def project(self, entries: tuple[float, ...]) -> tuple[tuple[float, ...], list[float | None]]:
-        """The final core (the target's row set), and the target's
-        thresholds under the first-pass membership."""
-        n = len(entries)
-        fork, aboard, pert, final = zip(*map(self.column, range(n), entries))
-        base = self.success(fork)
-        perturbed = self.solve(pert).success[:n].tolist()
-        return final, _commitment_thresholds(fork, aboard, self.power, base, perturbed,
-                                             self.reward)
-
-    def score(self, entries: tuple[float, ...]) -> float | None:
-        """The objective, or None for a candidate that leaves the target off
-        the fork at some state (or, for rac, never succeeds)."""
-        final, thresholds = self.project(entries)
-        if not all(t is None or b >= t for b, t in zip(entries, thresholds)):
-            return None
-        solution = self.solve(final)
-        bribes = self.bribes
-        bribes[: len(entries)] = entries
+    def solve(self, cores: list[tuple[float, ...]], full: list[bool]) -> None:
+        """Solve one round's new cores together and keep what the search
+        reads of them."""
+        success, visits = markov._solve_cores(cores, self.mu, self.start, full)
+        n = len(cores[0])
+        self.successes.update(zip(cores, success[:, :n].tolist()))
+        rows = np.flatnonzero(full)
+        success, visits = success[rows], visits[rows]
         if self.ac:
-            return float(solution.visits @ bribes)
-        success = float(solution.success[self.start])
-        if success > 0.0:
-            return float(np.sum(solution.success / success * solution.visits * bribes))
-        return None
+            weights = list(visits)
+        else:
+            at_start = success[:, self.start]
+            wins = at_start > 0.0
+            weights = [None] * rows.size
+            for k, w in zip(np.flatnonzero(wins).tolist(),
+                            success[wins] / at_start[wins, None] * visits[wins]):
+                weights[k] = w
+        self.weights.update(zip([cores[k] for k in rows.tolist()], weights))
 
-    def target_level(self, entries: tuple[float, ...], j: int) -> float | None:
+    def need(self, success: list[tuple[float, ...]], full: list[tuple[float, ...]]):
+        """Yield, when any is not solved yet, the ``success`` cores to be
+        solved for their success column and the ``full`` cores in full."""
+        wants = [(core, False) for core in success if core not in self.successes]
+        wants += [(core, True) for core in full if core not in self.weights]
+        if wants:
+            yield wants
+
+    def project(self, batch: list[tuple[float, ...]]):
+        """For each candidate: the final core (the target's row set), and
+        the target's thresholds under the first-pass membership."""
+        cores = [tuple(zip(*map(self.column, range(len(e)), e))) for e in batch]
+        yield from self.need([fork for fork, _, _, _ in cores],
+                             [pert for _, _, pert, _ in cores])
+        return [
+            (final, _commitment_thresholds(fork, aboard, self.power, self.successes[fork],
+                                           self.successes[pert], self.reward))
+            for fork, aboard, pert, final in cores
+        ]
+
+    def scores(self, batch: list[tuple[float, ...]]):
+        """The objective of each candidate, or None for a candidate that
+        leaves the target off the fork at some state (or, for rac, never
+        succeeds)."""
+        projected = yield from self.project(batch)
+        finals = [
+            final if all(t is None or b >= t for b, t in zip(entries, thresholds)) else None
+            for entries, (final, thresholds) in zip(batch, projected)
+        ]
+        yield from self.need([], [final for final in finals if final is not None])
+        bribes = self.bribes
+        results = []
+        for entries, final in zip(batch, finals):
+            weights = None if final is None else self.weights[final]
+            if weights is None:
+                results.append(None)
+                continue
+            bribes[: len(entries)] = entries
+            results.append(float(weights @ bribes) if self.ac else float(np.sum(weights * bribes)))
+        return results
+
+    def target_level(self, entries: tuple[float, ...], j: int):
         """The target's commitment-aware threshold at j with entry j
         withdrawn (otherwise the first pass hides it); None when the first
         pass recruits the target at j anyway."""
-        return self.project(entries[:j] + (DUST,) + entries[j + 1 :])[1][j]
+        projected = yield from self.project([entries[:j] + (DUST,) + entries[j + 1 :]])
+        return projected[0][1][j]
 
 
 def optimize_gvc(
@@ -592,9 +645,12 @@ def optimize_gvc(
 
     ``objective`` is ``ac`` (expected cost regardless of outcome) or ``rac``
     (expected cost conditioned on success). Coordinate descent over per-state
-    recruitment levels, to a fixed point, with seeded random restarts.
-    Candidates are scored by ``_Search``; the winner is evaluated by
-    ``run_gvc``.
+    recruitment levels, to a fixed point, from a portfolio of seeds with
+    seeded random restarts. The descents are independent, so they run in
+    lockstep, round by round (``_Search.lockstep``): each yields its next
+    target-level probe or coordinate scan, and keeps its own candidate
+    order, tie-breaking and improvement rule. Candidates are scored by
+    ``_Search``; the winner is evaluated by ``run_gvc``.
     """
     if objective not in ("ac", "rac"):
         raise StrategyError(f"objective must be 'ac' or 'rac', got {objective!r}")
@@ -618,20 +674,21 @@ def optimize_gvc(
     search = _Search(scenario, objective, start)
     cache: dict[tuple[float, ...], float | None] = {}
 
-    def feasible_and_score(entries: tuple[float, ...]) -> float | None:
-        if entries not in cache:
-            cache[entries] = search.score(entries)
-        return cache[entries]
+    def feasible_and_scores(batch: list[tuple[float, ...]]):
+        new = [entries for entries in dict.fromkeys(batch) if entries not in cache]
+        if new:
+            cache.update(zip(new, (yield from search.scores(new))))
+        return [cache[entries] for entries in batch]
 
-    def candidates_for(j: int, entries: tuple[float, ...]) -> list[float]:
+    def candidates_for(j: int, entries: tuple[float, ...]):
         cands = list(static_candidates[j])
-        t = search.target_level(entries, j)
+        t = yield from search.target_level(entries, j)
         if t is not None and np.isfinite(t):
             cands.append(_grid_above(t))
         return sorted(set(cands))
 
-    def descend(entries: tuple[float, ...]) -> tuple[float, tuple[float, ...]] | None:
-        score = feasible_and_score(entries)
+    def descend(entries: tuple[float, ...]):
+        score, = yield from feasible_and_scores([entries])
         if score is None:
             return None
         for _ in range(GVC_MAX_SWEEPS):
@@ -639,12 +696,13 @@ def optimize_gvc(
             # deep states carry the big entries; relax them first, and take
             # the best candidate per coordinate, not the first improvement
             for j in range(c, -1, -1):
+                trials = [
+                    entries[:j] + (cand,) + entries[j + 1 :]
+                    for cand in (yield from candidates_for(j, entries))
+                    if cand != entries[j]
+                ]
                 best_move = None
-                for cand in candidates_for(j, entries):
-                    if cand == entries[j]:
-                        continue
-                    trial = entries[:j] + (cand,) + entries[j + 1 :]
-                    res = feasible_and_score(trial)
+                for res, trial in zip((yield from feasible_and_scores(trials)), trials):
                     if res is not None and res < score - 1e-12:
                         if best_move is None or res < best_move[0]:
                             best_move = (res, trial)
@@ -655,35 +713,37 @@ def optimize_gvc(
                 break
         return score, entries
 
-    def complete_suffix(entries: tuple[float, ...], split: int) -> tuple[float, ...]:
+    def complete_suffix(entries: tuple[float, ...], split: int):
         # replace entries past the split with commitment-minimal levels, in
         # one upward pass: each level feeds the thresholds of the next
         entries = entries[: split + 1] + tuple(DUST for _ in range(split + 1, c + 1))
         for j in range(split + 1, c + 1):
-            t = search.target_level(entries, j)
+            t = yield from search.target_level(entries, j)
             level = DUST if t is None or t <= 0 else _grid_above(t)
             entries = entries[:j] + (level,) + entries[j + 1 :]
         return entries
+
+    def descend_completed(entries: tuple[float, ...], split: int):
+        return (yield from descend((yield from complete_suffix(entries, split))))
 
     # seed portfolio: single-target minima, roster-prefix recruitment levels
     # (uniform, and completed with commitment-minimal entries past a split
     # state; the cheap schedules concentrate spend below the start and ride
     # the commitment effect above it), plus seeded random combinations
-    seeds = [tuple(target_minima)]
+    descents = [descend(tuple(target_minima))]
     splits = sorted({max(start - 1, 0), start, min(start + 1, c)})
     for row in thresholds:
         entries = tuple(_grid_above(t) for t in row)
-        seeds.append(entries)
-        for split in splits:
-            seeds.append(complete_suffix(entries, split))
+        descents.append(descend(entries))
+        descents.extend(descend_completed(entries, split) for split in splits)
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         entries = tuple(
             float(rng.choice(static_candidates[j])) for j in range(c + 1)
         )
-        seeds.append(entries)
+        descents.append(descend(entries))
 
-    results = [res for res in map(descend, seeds) if res is not None]
+    results = [res for res in search.lockstep(descents) if res is not None]
     if not results:
         raise StrategyError("no feasible schedule persuades the target up to the start state")
     # the cheapest, ties to the smallest entries

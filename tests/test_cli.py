@@ -69,6 +69,21 @@ def test_analyze_json_without_out_prints_the_record(capsys, tmp_path):
     assert out.encode() == out_file.read_bytes()
 
 
+def test_validate_json_without_out_prints_the_record(capsys, tmp_path):
+    # validate --format json without --out prints the record that --out
+    # would write and nothing else, and keeps its exit code (1: FAILED)
+    args = ["validate", "--pools", WHALE, "--strategy", "bs", "--target", "M",
+            "--trials", "1000", "--format", "json"]
+    out_file = tmp_path / "bs.json"
+    code, to_file, _ = run_cli([*args, "--out", str(out_file)], capsys)
+    assert code == 1 and "validation FAILED" in to_file
+    code, out, _ = run_cli(args, capsys)
+    assert code == 1
+    record = json.loads(out)
+    assert record["report"] == "validate" and record["passed"] is False
+    assert out.encode() == out_file.read_bytes()
+
+
 def test_analyze_csv_report(capsys, tmp_path):
     out_file = tmp_path / "bs.csv"
     code, _, _ = run_cli(

@@ -15,7 +15,7 @@ from briberace.markov import (
     solve_race,
     tail_depth,
     _solve,
-    _success,
+    _solve_cores,
 )
 
 EPS = np.finfo(float).eps
@@ -273,76 +273,107 @@ def test_solve_core_rejects_what_the_chain_rejects():
 
 @st.composite
 def race_cores(draw):
-    """(core, mu) as strategies pass them to solve_race: the bribed core of
-    race_chains, not empty, with C = 1 (a two-state core) drawn on purpose;
-    its tail is tail_depth(mu) deep."""
+    """(cores, mu, full) as the gvc search passes them to _solve_cores: one
+    to four bribed cores of race_chains, of one length, not empty, with C = 1
+    (two-state cores) drawn on purpose; their tails are tail_depth(mu) deep.
+    Each core's top states may hold mu, so the run can start inside the core
+    and a batch mixes trim points. ``full`` flags the cores to solve in
+    full."""
     mu = draw(ATTACKER_POWERS)
     size = draw(st.one_of(st.integers(min_value=1, max_value=40), st.just(2)))
-    core = draw(st.lists(fork_powers(mu), min_size=size, max_size=size))
-    unbribed = draw(st.integers(min_value=0, max_value=size))
-    core[size - unbribed:] = [mu] * unbribed
-    return np.array(core), mu
+    width = draw(st.integers(min_value=1, max_value=4))
+    cores = []
+    for _ in range(width):
+        core = draw(st.lists(fork_powers(mu), min_size=size, max_size=size))
+        unbribed = draw(st.integers(min_value=0, max_value=size))
+        core[size - unbribed:] = [mu] * unbribed
+        cores.append(tuple(core))
+    full = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    return cores, mu, full
 
 
 @settings(max_examples=10, deadline=None)
-@given(core_mu=race_cores())
-def test_success_only_solve_is_solve_race_bit_for_bit(core_mu):
-    """From every start state, _success gives solve_race's success column
-    over the core, bit for bit, and refuses exactly when solve_race refuses
-    for a reason other than the start row of N's residual. A core passed as
-    a tuple of Python floats, as the gvc search passes it, gives the same
-    list."""
-    core, mu = core_mu
-    as_tuple = tuple(core.tolist())
-    for start in range(core.size + tail_depth(mu)):
-        try:
-            want = solve_race(core, mu, start).success[: core.size]
-        except ChainError as exc:
-            if "start row" in str(exc):
-                _success(core, mu, start)
-            else:
-                with pytest.raises(ChainError):
-                    _success(core, mu, start)
-            continue
-        got = _success(core, mu, start)
-        assert all(type(x) is float for x in got)
-        assert np.array(got).tobytes() == want.tobytes()
-        if start <= core.size:
-            assert _success(as_tuple, mu, start) == got
-
-
-def test_success_only_solve_rejects_what_solve_race_rejects():
-    for bad in ([], [[0.3, 0.4]], [0.3, 0.0, 0.4], [0.3, 1.0], [-0.1], [1.1],
-                [0.3, float("nan")], [float("inf")]):
-        for core in (np.array(bad, dtype=float), tuple(bad)):
+@given(batch=race_cores())
+def test_batch_solve_is_solve_race_bit_for_bit(batch):
+    """From every start state, _solve_cores gives each core solve_race's
+    success column, and each core flagged full its visit row, bit for bit
+    (the other rows are NaN). A batch, and a batch of one, refuses exactly
+    when solve_race refuses one of its cores, except where only the start
+    row of N trips on a core that is not flagged full."""
+    cores, mu, full = batch
+    for start in range(len(cores[0]) + tail_depth(mu)):
+        want, refused = [], False
+        for core, flag in zip(cores, full):
+            try:
+                want.append(solve_race(np.array(core), mu, start))
+            except ChainError as exc:
+                want.append(None)
+                trips = flag or "start row" not in str(exc)
+                refused = refused or trips
+                if trips:
+                    with pytest.raises(ChainError):
+                        _solve_cores([core], mu, start, [flag])
+                else:
+                    _solve_cores([core], mu, start, [flag])
+        if refused:
             with pytest.raises(ChainError):
-                _success(core, 0.3, 0)
-    for mu in (0.0, 1.0, -0.1, 1.1, float("nan")):
+                _solve_cores(cores, mu, start, full)
+            continue
+        success, visits = _solve_cores(cores, mu, start, full)
+        for k, (sol, flag) in enumerate(zip(want, full)):
+            assert flag or np.isnan(visits[k]).all()
+            if sol is None:  # only the start row of N tripped
+                continue
+            assert success[k].tobytes() == sol.success.tobytes()
+            if flag:
+                assert visits[k].tobytes() == sol.visits.tobytes()
+
+
+def test_batch_solve_rejects_what_solve_race_rejects():
+    good, nan = (0.4, 0.5), float("nan")
+    for bad in ([], [[0.3, 0.4]], [0.3, 0.0, 0.4], [0.3, 1.0], [-0.1], [1.1],
+                [0.3, nan], [float("inf")]):
+        for flag in (False, True):
+            with pytest.raises(ChainError):
+                _solve_cores([bad], 0.3, 0, [flag])
+    # one malformed core refuses the batch, whichever kind it is solved for
+    for bad in ((0.3, 0.0), (0.3, 1.0), (-0.1, 0.4), (1.1, 0.4), (0.3, nan), (0.4,)):
+        for flag in (False, True):
+            with pytest.raises(ChainError):
+                _solve_cores([good, bad, good], 0.3, 0, [True, flag, False])
+    for mu in (0.0, 1.0, -0.1, 1.1, nan):
         with pytest.raises(ChainError):
-            _success(np.array([0.4, 0.5]), mu, 0)
+            _solve_cores([good, good], mu, 0, [False, True])
     h = 2 + tail_depth(0.3)
-    assert len(_success(np.array([0.4, 0.5]), 0.3, h - 1)) == 2
+    success, visits = _solve_cores([good, good], 0.3, h - 1, [False, True])
+    assert success.shape == visits.shape == (2, h)
     for start in (-1, h):
         with pytest.raises(ChainError):
-            _success(np.array([0.4, 0.5]), 0.3, start)
+            _solve_cores([good, good], 0.3, start, [False, True])
 
 
 def test_trap_valley_trips_only_the_visit_row_below_its_top():
     # solve_race refuses the trap valley from every start. From start 0 the
     # sweep stops below the valley's top (the run of 0.95 folds from state
     # 8): the success column checks out to about 1e-16 and only the start row
-    # of N (N ~ 1e10) trips, so _success accepts. From state 8 up the sweep
-    # crosses the top and the row sums miss 1 by about 1.6e-6: both refuse
+    # of N (N ~ 1e10) trips, so a batch accepts it when not asked for that
+    # row. From state 8 up the sweep crosses the top and the row sums miss 1
+    # by about 1.6e-6: every entry refuses
     trap = np.array([0.05] * 8 + [0.95] * 8)
     with pytest.raises(ChainError, match="residual .* of the start row of N"):
         solve_race(trap, 0.95, 0)
-    s = _success(trap, 0.95, 0)
-    p = trap.tolist()
+    with pytest.raises(ChainError, match="residual .* of the start row of N"):
+        _solve_cores([trap], 0.95, 0, [True])
+    success, visits = _solve_cores([trap], 0.95, 0, [False])
+    assert np.isnan(visits).all()
+    s, p = success[0].tolist(), trap.tolist()
     residuals = [abs(s[0] - p[0] - (1 - p[0]) * s[1])] + [
         abs(s[i] - p[i] * s[i - 1] - (1 - p[i]) * s[i + 1]) for i in range(1, 15)
     ]
     assert max(residuals) < 1e-15
     for start in (8, 15, 15 + tail_depth(0.95)):
-        for solve in (solve_race, _success):
+        with pytest.raises(ChainError, match="sum to 1"):
+            solve_race(trap, 0.95, start)
+        for flag in (False, True):
             with pytest.raises(ChainError, match="sum to 1"):
-                solve(trap, 0.95, start)
+                _solve_cores([trap], 0.95, start, [flag])

@@ -539,45 +539,48 @@ def test_run_gvc_evaluates_infeasible_vectors_outside_the_search(table2_scenario
 
 
 def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
-    # the search solves a first-pass core for its success column alone
-    # (markov._success) and a perturbed core in full (markov.solve_race),
-    # each on first sight, and reads a first-pass core it has already solved
-    # in full from that solution; run_gvc then evaluates the winner outside
-    # the search
-    names = {"full": "solve_race", "success": "_success"}
-    solves = {kind: getattr(markov, name) for kind, name in names.items()}
-    cores = {(phase, kind): [] for phase in ("search", "winner") for kind in names}
+    # each round of the search solves its new cores as one batch
+    # (markov._solve_cores): a first-pass core, never scored, for its success
+    # column alone, and a perturbed or final core in full, each on first
+    # sight, and a round solves in full any core it needs both ways;
+    # run_gvc then evaluates the winner outside the search, through
+    # markov.solve_race
+    batch, solve_race = markov._solve_cores, markov.solve_race
+    search = {False: [], True: []}
+    winner: list[bytes] = []
     phase = ["search"]
     run_gvc = strategies.run_gvc
 
-    def recording(kind):
-        def record(core, mu, start):
-            cores[phase[0], kind].append(np.asarray(core, dtype=float).tobytes())
-            return solves[kind](core, mu, start)
-        return record
+    def recording_batch(cores, mu, start, full):
+        for core, flag in zip(cores, full):
+            search[flag].append(np.asarray(core, dtype=float).tobytes())
+        return batch(cores, mu, start, full)
+
+    def recording_solve(core, mu, start):
+        assert phase[0] == "winner"
+        winner.append(np.asarray(core, dtype=float).tobytes())
+        return solve_race(core, mu, start)
 
     def evaluate_winner(*args):
         phase[0] = "winner"
         return run_gvc(*args)
 
-    for kind, name in names.items():
-        monkeypatch.setattr(markov, name, recording(kind))
+    monkeypatch.setattr(markov, "_solve_cores", recording_batch)
+    monkeypatch.setattr(markov, "solve_race", recording_solve)
     monkeypatch.setattr(strategies, "run_gvc", evaluate_winner)
     optimize_gvc(table2_scenario, "ac", 4)
-    success, full = cores["search", "success"], cores["search", "full"]
-    # no core is solved twice by the same kind: 6,749 first-pass cores were
-    # not yet solved in full when first seen; 5,999 perturbed cores were
-    # solved in full, and every scored final core is one of them
-    assert len(success) == len(set(success)) == 6_749
+    success, full = search[False], search[True]
+    # no core is solved twice by the same kind: 6,058 first-pass cores were
+    # never needed in full; 5,999 perturbed or final cores were solved in
+    # full, every scored final core among them
+    assert len(success) == len(set(success)) == 6_058
     assert len(full) == len(set(full)) == 5_999
-    # 691 first-pass cores came up later as perturbed cores, so 5,308 full
-    # solves are of cores first seen as perturbed; 12,057 distinct cores in all
-    assert len(set(success) & set(full)) == 691
+    # no core is solved both ways: 12,057 distinct cores in all
+    assert not set(success) & set(full)
     assert len(set(success) | set(full)) == 12_057
     # the winner's two threshold solves and its evaluation solve are full
     # solves of cores the search has solved
-    winner = cores["winner", "full"]
-    assert len(winner) == 3 and not cores["winner", "success"]
+    assert len(winner) == 3
     assert set(winner) <= set(success) | set(full)
 
 
@@ -588,33 +591,43 @@ def random_scenario():
 
 
 @pytest.mark.parametrize("case, objective, start", [
-    ("table2", "ac", 4), ("whale20", "ac", 6), ("whale20", "rac", 6), ("random", "rac", 5),
+    ("table2", "ac", 4), ("table2", "ac", 0), ("whale20", "ac", 6), ("whale20", "rac", 6),
+    ("random", "rac", 5),
 ])
 def test_search_scores_every_candidate_as_run_gvc_does(
     case, objective, start, table2_scenario, whale20_scenario, monkeypatch
 ):
-    # the search scores candidates from its column tables; each one must get
-    # the feasibility and the exact objective that run_gvc's outcome gives it
+    # the search scores candidates from its column tables, in batches; each
+    # one must get the feasibility and the exact objective that run_gvc's
+    # outcome gives it
     scenario = {"table2": table2_scenario, "whale20": whale20_scenario}.get(case)
     scenario = scenario or random_scenario()
-    score, solve_race = strategies._Search.score, markov.solve_race
+    scores, batch = strategies._Search.scores, markov._solve_cores
     scored: dict[tuple[float, ...], float | None] = {}
     tops: list[float] = []
+    trims: list[set[int]] = []
 
-    def recording(search, entries):
-        scored[entries] = result = score(search, entries)
-        return result
+    def recording(search, candidates):
+        results = yield from scores(search, candidates)
+        scored.update(zip(candidates, results))
+        return results
 
-    def recording_solve(core, mu, start):
-        tops.append(core[-1])
-        return solve_race(core, mu, start)
+    def recording_batch(cores, mu, start, full):
+        tops.extend(core[-1] for core in cores)
+        trims.append({
+            max([start + 1] + [i + 1 for i, x in enumerate(core) if x != mu]) for core in cores
+        })
+        return batch(cores, mu, start, full)
 
-    monkeypatch.setattr(strategies._Search, "score", recording)
-    monkeypatch.setattr(markov, "solve_race", recording_solve)
+    monkeypatch.setattr(strategies._Search, "scores", recording)
+    monkeypatch.setattr(markov, "_solve_cores", recording_batch)
     optimize_gvc(scenario, objective, start)
     monkeypatch.undo()
     if case == "random":  # some cores end at mu: the folded run starts inside them
         assert scenario.mu in tops
+    if (case, start) == ("table2", 0):  # rounds sweep cores trimmed at 1 to 7, mixed
+        assert set().union(*trims) == set(range(1, 8))
+        assert max(map(len, trims)) >= 4
     row = scenario.miner_set.row(scenario.target_id)
     tag = "GVC_AC" if objective == "ac" else "GVC_RAC"
     feasible = 0
