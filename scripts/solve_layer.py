@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
-"""Layer number for the chain solve: microseconds per core, by kind, over
-the solves of one gvc search, batched as the search solves them and one by
-one through ``solve_race``.
+"""Layer numbers for one gvc search: microseconds per core solved, by kind,
+batched as the search solves them and one by one through ``solve_race``;
+and microseconds per candidate of the search's bookkeeping, the time it
+spends outside the solves.
 
     PYTHONPATH=src python3 scripts/solve_layer.py [--repeats 7]
 
-Runs optimize_gvc on table2 (target P2, C 6, objective ac, start 4) once
-and records its rounds: each round solves the new cores of every live
-descent as one batch (``markov._solve_cores``), a first-pass core for its
-success column alone (``success``), a perturbed or final core in full
-(``full``). It prints the rounds and the cores per round. Each round's
-cores of each kind are then replayed as one batch, and the same cores one
-at a time through ``markov.solve_race``, the scalar path on Python floats
-(it always solves in full). A time is the best of ``--repeats`` replays,
-the cases taking turns: raw wall-clock time on this host, so compare trees
-on one host, run after run.
+Runs optimize_gvc on table2 (target P2, C 6, objective ac, start 4) and
+records its passes and rounds. Each pass (``strategies._Search.answer``)
+takes the candidates of every waiting ask of the live descents as one
+array: a batch to score, or a target-level probe. Each round solves the
+new cores of every live descent as one batch (``markov._solve_cores``), a
+first-pass core for its success column alone (``success``), a perturbed or
+final core in full (``full``). It prints the rounds and the cores per
+round, the passes, the candidates scored and probed, and the search's time
+outside ``_solve_cores`` (the winner's evaluation by ``run_gvc`` left out)
+per candidate scored or probed. Each round's cores of each kind are then
+replayed as one batch, and the same cores one at a time through
+``markov.solve_race``, the scalar path on Python floats (it always solves
+in full). A time is the best of ``--repeats`` runs or replays, the cases
+taking turns: raw wall-clock time on this host, so compare trees on one
+host, run after run.
 
 The counts are deterministic: the script prints them and exits 1 unless
-the search's rounds and its solves by kind equal ROUNDS and SEARCH_SOLVES
-and the winner's evaluation by ``run_gvc`` makes WINNER_SOLVES calls of
+the search's rounds, its solves by kind, its passes, candidates scored and
+target-level probes equal ROUNDS, SEARCH_SOLVES and PASSES, and the
+winner's evaluation by ``run_gvc`` makes WINNER_SOLVES calls of
 ``solve_race``.
 """
 import argparse
@@ -33,23 +40,38 @@ from briberace.cli import fixture_path
 
 ROUNDS = 28
 SEARCH_SOLVES = {"success": 6_058, "full": 5_999}
+PASSES = {"passes": 206, "scored": 12_801, "probes": 1_638}
 WINNER_SOLVES = 3
 KINDS = {False: "success", True: "full"}
 
 
-def record_search():
-    """The search's rounds, each as its cores by kind, the attacker power,
-    the start state and the winner's ``solve_race`` calls."""
+def table2():
     ms = br.load_pool_distribution(fixture_path("table2").read_text())
-    sc = br.make_scenario(ms, "P2", 6, 1, 6.25)
+    return br.make_scenario(ms, "P2", 6, 1, 6.25)
+
+
+def record_search():
+    """The search's rounds, each as its cores by kind, its pass counts, the
+    attacker power, the start state and the winner's ``solve_race`` calls."""
+    sc = table2()
     rounds: list[dict[str, list[tuple[float, ...]]]] = []
+    passes = {"passes": 0, "scored": 0, "probes": 0}
     winner = []
     batch, solve_race, run_gvc = markov._solve_cores, markov.solve_race, strategies.run_gvc
+    answer = strategies._Search.answer
 
     def record_round(cores, mu, start, full):
-        rounds.append({kind: [core for core, f in zip(cores, full) if bool(f) is flag]
-                       for flag, kind in KINDS.items()})
+        rounds.append({kind: [tuple(core) for core, f in zip(np.asarray(cores).tolist(), full)
+                              if bool(f) is flag] for flag, kind in KINDS.items()})
         return batch(cores, mu, start, full)
+
+    def record_pass(search, asks, needs):
+        answers = answer(search, asks, needs)
+        passes["passes"] += 1
+        for a in answers:
+            entries, j = asks[a]
+            passes["scored" if j is None else "probes"] += len(entries)
+        return answers
 
     def record_winner(core, mu, start):
         winner.append(core)
@@ -60,12 +82,42 @@ def record_search():
         return run_gvc(*args)
 
     markov._solve_cores = record_round
+    strategies._Search.answer = record_pass
     strategies.run_gvc = evaluate_winner
     try:
         br.optimize_gvc(sc, "ac", 4)
     finally:
         markov._solve_cores, markov.solve_race, strategies.run_gvc = batch, solve_race, run_gvc
-    return rounds, sc.mu, 4, winner
+        strategies._Search.answer = answer
+    return rounds, passes, sc.mu, 4, winner
+
+
+def bookkeeping_s(repeats: int) -> float:
+    """The search's time outside ``_solve_cores`` and the winner's
+    evaluation: the best of ``repeats`` searches."""
+    sc = table2()
+    batch, run_gvc = markov._solve_cores, strategies.run_gvc
+    best = float("inf")
+    for _ in range(repeats):
+        outside = [0.0]
+
+        def timed(call):
+            def run(*args):
+                t0 = perf_counter()
+                try:
+                    return call(*args)
+                finally:
+                    outside[0] += perf_counter() - t0
+            return run
+
+        markov._solve_cores, strategies.run_gvc = timed(batch), timed(run_gvc)
+        try:
+            t0 = perf_counter()
+            br.optimize_gvc(sc, "ac", 4)
+            best = min(best, perf_counter() - t0 - outside[0])
+        finally:
+            markov._solve_cores, strategies.run_gvc = batch, run_gvc
+    return best
 
 
 def us_per_core(rounds, mu: float, start: int, repeats: int) -> dict[tuple[str, str], float]:
@@ -93,10 +145,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
-    rounds, mu, start, winner = record_search()
+    rounds, passes, mu, start, winner = record_search()
+    bookkeeping = bookkeeping_s(args.repeats)
     sizes = [sum(map(len, r.values())) for r in rounds]
     print(f"rounds {len(rounds)}; cores per round: median {np.median(sizes):.0f}, "
           f"p90 {np.percentile(sizes, 90):.0f}, max {max(sizes)}")
+    candidates = passes["scored"] + passes["probes"]
+    print(f"passes {passes['passes']}; candidates scored {passes['scored']}, "
+          f"target-level probes {passes['probes']}; outside the solves "
+          f"{bookkeeping * 1e3:.1f} ms, {bookkeeping / candidates * 1e6:.2f} us per candidate")
     times = us_per_core(rounds, mu, start, args.repeats)
     counts = {kind: sum(len(r[kind]) for r in rounds) for kind in KINDS.values()}
     print(f"{'kind':<10}{'cores':>8}{'distinct':>10}{'batched us':>12}{'solve_race us':>15}")
@@ -105,9 +162,11 @@ def main() -> int:
         print(f"{kind:<10}{count:>8}{distinct:>10}{times[kind, 'batched']:>12.2f}"
               f"{times[kind, 'solve_race']:>15.2f}")
     print(f"winner: {len(winner)} solve_race calls")
-    if len(rounds) != ROUNDS or counts != SEARCH_SOLVES or len(winner) != WINNER_SOLVES:
-        print(f"rounds {len(rounds)}, search solves {counts} and winner solves {len(winner)} "
-              f"differ from the pinned {ROUNDS}, {SEARCH_SOLVES} and {WINNER_SOLVES}")
+    if (len(rounds) != ROUNDS or counts != SEARCH_SOLVES or passes != PASSES
+            or len(winner) != WINNER_SOLVES):
+        print(f"rounds {len(rounds)}, search solves {counts}, passes {passes} and winner "
+              f"solves {len(winner)} differ from the pinned {ROUNDS}, {SEARCH_SOLVES}, "
+              f"{PASSES} and {WINNER_SOLVES}")
         return 1
     return 0
 

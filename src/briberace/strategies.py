@@ -26,20 +26,24 @@ chain, the gvc thresholds).
 ``optimize_gvc`` scores thousands of candidate schedules and keeps one float
 per candidate, so it scores them from tables, not outcomes (``_Search``).
 The first-pass membership at state i is ``recruit_thresholds[:, i] <=
-entries[i]``, so everything the search reads at i depends on entry i alone:
-the fork power (``_fork_power``), whether the target is aboard, the fork
-power with the target added (``_with_miner``) and with its row set. Each
-(state, level) column is built once, on its one-column slice through those
-helpers, and a candidate's first-pass, perturbed and final cores are tuples
-of table entries. The target's thresholds take the formula
-``gvc_member_thresholds`` applies (``_commitment_thresholds``), feasibility
-is a test of them, and the score is ``visits @ bribes`` (ac) or the
+entries[i]``, so everything the search reads at i depends on entry i alone,
+through the number of miners it recruits there: the fork power
+(``_fork_power``), whether the target is aboard, the fork power with the
+target added (``_with_miner``) and with its row set. Each is tabulated once
+per (count, state) through those helpers, and a candidate's first-pass,
+perturbed and final cores are gathered from the tables. The target's
+thresholds take the formula ``gvc_member_thresholds`` applies
+(``_commitment_thresholds``, on arrays), feasibility is a test of them
+(``_on_fork``), and the score is ``visits @ bribes`` (ac) or the
 success-conditioned sum (rac) of the final core.
 
 The search's descents are independent, so they run in lockstep. Each is a
-generator that yields the cores its next target-level probe or coordinate
-scan needs, when any is not solved yet, and each round solves the new cores
-of every waiting descent as one batch of numpy columns
+generator that yields its next ask: a batch of candidates to score, or a
+target-level probe. A pass takes the candidates of every waiting ask as one
+array, builds their cores, thresholds, feasibility and scores in a few
+numpy operations, and answers each ask whose cores are all solved; those
+descents go on to their next ask. When every live descent waits on cores
+not solved yet, the round solves them as one batch of numpy columns
 (``markov._solve_cores``: the elimination that ``solve_race`` runs on
 Python floats, so the same bits). Each distinct core is solved once per
 kind, from the search's start state, and only for what the search reads: a
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -397,25 +402,30 @@ def _with_miner(fork_power: np.ndarray, aboard: np.ndarray, power: float) -> np.
 
 
 def _commitment_thresholds(
-    fork_power: Sequence[float],
-    aboard: Sequence[bool],
+    fork_power: np.ndarray,
+    aboard: np.ndarray,
     power: float,
-    base_success: Sequence[float],
-    pert_success: Sequence[float],
+    base_success: np.ndarray,
+    pert_success: np.ndarray,
     reward: float,
-) -> list[float | None]:
+) -> np.ndarray:
     """Per-state threshold of a miner of ``power`` under a commitment: its
     failure odds off the fork (``base_success``, the projected chain) against
     its win odds aboard (``pert_success``, the chain ``_with_miner``), by
-    ``rationality.general_threshold``. Infinite where aboard it cannot win;
-    None where it is aboard already. The sequences are Python floats and
-    bools, read up to the shortest."""
-    return [
-        None if a
-        else float("inf") if x <= 0.0
-        else rationality.general_threshold(power, f, 1.0 - f, x, 1.0 - b, reward)
-        for a, f, b, x in zip(aboard, fork_power, base_success, pert_success)
-    ]
+    ``rationality.general_threshold`` on arrays of one shape. Infinite where
+    aboard it cannot win; NaN (no threshold) where it is aboard already."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = rationality.general_threshold(
+            power, fork_power, 1.0 - fork_power, pert_success, 1.0 - base_success, reward)
+    t[pert_success <= 0.0] = np.inf
+    t[aboard] = np.nan
+    return t
+
+
+def _on_fork(entries: np.ndarray, aboard: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Whether the miner mines the fork at each state: aboard already, or
+    its entry reaches its commitment threshold (``_commitment_thresholds``)."""
+    return aboard | (entries >= thresholds)
 
 
 def gvc_member_thresholds(
@@ -435,8 +445,8 @@ def gvc_member_thresholds(
     core = recruit.fork_power(ms.powers, mu)
     base_bv = markov.solve_race(core, mu, 0).success[: core.size]
     pert_bv = markov.solve_race(_with_miner(core, aboard, p_m), mu, 0).success[: core.size]
-    return _commitment_thresholds(core.tolist(), aboard.tolist(), p_m, base_bv.tolist(),
-                                  pert_bv.tolist(), scenario.reward)
+    t = _commitment_thresholds(core, aboard, p_m, base_bv, pert_bv, scenario.reward)
+    return [None if a else x for a, x in zip(aboard.tolist(), t.tolist())]
 
 
 def gvc_zeta(
@@ -490,147 +500,220 @@ def _grid_above(value: float) -> float:
     return round(steps * GVC_QUANTUM, 10)
 
 
+def _keys(cores: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D float array: the search's key of a
+    core (fork powers are never -0.0 or NaN, so equal bytes are equal
+    cores)."""
+    cores = np.ascontiguousarray(cores)
+    return cores.view(np.dtype((np.void, cores.itemsize * cores.shape[1]))).ravel().tolist()
+
+
 class _Search:
     """One optimize_gvc search: it scores candidates as ``run_gvc`` scores
-    them from the search's start state (module docstring). A state's column
-    depends on that state's entry alone, so each (state, level) column is
-    built once, and a candidate's cores are tuples of table entries.
+    them from the search's start state (module docstring).
 
-    The search's descents run in lockstep (``lockstep``): each is a
-    generator that yields the cores its next step needs, and each round
-    solves the new cores of every waiting descent as one batch
-    (``markov._solve_cores``) before any of them resumes. The search keeps,
-    by core, the success column over the core of every core it has solved,
-    and the score weights of every core it has solved in full (the
-    candidates share most of their projected chains)."""
+    The search's descents run in lockstep (``lockstep``). Each is a
+    generator that asks for the scores of a batch of candidates
+    (``scores``) or for a target level (``target_level``). Each pass
+    (``answer``) takes the candidates of every waiting ask as one array: it
+    gathers their cores from the state tables (``columns``), computes the
+    target's thresholds and feasibility, and scores the feasible candidates
+    of every ask whose cores are all solved. When every live descent waits
+    on cores not solved yet, the round solves them as one batch
+    (``markov._solve_cores``). The search keeps, by core, a row of the
+    success column over the core of every core it has solved, and a row of
+    the score weights of every core it has solved in full (the candidates
+    share most of their projected chains)."""
 
     def __init__(self, scenario: Scenario, objective: str, start: int):
         ms = scenario.miner_set
         self.recruit = scenario.recruit_thresholds
-        self.powers = ms.powers
         self.mu = scenario.mu
         self.reward = scenario.reward
         self.row = ms.row(scenario.target_id)
         self.power = ms.miners[self.row].power
         self.start = start
         self.ac = objective == "ac"
-        self.bribes = np.zeros(scenario.confirmations + 1 + markov.tail_depth(self.mu))
-        self.columns: list[dict[float, tuple[float, bool, float, float]]] = [
-            {} for _ in range(scenario.confirmations + 1)
-        ]
-        self.successes: dict[tuple[float, ...], list[float]] = {}
-        # per core solved in full: the visits (ac) or the success-conditioned
-        # visits (rac) that the score weighs the bribes by; None where rac's
-        # success is 0
-        self.weights: dict[tuple[float, ...], np.ndarray | None] = {}
-
-    def column(self, i: int, level: float) -> tuple[float, bool, float, float]:
-        """State i under entry ``level``: the first-pass fork power, whether
-        the target is aboard, the fork power with the target added
-        (``_with_miner``) and with the target's row set."""
-        col = self.columns[i].get(level)
-        if col is None:
-            zeta = self.recruit[:, i : i + 1] <= level
-            fork = _fork_power(zeta, self.powers, self.mu)
-            aboard = zeta[self.row].copy()
-            pert = _with_miner(fork, aboard, self.power)
-            zeta[self.row] = True
-            final = _fork_power(zeta, self.powers, self.mu)
-            col = (float(fork[0]), bool(aboard[0]), float(pert[0]), float(final[0]))
-            self.columns[i][level] = col
-        return col
-
-    def lockstep(self, tasks: list) -> list:
-        """Run generators in lockstep and return their results in order. A
-        task yields the cores it needs next, as (core, full) pairs, and
-        returns its result. Each round solves the cores that the live tasks
-        yielded as one batch: in full where any task needs the core in full,
-        else for its success column alone."""
-        results = [None] * len(tasks)
-        live = list(enumerate(tasks))
-        while live:
-            needs: dict[tuple[float, ...], bool] = {}
-            waiting = []
-            for k, task in live:
-                try:
-                    wants = next(task)
-                except StopIteration as done:
-                    results[k] = done.value
-                    continue
-                waiting.append((k, task))
-                for core, full in wants:
-                    needs[core] = needs.get(core, False) or full
-            if needs:
-                self.solve(list(needs), list(needs.values()))
-            live = waiting
-        return results
-
-    def solve(self, cores: list[tuple[float, ...]], full: list[bool]) -> None:
-        """Solve one round's new cores together and keep what the search
-        reads of them."""
-        success, visits = markov._solve_cores(cores, self.mu, self.start, full)
-        n = len(cores[0])
-        self.successes.update(zip(cores, success[:, :n].tolist()))
-        rows = np.flatnonzero(full)
-        success, visits = success[rows], visits[rows]
-        if self.ac:
-            weights = list(visits)
-        else:
-            at_start = success[:, self.start]
-            wins = at_start > 0.0
-            weights = [None] * rows.size
-            for k, w in zip(np.flatnonzero(wins).tolist(),
-                            success[wins] / at_start[wins, None] * visits[wins]):
-                weights[k] = w
-        self.weights.update(zip([cores[k] for k in rows.tolist()], weights))
-
-    def need(self, success: list[tuple[float, ...]], full: list[tuple[float, ...]]):
-        """Yield, when any is not solved yet, the ``success`` cores to be
-        solved for their success column and the ``full`` cores in full."""
-        wants = [(core, False) for core in success if core not in self.successes]
-        wants += [(core, True) for core in full if core not in self.weights]
-        if wants:
-            yield wants
-
-    def project(self, batch: list[tuple[float, ...]]):
-        """For each candidate: the final core (the target's row set), and
-        the target's thresholds under the first-pass membership."""
-        cores = [tuple(zip(*map(self.column, range(len(e)), e))) for e in batch]
-        yield from self.need([fork for fork, _, _, _ in cores],
-                             [pert for _, _, pert, _ in cores])
-        return [
-            (final, _commitment_thresholds(fork, aboard, self.power, self.successes[fork],
-                                           self.successes[pert], self.reward))
-            for fork, aboard, pert, final in cores
-        ]
+        # an entry recruits, at its state, the miners whose recruit threshold
+        # it reaches; their count c picks the membership, the c lowest
+        # thresholds. So each state's columns are built once per count
+        # through the helpers: tables, by (c, state), of the first-pass fork
+        # power, the target aboard, the fork power with the target added
+        # (_with_miner) and with its row set.
+        n = scenario.confirmations + 1
+        cuts = np.vstack([np.full(n, -np.inf), np.sort(self.recruit, axis=0)])
+        zeta = (self.recruit[:, None, :] <= cuts).reshape(len(ms.ids), -1)
+        fork = _fork_power(zeta, ms.powers, self.mu)
+        aboard = zeta[self.row].copy()
+        pert = _with_miner(fork, aboard, self.power)
+        zeta[self.row] = True
+        final = _fork_power(zeta, ms.powers, self.mu)
+        self.tables = tuple(x.reshape(cuts.shape) for x in (fork, aboard, pert, final))
+        # by core key, its row of ``success``: every core solved
+        self.solved: dict[bytes, int] = {}
+        self.success = _Rows(n)
+        # by key of a core solved in full, its row of ``weights``: the
+        # visits (ac) or the success-conditioned visits (rac) that the score
+        # weighs the bribes by; -1 where rac's success is 0
+        self.scorable: dict[bytes, int] = {}
+        self.weights = _Rows(n + markov.tail_depth(self.mu))
 
     def scores(self, batch: list[tuple[float, ...]]):
         """The objective of each candidate, or None for a candidate that
         leaves the target off the fork at some state (or, for rac, never
         succeeds)."""
-        projected = yield from self.project(batch)
-        finals = [
-            final if all(t is None or b >= t for b, t in zip(entries, thresholds)) else None
-            for entries, (final, thresholds) in zip(batch, projected)
-        ]
-        yield from self.need([], [final for final in finals if final is not None])
-        bribes = self.bribes
-        results = []
-        for entries, final in zip(batch, finals):
-            weights = None if final is None else self.weights[final]
-            if weights is None:
-                results.append(None)
-                continue
-            bribes[: len(entries)] = entries
-            results.append(float(weights @ bribes) if self.ac else float(np.sum(weights * bribes)))
-        return results
+        return (yield batch, None)
 
     def target_level(self, entries: tuple[float, ...], j: int):
         """The target's commitment-aware threshold at j with entry j
         withdrawn (otherwise the first pass hides it); None when the first
         pass recruits the target at j anyway."""
-        projected = yield from self.project([entries[:j] + (DUST,) + entries[j + 1 :]])
-        return projected[0][1][j]
+        return (yield [entries[:j] + (DUST,) + entries[j + 1 :]], j)
+
+    def lockstep(self, tasks: list) -> list:
+        """Run generators in lockstep and return their results in order. A
+        task yields its asks (``scores``, ``target_level``) and returns its
+        result. Passes answer every ask whose cores are solved until each
+        live task waits on cores that are not; the round then solves them as
+        one batch: in full where any ask needs the core in full, else for
+        its success column alone."""
+        results = [None] * len(tasks)
+        asks: dict[int, tuple] = {}
+
+        def resume(k: int, answer) -> None:
+            try:
+                asks[k] = tasks[k].send(answer)
+            except StopIteration as done:
+                results[k] = done.value
+                asks.pop(k, None)
+
+        for k in range(len(tasks)):
+            resume(k, None)
+        while asks:
+            needs: dict[bytes, bool] = {}
+            ready = list(asks)
+            while ready:
+                answers = self.answer([asks[k] for k in ready], needs)
+                for a, answer in answers.items():
+                    resume(ready[a], answer)
+                ready = [ready[a] for a in answers if ready[a] in asks]
+            if needs:
+                self.solve(list(needs), list(needs.values()))
+        return results
+
+    def solve(self, keys: list[bytes], full: list[bool]) -> None:
+        """Solve one round's new cores together and keep what the search
+        reads of them."""
+        n = self.success.data.shape[1]
+        cores = np.frombuffer(b"".join(keys)).reshape(len(keys), n)
+        success, visits = markov._solve_cores(cores, self.mu, self.start, full)
+        self.solved.update(zip(keys, self.success.extend(success[:, :n]).tolist()))
+        rows = np.flatnonzero(full)
+        success, visits = success[rows], visits[rows]
+        if self.ac:
+            at = self.weights.extend(visits)
+        else:
+            at_start = success[:, self.start]
+            wins = at_start > 0.0
+            at = np.full(rows.size, -1)
+            at[wins] = self.weights.extend(success[wins] / at_start[wins, None] * visits[wins])
+        self.scorable.update(zip([keys[k] for k in rows.tolist()], at.tolist()))
+
+    def columns(self, entries: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per candidate (row of ``entries``) and state: the first-pass fork
+        power, whether the target is aboard, the fork power with the target
+        added (``_with_miner``) and with the target's row set, read from the
+        state tables."""
+        n = entries.shape[1]
+        index = (self.recruit[:, None, :] <= entries).sum(axis=0) * n + np.arange(n)
+        return tuple(table.take(index) for table in self.tables)
+
+    def answer(self, asks: list[tuple], needs: dict[bytes, bool]) -> dict:
+        """One pass over the candidates of every ask, as arrays. Returns the
+        answers, by position, of the asks whose cores are all solved, and
+        adds to ``needs`` the unsolved cores of the others: the first-pass
+        cores for their success column, the perturbed cores and, once
+        those are solved, the feasible candidates' final cores in full."""
+        sizes = [len(batch) for batch, _ in asks]
+        ask = np.repeat(np.arange(len(asks)), sizes)
+        # each distinct candidate once: ``of`` maps the asks' rows to them
+        where: dict[tuple[float, ...], int] = {}
+        of = [where.setdefault(e, len(where)) for batch, _ in asks for e in batch]
+        n = self.tables[0].shape[1]
+        entries = np.fromiter(chain.from_iterable(where), float, len(where) * n).reshape(-1, n)
+        fork, aboard, pert, final = self.columns(entries)
+        # the first-pass cores are read for their success column, the
+        # perturbed ones are solved in full
+        solved, scorable = self.solved, self.scorable
+        forks, perts = _keys(fork), _keys(pert)
+        at_fork = np.array([solved.get(k, -1) for k in forks])
+        at_pert = np.array([solved[k] if k in scorable else -1 for k in perts])
+        for k, at in zip(forks, at_fork.tolist()):
+            if at < 0:
+                needs.setdefault(k, False)
+        for k, at in zip(perts, at_pert.tolist()):
+            if at < 0:
+                needs[k] = True
+        of = np.array(of)
+        waits = np.zeros(len(asks), dtype=bool)
+        waits[ask[((at_fork < 0) | (at_pert < 0))[of]]] = True
+        if waits.all():
+            return {}
+        # every candidate's thresholds; one whose cores are not solved reads
+        # the first row instead, and its ask is not answered
+        thresholds = _commitment_thresholds(
+            fork, aboard, self.power, self.success.data[np.maximum(at_fork, 0)],
+            self.success.data[np.maximum(at_pert, 0)], self.reward)
+        feasible = _on_fork(entries, aboard, thresholds).all(axis=1)
+        # the feasible candidates of the score asks need their final cores
+        scoring = ~waits[ask] & np.array([j is None for _, j in asks])[ask]
+        wanted = np.zeros(len(where), dtype=bool)
+        wanted[of[scoring]] = True
+        rows = np.flatnonzero(wanted & feasible)
+        finals = _keys(final[rows])
+        at_final = np.array([scorable.get(k, -2) for k in finals], dtype=int)
+        missing = np.zeros(len(where), dtype=bool)
+        for k, at, r in zip(finals, at_final.tolist(), rows.tolist()):
+            if at == -2:
+                needs[k] = missing[r] = True
+        waits[ask[scoring & missing[of]]] = True
+        # one dot product per row, as run_gvc's: an ``@`` of each weights
+        # row and its bribes (ac), or the sum of their product (rac)
+        take = at_final >= 0
+        weights = self.weights.data[at_final[take]]
+        bribes = np.zeros_like(weights)
+        bribes[:, :n] = entries[rows[take]]
+        values = (np.matmul(weights[:, None, :], bribes[:, :, None])[:, 0, 0] if self.ac
+                  else (weights * bribes).sum(axis=1))
+        results: list[float | None] = [None] * len(where)
+        for r, v in zip(rows[take].tolist(), values.tolist()):
+            results[r] = v
+        answers, lo, of = {}, 0, of.tolist()
+        for a, ((batch, j), size, wait) in enumerate(zip(asks, sizes, waits.tolist())):
+            if not wait:
+                answers[a] = ([results[r] for r in of[lo : lo + size]] if j is None
+                              else None if aboard[of[lo], j] else float(thresholds[of[lo], j]))
+            lo += size
+        return answers
+
+
+class _Rows:
+    """Rows appended in blocks to one array, whose storage doubles when
+    full, so that the search gathers them with one index."""
+
+    def __init__(self, width: int):
+        self.data = np.empty((256, width))
+        self.size = 0
+
+    def extend(self, rows: np.ndarray) -> np.ndarray:
+        """Append ``rows``; returns their indices."""
+        start, self.size = self.size, self.size + len(rows)
+        if self.size > len(self.data):
+            data = np.empty((max(self.size, 2 * len(self.data)), self.data.shape[1]))
+            data[:start] = self.data[:start]
+            self.data = data
+        self.data[start : self.size] = rows
+        return np.arange(start, self.size)
 
 
 def optimize_gvc(
@@ -647,8 +730,10 @@ def optimize_gvc(
     (expected cost conditioned on success). Coordinate descent over per-state
     recruitment levels, to a fixed point, from a portfolio of seeds with
     seeded random restarts. The descents are independent, so they run in
-    lockstep, round by round (``_Search.lockstep``): each yields its next
-    target-level probe or coordinate scan, and keeps its own candidate
+    lockstep (``_Search.lockstep``): each asks for its next target-level
+    probe or the scores of its next coordinate scan, each pass answers the
+    asks of every waiting descent as one array, and each round solves the
+    cores they wait on as one batch. Each descent keeps its own candidate
     order, tie-breaking and improvement rule. Candidates are scored by
     ``_Search``; the winner is evaluated by ``run_gvc``.
     """

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from briberace.model import DUST, load_pool_distribution, make_scenario
 from briberace.rationality import (
     BribeQuote,
     basic_threshold,
+    general_threshold,
     min_bribe_basic,
     persuadable_threshold,
 )
@@ -646,9 +649,10 @@ def test_search_scores_every_candidate_as_run_gvc_does(
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 10), c=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_search_columns_are_membership_columns(n, c, seed):
-    # each (state, level) column the search tabulates is, bit for bit, that
-    # column of the first-pass fork power, of _with_miner and of the fork
-    # power with the target's row set, whatever the other entries are
+    # each candidate's columns, as a pass builds them from the state tables,
+    # are, bit for bit, the first-pass fork power, _with_miner and the fork
+    # power with the target's row set of its own membership, whatever the
+    # other entries and the other candidates of the pass are
     rng = np.random.default_rng(seed)
     ms = random_miner_set(rng, n)
     for row, target in enumerate(ms.miners):
@@ -661,8 +665,10 @@ def test_search_columns_are_membership_columns(n, c, seed):
             for i in range(c + 1)
         ]
         shift = rng.integers(0, n + 2, size=c + 1)
-        for k in range(max(map(len, levels))):
-            entries = tuple(lv[(k + s) % len(lv)] for lv, s in zip(levels, shift))
+        batch = [tuple(lv[(k + s) % len(lv)] for lv, s in zip(levels, shift))
+                 for k in range(max(map(len, levels)))]
+        got = search.columns(np.array(batch))
+        for k, entries in enumerate(batch):
             recruit = gvc_new_markov(sc, BribeSchedule(entries, True, "GVC_AC"))
             fork = recruit.fork_power(ms.powers, sc.mu)
             aboard = recruit.zeta[row].astype(bool)
@@ -670,11 +676,53 @@ def test_search_columns_are_membership_columns(n, c, seed):
             zeta = recruit.zeta.copy()
             zeta[row] = 1
             final = strategies._fork_power(zeta, ms.powers, sc.mu)
-            for i, level in enumerate(entries):
-                got = search.column(i, level)
-                assert got[1] is bool(aboard[i])
-                assert (np.array(got[::2] + got[3:]).tobytes()
-                        == np.array([fork[i], pert[i], final[i]]).tobytes())
+            assert got[1].dtype == bool and np.array_equal(got[1][k], aboard)
+            assert (np.array([got[0][k], got[2][k], got[3][k]]).tobytes()
+                    == np.array([fork, pert, final]).tobytes())
+
+
+probabilities = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), n=st.integers(1, 8))
+def test_commitment_thresholds_are_general_thresholds(data, k, n):
+    # the thresholds and the feasibility a pass computes on arrays are,
+    # element by element, rationality.general_threshold's and the scalar
+    # rule's: no threshold where aboard, infinite where aboard the miner
+    # cannot win (a success of exactly 0 included), the bits otherwise, and
+    # no numpy warning escapes
+    def grid(elements):
+        return np.array(data.draw(st.lists(elements, min_size=k * n, max_size=k * n))).reshape(k, n)
+
+    fork = grid(st.floats(1e-9, 1.0 - MIN_MAIN_SHARE))
+    aboard = grid(st.booleans())
+    base = grid(probabilities)
+    pert = grid(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)))
+    power = data.draw(st.floats(1e-6, 0.99))
+    reward = data.draw(st.floats(0.01, 100.0))
+    want = [[None if a else float("inf") if x <= 0.0
+             else general_threshold(power, f, 1.0 - f, x, 1.0 - b, reward)
+             for f, a, b, x in zip(*rows)]
+            for rows in zip(fork.tolist(), aboard.tolist(), base.tolist(), pert.tolist())]
+    # entries on both sides of the thresholds, and on them
+    entries = grid(st.floats(0.0, 1e3))
+    for i, j in np.ndindex(k, n):
+        if want[i][j] is not None and np.isfinite(want[i][j]) and data.draw(st.booleans()):
+            entries[i, j] = want[i][j]
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        got = strategies._commitment_thresholds(fork, aboard, power, base, pert, reward)
+        feasible = strategies._on_fork(entries, aboard, got).all(axis=1)
+    for i, j in np.ndindex(k, n):
+        if want[i][j] is None:
+            assert np.isnan(got[i, j])
+        else:
+            assert np.array(got[i, j]).tobytes() == np.array(want[i][j]).tobytes()
+    assert feasible.tolist() == [
+        all(t is None or e >= t for e, t in zip(row, ts))
+        for row, ts in zip(entries.tolist(), want)
+    ]
 
 
 def test_optimize_rejects_bad_objective(table2_scenario):
