@@ -14,12 +14,27 @@ trial still running, in ascending trial order, from
 0 when its uniform is below the fork power. Any loop that keeps this order
 gives the same reports.
 
+The loop draws raw 64-bit words (``Philox.random_raw``), not doubles.
+numpy's Philox uniform is ``(raw >> 11) * 2**-53`` of the same word, one
+word per uniform, so ``u < fork`` is ``(raw >> 11) < ceil(fork * 2**53)``
+exactly (the product is exact and the left side an integer): the same
+decision on the same draw order, taken against a per-state integer
+threshold. The tests pin that numpy contract.
+
 The loop holds only the running trials, compacted (ids ascending, their
 states), so an event costs one draw and a few passes over the trials still
 in the race rather than a gather and a scatter over the whole chunk; the
 arrays shrink only where a trial absorbed. A trial ending at iteration k
-took k + 1 steps, written once. Each running trial is in one cell of the
-visit counts per event, so a plain fancy-index increment counts exactly.
+took k + 1 steps, written once. Visit counts are state-major, one int32 row
+per tracked state plus a spare row shared by every untracked state, one
+column per trial; an event adds one (``np.add.at``) at
+``offset[state] + trial``, with ``offset`` the precomputed flat start of
+each state's row, so no per-trial row offsets are kept or compacted.
+
+A chunk is aggregated along those rows without copying them unless it
+discarded trials: visit sums and sums of squares are exact int64 sums
+(a square overflows int32 past 46,340 visits), and each trial's cost is
+its visit column dotted with the bribes.
 """
 from __future__ import annotations
 
@@ -29,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CHUNK = 1 << 16
+_ONE = np.int32(1)  # add.at takes its fast path for a scalar of the counts' dtype
 
 
 class SimulationError(ValueError):
@@ -95,6 +111,13 @@ def _mk_estimate(total: float, total_sq: float, n: int) -> MetricEstimate:
     return MetricEstimate(mean, math.sqrt(var / n))
 
 
+def _thresholds(fork: np.ndarray) -> np.ndarray:
+    """Per-state integer thresholds: ``(raw >> 11) < T`` iff the uniform
+    ``(raw >> 11) * 2**-53`` is below the fork power. ``fork * 2**53`` is an
+    exact product, and an integer is below it iff it is below its ceiling."""
+    return np.ceil(fork * 2.0**53).astype(np.uint64)
+
+
 def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
     """Run independent race trials and aggregate outcome statistics.
 
@@ -106,8 +129,12 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
         raise SimulationError("start state outside the chain")
     if len(policy.bribe) != h:
         raise SimulationError("bribe vector must match the chain length")
-    fork = np.asarray(policy.fork_power)
-    bribe = np.asarray(policy.bribe)
+    fork = np.asarray(policy.fork_power, dtype=float)
+    bribe = np.asarray(policy.bribe, dtype=float)
+    if not np.all((fork >= 0.0) & (fork <= 1.0)):  # NaN fails both
+        raise SimulationError("fork powers must lie in [0, 1]")
+    if not np.all(np.isfinite(bribe)):
+        raise SimulationError("bribes must be finite")
     n_track = h if policy.scheduled_states is None else policy.scheduled_states
     if not (1 <= n_track <= h):
         raise SimulationError("scheduled states must number 1 to the chain length")
@@ -116,6 +143,10 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
     max_events = config.max_events if config.max_events is not None else 200 * h
     if max_events < h:
         raise SimulationError("max_events too small to traverse the chain")
+
+    threshold = _thresholds(fork)
+    row_of = np.minimum(np.arange(h), n_track)  # every untracked state shares the spare row
+    start = policy.start_state
 
     succ = 0
     disc = 0
@@ -130,27 +161,24 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
     chunk_idx = 0
     while done < config.trials:
         n = min(CHUNK, config.trials - done)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_idx,)))
-        )
-        # per-trial visit counts, one spare column for every state past the
-        # tracked region; flat cells of distinct running trials never collide
-        width = n_track + 1
-        counts = np.zeros((n, width), dtype=np.int32)
-        counts[:, min(policy.start_state, n_track)] = 1
+        bits = np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_idx,)))
+        # visit counts state-major: row row_of[s], column the trial
+        counts = np.zeros((n_track + 1, n), dtype=np.int32)
+        counts[row_of[start]] = 1
         flat = counts.reshape(-1)
+        offset = row_of * n
         steps = np.full(n, max_events, dtype=np.int64)  # a trial ending at iteration k took k + 1
         result = np.full(n, -1, dtype=np.int8)  # -1 running, 1 success, 0 failure
 
-        # running trials only, compacted: trial ids ascending, their states
-        # and the flat offsets of their count rows
+        # running trials only, compacted: trial ids ascending and their states
         active = np.arange(n)
-        state = np.full(n, policy.start_state, dtype=np.int64)
-        row = active * width
+        state = np.full(n, start, dtype=np.intp)
         for k in range(max_events):
             if active.size == 0:
                 break
-            down = rng.random(active.size) < fork[state]
+            raw = bits.random_raw(active.size)
+            raw >>= 11
+            down = raw < threshold[state]
             state += 1
             state -= down
             state -= down
@@ -163,32 +191,30 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
                 keep = np.flatnonzero(~ended)
                 active = active[keep]
                 state = state[keep]
-                row = row[keep]
-            flat[row + np.minimum(state, n_track)] += 1
-        visits = counts[:, :n_track]
+            np.add.at(flat, offset[state] + active, _ONE)
 
-        discarded = result == -1
-        kept = ~discarded
-        disc += int(discarded.sum())
-        nk = int(kept.sum())
-        if nk:
-            k_visits = visits[kept]
-            k_state = result[kept]
-            cost = k_visits @ bribe[:n_track]
-            succ += int((k_state == 1).sum())
-            k_steps = steps[kept]
-            events += int(k_steps.sum())
-            longest = max(longest, int(k_steps.max()))
-            steps_k = k_steps.astype(float)
+        visits = counts[:n_track]
+        dropped = int(np.count_nonzero(result == -1))
+        disc += dropped
+        if dropped:
+            kept = result != -1
+            visits, result, steps = visits[:, kept], result[kept], steps[kept]
+        if dropped < n:
+            cost = visits.T @ bribe[:n_track]
+            won = result == 1
+            succ += int(np.count_nonzero(won))
+            events += int(steps.sum())
+            longest = max(longest, int(steps.max()))
+            steps_k = steps.astype(float)
             steps_sum += steps_k.sum()
             steps_sq += (steps_k**2).sum()
             cost_sum += cost.sum()
             cost_sq += (cost**2).sum()
-            on_s = cost[k_state == 1]
+            on_s = cost[won]
             cost_succ_sum += on_s.sum()
             cost_succ_sq += (on_s**2).sum()
-            visit_sum += k_visits.sum(axis=0)
-            visit_sq += (k_visits.astype(float) ** 2).sum(axis=0)
+            visit_sum += visits.sum(axis=1)
+            visit_sq += np.einsum("ij,ij->i", visits, visits, dtype=np.int64)
         done += n
         chunk_idx += 1
 

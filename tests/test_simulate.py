@@ -1,10 +1,13 @@
+import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import sim_reference
 from hypothesis import given, reject, settings, strategies as st
 
-from briberace import markov
+from briberace import markov, simulate
 from briberace.cli import fixture_path
 from briberace.model import load_pool_distribution, make_scenario
 from briberace.simulate import (
@@ -12,6 +15,7 @@ from briberace.simulate import (
     RacePolicy,
     SimConfig,
     SimulationError,
+    _thresholds,
     compare_reports,
     simulate_race,
 )
@@ -240,6 +244,131 @@ def test_steps_equal_the_sum_of_visits_over_a_fully_tracked_chain(fork, data, tr
     assert rep.mean_steps.mean == pytest.approx(visits, rel=1e-12)
     assert rep.events == pytest.approx(rep.mean_steps.mean * kept, rel=1e-12)
     assert min(start + 1, h - start) <= rep.longest <= 200 * h
+
+
+@pytest.mark.parametrize("fork, bribe", [
+    ((0.3, math.nan, 0.4), (1.0, 0.0, 0.0)),  # NaN never steps down
+    ((0.3, 1.7, -0.4), (1.0, 0.0, 0.0)),
+    ((0.3, 1.0 + 2**-52, 0.4), (1.0, 0.0, 0.0)),
+    ((0.3, 0.5, -(2**-1074)), (1.0, 0.0, 0.0)),
+    ((0.3, 0.5, 0.4), (1.0, math.inf, 0.0)),
+    ((0.3, 0.5, 0.4), (-math.inf, 0.0, 0.0)),
+    ((0.3, 0.5, 0.4), (1.0, 0.0, math.nan)),
+])
+def test_bad_policies_rejected(fork, bribe):
+    with pytest.raises(SimulationError):
+        simulate_race(RacePolicy(fork, bribe, 1), SimConfig(trials=10, seed=0))
+
+
+def test_fork_powers_of_zero_and_one_accepted():
+    # from state 1 a trial steps to 0, where it always steps down (a success
+    # in two steps), or to 2, where it always steps up (a failure in two)
+    policy = RacePolicy((1.0, 0.5, 0.0), (1.0, 2.0, 0.0), 1)
+    rep = simulate_race(policy, SimConfig(trials=1000, seed=4))
+    assert rep.discarded == 0
+    assert rep.events == 2000 and rep.longest == 2
+    assert 0 < rep.successes < 1000
+    assert rep.visit_counts[0].mean == rep.successes / 1000
+    assert rep.visit_counts[2].mean == 1 - rep.successes / 1000
+
+
+def _uniform_is_below(words: np.ndarray, f: float) -> np.ndarray:
+    """numpy's Philox uniform of each word, ``(raw >> 11) * 2**-53``,
+    compared with a fork power as doubles."""
+    return (words >> 11) * 2.0**-53 < f
+
+
+def _near(f: float) -> list[float]:
+    """f and its neighbouring doubles that are still fork powers."""
+    return [x for x in (np.nextafter(f, -1.0), f, np.nextafter(f, 2.0)) if 0.0 <= x <= 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.lists(st.integers(0, 2**64 - 1), max_size=20))
+def test_integer_thresholds_decide_as_the_uniforms_do(data, words):
+    # fork powers on the 2**-53 grid (0 and 1 included), their neighbours
+    # and arbitrary ones; words at the edges of the threshold and random ones
+    grid = data.draw(st.sampled_from([0, 1, 2**52, 2**53 - 1, 2**53]) | st.integers(0, 2**53))
+    fork = data.draw(st.sampled_from(_near(grid * 2.0**-53)) | st.floats(0.0, 1.0))
+    t = int(_thresholds(np.array([fork]))[0])
+    edge = [w for j in (-1, 0) for w in ((t + j) << 11, ((t + j) << 11) + 2047) if 0 <= w < 2**64]
+    raw = np.array(words + edge, dtype=np.uint64)
+    assert ((raw >> 11) < np.uint64(t)).tolist() == _uniform_is_below(raw, fork).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2019])
+def test_a_uniform_equal_to_the_fork_power_steps_up(seed):
+    # one trial on a one-state chain takes one draw: it succeeds iff the
+    # uniform is strictly below the fork power, here set on the draw itself
+    word = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,))).random_raw(1)
+    u = float((word[0] >> 11) * 2.0**-53)
+    cfg = SimConfig(trials=1, seed=seed)
+    for fork, won in ((u, 0), (np.nextafter(u, 2.0), 1)):
+        assert simulate_race(RacePolicy((fork,), (0.0,), 0), cfg).successes == won
+
+
+@pytest.mark.parametrize("key", [0, 1, 2, 7, 1023])
+def test_raw_philox_words_are_the_generator_uniforms(key):
+    # the simulator draws raw words where Generator(Philox).random() would
+    # draw doubles; pins numpy's contract: one word per double, (raw >> 11)
+    # * 2**-53, across calls of any size
+    def bits():
+        return np.random.Philox(np.random.SeedSequence(entropy=11, spawn_key=(key,)))
+
+    sizes = (1, 5, 2, 997, 3, 64)
+    raw, gen = bits(), np.random.Generator(bits())
+    for m in sizes:
+        words = raw.random_raw(m)
+        assert np.array_equal((words >> 11) * 2.0**-53, gen.random(m))
+
+
+def _report_bits(report) -> dict:
+    return {f: _golden_value(getattr(report, f)) for f in report.__dataclass_fields__}
+
+
+def _check_against_reference(policy, config, chunk):
+    with mock.patch.object(simulate, "CHUNK", chunk), \
+            mock.patch.object(sim_reference, "CHUNK", chunk):
+        try:
+            want = sim_reference.simulate_race(policy, config)
+        except SimulationError:  # every trial hit the event cap
+            with pytest.raises(SimulationError):
+                simulate_race(policy, config)
+            return None
+        got = simulate_race(policy, config)
+    assert _report_bits(got) == _report_bits(want)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reports_equal_the_reference_loops(data):
+    # fork powers of 0 and 1 (a 0 below a 1 traps trials until the cap),
+    # capped runs that discard, tracked regions shorter than the chain,
+    # starts at the top, and chunks small enough for several per run with
+    # a partial last one
+    h = data.draw(st.integers(1, 10), label="h")
+    power = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5]))
+    fork = data.draw(st.lists(power, min_size=h, max_size=h), label="fork")
+    start = data.draw(st.one_of(st.just(h - 1), st.integers(0, h - 1)), label="start")
+    tracked = data.draw(st.one_of(st.none(), st.integers(1, h)), label="tracked")
+    paid = data.draw(st.lists(st.floats(0.0, 1e3), min_size=h, max_size=h), label="bribe")
+    bribe = tuple(b if i < (tracked or h) else 0.0 for i, b in enumerate(paid))
+    chunk = data.draw(st.sampled_from([CHUNK, 1, 7, 64]), label="chunk")
+    trials = data.draw(st.integers(1, min(chunk, 64) * 3 + 5), label="trials")
+    cap = data.draw(st.one_of(st.none(), st.integers(h, 4 * h)), label="max_events")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    policy = RacePolicy(tuple(fork), bribe, start, scheduled_states=tracked)
+    _check_against_reference(policy, SimConfig(trials=trials, seed=seed, max_events=cap), chunk)
+
+
+def test_reports_equal_the_reference_loops_over_full_chunks():
+    # two full chunks and a partial one, at CHUNK: a capped run that
+    # discards, with a shorter tracked region, a sure step and a top start
+    policy = RacePolicy((0.6, 1.0, 0.45, 0.3, 0.5, 0.2), (3.0, 0.5, 7.25, 0.0, 0.0, 0.0), 5,
+                        scheduled_states=3)
+    rep = _check_against_reference(policy, SimConfig(trials=2 * CHUNK + 9, seed=2, max_events=9), CHUNK)
+    assert 0 < rep.discarded < rep.trials
 
 
 if __name__ == "__main__":
