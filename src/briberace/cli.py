@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -295,41 +296,46 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pools", required=True, help="pool distribution file")
+    common.add_argument("--attacker", default=None, help="attacker id (default: flagged in file)")
+    common.add_argument("--target", default=None, help="target miner id (default: biggest)")
+    common.add_argument("--confirmations", type=int, default=6)
+    common.add_argument("--premined", type=int, default=1)
+    common.add_argument("--reward", type=float, default=6.25)
+    common.add_argument("--start-state", type=int, default=None)
+    common.add_argument("--strategy", required=True, choices=STRATEGIES + ("all",))
+    common.add_argument("--objective", choices=("ac", "rac"), default=None)
+    common.add_argument("--trials", type=int, default=1_000_000)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
+    common.add_argument("--out", dest="out_path", default=None)
+
     parser = argparse.ArgumentParser(
         prog="briberace",
         description="Fork-race bribery attack analysis and Monte Carlo validation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("analyze", parents=[common], help="run one strategy and report the outcome")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--pools", required=True, help="pool distribution file")
-        p.add_argument("--attacker", default=None, help="attacker id (default: flagged in file)")
-        p.add_argument("--target", default=None, help="target miner id (default: biggest)")
-        p.add_argument("--confirmations", type=int, default=6)
-        p.add_argument("--premined", type=int, default=1)
-        p.add_argument("--reward", type=float, default=6.25)
-        p.add_argument("--start-state", type=int, default=None)
-        p.add_argument("--strategy", required=True, choices=STRATEGIES + ("all",))
-        p.add_argument("--objective", choices=("ac", "rac"), default=None)
-        p.add_argument("--trials", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", dest="out_path", default=None)
-
-    p_analyze = sub.add_parser("analyze", help="run one strategy and report the outcome")
-    common(p_analyze)
-
-    p_sweep = sub.add_parser("sweep-start", help="outcomes across starting gap states")
-    common(p_sweep)
+    p_sweep = sub.add_parser("sweep-start", parents=[common],
+                             help="outcomes across starting gap states")
     p_sweep.add_argument("--states", required=True, help="comma-separated start states")
 
-    p_reward = sub.add_parser("sweep-reward", help="outcomes across block rewards")
-    common(p_reward)
+    p_reward = sub.add_parser("sweep-reward", parents=[common],
+                              help="outcomes across block rewards")
     p_reward.add_argument("--rewards", required=True, help="comma-separated BTC rewards")
 
-    p_validate = sub.add_parser("validate", help="cross-check analytics against simulation")
-    common(p_validate)
+    sub.add_parser("validate", parents=[common],
+                   help="cross-check analytics against simulation")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built at the first
+    one: parsing keeps no state on it (each call starts a fresh namespace)."""
+    return build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -361,8 +367,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         if args.command == "analyze":

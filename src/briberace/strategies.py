@@ -493,7 +493,10 @@ def run_gvc(
 
 
 def _grid_above(value: float) -> float:
-    """Next schedule amount strictly above ``value`` on the 0.01 BTC grid."""
+    """A schedule amount on the 0.01 BTC grid at least ``value`` and at most
+    one step above it (``DUST`` for ``value <= 0``). The float floor of
+    ``value / 0.01`` picks the step, so a grid amount may come back as
+    itself (0.29) or one step up (0.07 gives 0.08)."""
     if value <= 0:
         return DUST
     steps = int(np.floor(value / GVC_QUANTUM)) + 1

@@ -2,14 +2,16 @@ import dataclasses
 import functools
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from briberace import simulate
+from briberace import cli, simulate
 from briberace.cli import fixture_path, format_btc, main
 
 WHALE = str(fixture_path("whale20"))
 TABLE2 = str(fixture_path("table2"))
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(args, capsys):
@@ -319,6 +321,48 @@ def test_reports_byte_identical_across_runs(capsys, tmp_path):
     run_cli(args + ["--out", str(a)], capsys)
     run_cli(args + ["--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_main_reuses_one_parser_through_errors_help_and_reports(capsys, tmp_path, monkeypatch):
+    # main builds its parser once per process; an argparse error, a refusal
+    # and --help on that parser leave the later reports byte-identical to
+    # the goldens, on the first call and on a repeat
+    parser = cli._parser()
+
+    def rebuilt():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--pools", TABLE2])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --strategy" in capsys.readouterr().err
+    code, out, err = run_cli(["analyze", "--pools", TABLE2, "--strategy", "all"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": {"type": "CliError", "message": "only sweep-start takes --strategy all"}
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: briberace validate [-h] --pools POOLS")
+    reports = {
+        "analyze_gvc_ac_table2_start4.csv": [
+            "analyze", "--pools", TABLE2, "--target", "P2", "--start-state", "4",
+            "--strategy", "gvc", "--objective", "ac",
+        ],
+        "sweep_start_all_deep512.csv": [
+            "sweep-start", "--pools", str(DATA / "deep512.pools"), "--strategy", "all",
+            "--confirmations", "2", "--states", "0,1,2",
+        ],
+    }
+    for repeat in range(2):
+        for golden, args in reports.items():
+            out_file = tmp_path / f"{repeat}-{golden}"
+            code, _, err = run_cli([*args, "--out", str(out_file)], capsys)
+            assert code == 0 and err == ""
+            assert out_file.read_bytes() == (DATA / golden).read_bytes()
+    assert cli._parser() is parser
 
 
 def test_format_btc_rendering():

@@ -646,6 +646,19 @@ def test_search_scores_every_candidate_as_run_gvc_does(
         assert feasible < len(scored)
 
 
+def test_grid_above_is_a_grid_amount_no_smaller_than_the_value():
+    # the search needs a grid amount at least the threshold, not one strictly above it
+    values = [k * GVC_QUANTUM for k in range(1, 10_000)]
+    values += np.random.default_rng(15).uniform(0.0, 200.0, size=10_000).tolist()
+    for value in values:
+        g = strategies._grid_above(value)
+        assert value <= g <= value + GVC_QUANTUM + 1e-9, (value, g)
+        assert g == round(round(g / GVC_QUANTUM) * GVC_QUANTUM, 10), (value, g)
+    assert [strategies._grid_above(v) for v in (0.29, 0.57, 0.07)] == [0.29, 0.57, 0.08]
+    for value in (0.0, -0.0, -1e-12, -3.5):
+        assert strategies._grid_above(value) == DUST
+
+
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 10), c=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_search_columns_are_membership_columns(n, c, seed):
