@@ -1,5 +1,7 @@
 """Command line interface: analyze, sweep-start, sweep-reward, validate.
 
+``build_parser`` declares each option once, and the commands read the parsed
+namespace itself; ``_refuse`` holds the refusals that argparse cannot state.
 Reports are deterministic for fixed inputs and seed: CSV with a header row,
 LF line endings and 2-decimal BTC amounts, or JSON carrying a schema-version
 field. Dust-level bribe entries are rendered as ``1e-8``, never as zero.
@@ -12,7 +14,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import model, simulate, strategies
@@ -23,23 +24,6 @@ STRATEGIES = ("bs", "bff", "crb1", "crb2", "gvc")
 
 class CliError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    pools_path: str
-    attacker_id: str | None
-    target_id: str | None
-    confirmations: int
-    premined: int
-    reward: float
-    start_state: int | None
-    strategy: str
-    objective: str | None
-    trials: int
-    seed: int
-    out_format: str
-    out_path: str | None
 
 
 def fixture_path(name: str) -> Path:
@@ -59,44 +43,34 @@ def format_prob(p: float) -> str:
     return f"{p:.4g}"
 
 
-def _load_scenario(cfg: RunConfig) -> model.Scenario:
+def _load_scenario(args: argparse.Namespace) -> model.Scenario:
     try:
-        raw = Path(cfg.pools_path).read_text(encoding="utf-8")
+        raw = Path(args.pools).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read pool file: {exc}") from exc
-    miner_set = model.load_pool_distribution(raw, cfg.attacker_id)
-    target = cfg.target_id or miner_set.miners[0].id  # biggest main-chain miner
+    miner_set = model.load_pool_distribution(raw, args.attacker)
+    target = args.target or miner_set.miners[0].id  # biggest main-chain miner
     return model.make_scenario(
-        miner_set, target, cfg.confirmations, cfg.premined, cfg.reward
+        miner_set, target, args.confirmations, args.premined, args.reward
     )
 
 
-def _run_strategy(cfg: RunConfig, scenario: model.Scenario, reward: float | None = None):
-    if reward is not None and reward != scenario.reward:
-        scenario = model.make_scenario(
-            scenario.miner_set,
-            scenario.target_id,
-            scenario.confirmations,
-            scenario.premined,
-            reward,
-        )
-    start = cfg.start_state
-    if cfg.strategy == "bs":
+def _run_strategy(args: argparse.Namespace, scenario: model.Scenario, strategy: str,
+                  start: int | None):
+    if strategy == "bs":
         return strategies.run_bs(scenario, start)
-    if cfg.strategy == "bff":
+    if strategy == "bff":
         return strategies.run_bff(scenario, start)
-    if cfg.strategy in ("crb1", "crb2"):
-        return strategies.run_crb(scenario, cfg.strategy, start)
-    if cfg.strategy == "gvc":
+    if strategy == "gvc":
         _, outcome = strategies.optimize_gvc(
-            scenario, cfg.objective or "ac", start, seed=cfg.seed
+            scenario, args.objective or "ac", start, seed=args.seed
         )
         return outcome
-    raise CliError(f"unknown strategy {cfg.strategy!r}")
+    return strategies.run_crb(scenario, strategy, start)  # crb1 or crb2
 
 
 def _outcome_record(outcome) -> dict:
-    rec = {
+    return {
         "strategy": outcome.strategy_tag,
         "start_state": outcome.start_state,
         "success_prob": outcome.success_prob,
@@ -110,7 +84,6 @@ def _outcome_record(outcome) -> dict:
         "schedule": list(outcome.schedule.per_state_bribe),
         "committed": outcome.schedule.committed,
     }
-    return rec
 
 
 def _summary_lines(outcome) -> list[str]:
@@ -142,24 +115,22 @@ def _summary_lines(outcome) -> list[str]:
     return lines
 
 
-def _emit_csv(rows: list[dict], out_path: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_text(buf.getvalue(), out_path)
-
-
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
-
-
-def _write_text(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(args: argparse.Namespace, table: list[dict], **fields) -> None:
+    """Write the report to ``--out``, or to stdout without it: the CSV of
+    ``table``, or with ``--format json`` the JSON of ``fields``."""
+    if args.out_format == "json":
+        payload = {"schema_version": SCHEMA_VERSION, **fields}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(table[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(table)
+        text = buf.getvalue()
+    if args.out_path is None:
         sys.stdout.write(text)
     else:
-        Path(out_path).write_text(text, encoding="utf-8", newline="")
+        Path(args.out_path).write_text(text, encoding="utf-8", newline="")
 
 
 def _fmt_row_value(v) -> str:
@@ -170,17 +141,16 @@ def _fmt_row_value(v) -> str:
     return str(v)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    scenario = _load_scenario(cfg)
-    outcome = _run_strategy(cfg, scenario)
-    # without --out, the JSON record takes the summary's place on stdout
-    if cfg.out_path is not None or cfg.out_format != "json":
+def cmd_analyze(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    outcome = _run_strategy(args, scenario, args.strategy, args.start_state)
+    # without --out, the JSON record takes the summary's place on stdout, and
+    # the summary stands for the CSV report
+    if args.out_path is not None or args.out_format != "json":
         for line in _summary_lines(outcome):
             print(line)
-    rec = _outcome_record(outcome)
-    if cfg.out_format == "json":
-        _emit_json({"report": "analyze", "outcome": rec}, cfg.out_path)
-    elif cfg.out_path is not None:
+    if args.out_path is not None or args.out_format == "json":
+        rec = _outcome_record(outcome)
         rows = [
             {"metric": k, "value": _fmt_row_value(v)}
             for k, v in rec.items()
@@ -190,20 +160,19 @@ def cmd_analyze(cfg: RunConfig) -> int:
             {"metric": f"bribe_state_{i}", "value": format_btc(b)}
             for i, b in enumerate(outcome.schedule.per_state_bribe)
         ]
-        _emit_csv(rows, cfg.out_path)
+        _emit(args, rows, report="analyze", outcome=rec)
     return 0
 
 
-def cmd_sweep_start(cfg: RunConfig, states: list[int]) -> int:
+def cmd_sweep_start(args: argparse.Namespace) -> int:
+    states = [int(s) for s in args.states.split(",") if s.strip() != ""]
     if not states:
         raise CliError("state list must not be empty")
-    scenario = _load_scenario(cfg)
-    strategy_list = STRATEGIES if cfg.strategy == "all" else [cfg.strategy]
+    scenario = _load_scenario(args)
     rows = []
-    for strat in strategy_list:
-        sub = replace(cfg, strategy=strat)
+    for strategy in STRATEGIES if args.strategy == "all" else [args.strategy]:
         for s in sorted(states):
-            outcome = _run_strategy(replace(sub, start_state=s), scenario)
+            outcome = _run_strategy(args, scenario, strategy, s)
             rows.append(
                 {
                     "strategy": outcome.strategy_tag,
@@ -217,22 +186,23 @@ def cmd_sweep_start(cfg: RunConfig, states: list[int]) -> int:
                     ),
                 }
             )
-    if cfg.out_format == "json":
-        _emit_json({"report": "sweep-start", "rows": rows}, cfg.out_path)
-    else:
-        _emit_csv(rows, cfg.out_path)
+    _emit(args, rows, report="sweep-start", rows=rows)
     return 0
 
 
-def cmd_sweep_reward(cfg: RunConfig, rewards: list[float]) -> int:
+def cmd_sweep_reward(args: argparse.Namespace) -> int:
+    rewards = [float(r) for r in args.rewards.split(",") if r.strip() != ""]
     if not rewards:
         raise CliError("reward list must not be empty")
     if any(r <= 0 for r in rewards):
         raise CliError("rewards must be positive")
-    scenario = _load_scenario(cfg)
+    base = _load_scenario(args)
     rows = []
     for r in sorted(rewards):
-        outcome = _run_strategy(cfg, scenario, reward=r)
+        scenario = model.make_scenario(
+            base.miner_set, base.target_id, base.confirmations, base.premined, r
+        )
+        outcome = _run_strategy(args, scenario, args.strategy, args.start_state)
         rows.append(
             {
                 "strategy": outcome.strategy_tag,
@@ -243,19 +213,16 @@ def cmd_sweep_reward(cfg: RunConfig, rewards: list[float]) -> int:
                 "single_visit_cost": f"{outcome.single_visit_cost:.2f}",
             }
         )
-    if cfg.out_format == "json":
-        _emit_json({"report": "sweep-reward", "rows": rows}, cfg.out_path)
-    else:
-        _emit_csv(rows, cfg.out_path)
+    _emit(args, rows, report="sweep-reward", rows=rows)
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    scenario = _load_scenario(cfg)
-    outcome = _run_strategy(cfg, scenario)
+def cmd_validate(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    outcome = _run_strategy(args, scenario, args.strategy, args.start_state)
     policy = simulate.RacePolicy.from_outcome(outcome)
     report = simulate.simulate_race(
-        policy, simulate.SimConfig(trials=cfg.trials, seed=cfg.seed)
+        policy, simulate.SimConfig(trials=args.trials, seed=args.seed)
     )
     comparison = simulate.compare_reports(outcome, report, z=3.0)
     # a trial that hits the event cap is dropped from every estimate, so the
@@ -272,15 +239,9 @@ def cmd_validate(cfg: RunConfig) -> int:
         }
         for m in comparison.metrics
     ]
-    if cfg.out_format == "json":
-        _emit_json(
-            {"report": "validate", "passed": passed, "rows": rows},
-            cfg.out_path,
-        )
-    else:
-        _emit_csv(rows, cfg.out_path)
+    _emit(args, rows, report="validate", passed=passed, rows=rows)
     # without --out, the JSON record is the whole of stdout, as for analyze
-    if cfg.out_path is not None or cfg.out_format != "json":
+    if args.out_path is not None or args.out_format != "json":
         for m in comparison.metrics:
             status = "ok " if m.passed else "FAIL"
             print(f"{status} {m.name}: analytic {m.analytic:.6g} vs empirical "
@@ -316,18 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fork-race bribery attack analysis and Monte Carlo validation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common], help="run one strategy and report the outcome")
+    p_analyze = sub.add_parser("analyze", parents=[common],
+                               help="run one strategy and report the outcome")
+    p_analyze.set_defaults(handler=cmd_analyze)
 
     p_sweep = sub.add_parser("sweep-start", parents=[common],
                              help="outcomes across starting gap states")
     p_sweep.add_argument("--states", required=True, help="comma-separated start states")
+    p_sweep.set_defaults(handler=cmd_sweep_start)
 
     p_reward = sub.add_parser("sweep-reward", parents=[common],
                               help="outcomes across block rewards")
     p_reward.add_argument("--rewards", required=True, help="comma-separated BTC rewards")
+    p_reward.set_defaults(handler=cmd_sweep_reward)
 
-    sub.add_parser("validate", parents=[common],
-                   help="cross-check analytics against simulation")
+    p_validate = sub.add_parser("validate", parents=[common],
+                                help="cross-check analytics against simulation")
+    p_validate.set_defaults(handler=cmd_validate)
     return parser
 
 
@@ -338,49 +304,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        pools_path=args.pools,
-        attacker_id=args.attacker,
-        target_id=args.target,
-        confirmations=args.confirmations,
-        premined=args.premined,
-        reward=args.reward,
-        start_state=args.start_state,
-        strategy=args.strategy,
-        objective=args.objective,
-        trials=args.trials,
-        seed=args.seed,
-        out_format=args.out_format,
-        out_path=args.out_path,
-    )
-    if cfg.start_state is not None and cfg.start_state > cfg.confirmations:
+def _refuse(args: argparse.Namespace) -> None:
+    """Refuse the combinations of options that argparse lets through."""
+    if args.start_state is not None and args.start_state > args.confirmations:
         raise CliError("start state must not exceed the confirmation depth")
-    if cfg.strategy == "all" and args.command != "sweep-start":
+    if args.strategy == "all" and args.command != "sweep-start":
         raise CliError("only sweep-start takes --strategy all")
-    if cfg.strategy == "gvc" and cfg.objective is None:
+    if args.strategy == "gvc" and args.objective is None:
         raise CliError("gvc requires --objective ac|rac")
     # with all, the objective applies to the gvc rows (ac when not given)
-    if cfg.strategy not in ("gvc", "all") and cfg.objective is not None:
+    if args.strategy not in ("gvc", "all") and args.objective is not None:
         raise CliError("--objective only applies to gvc and all")
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "sweep-start":
-            states = [int(s) for s in args.states.split(",") if s.strip() != ""]
-            return cmd_sweep_start(cfg, states)
-        if args.command == "sweep-reward":
-            rewards = [float(r) for r in args.rewards.split(",") if r.strip() != ""]
-            return cmd_sweep_reward(cfg, rewards)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        raise CliError(f"unknown command {args.command!r}")
+        _refuse(args)
+        return args.handler(args)
     except (CliError, model.PoolFileError, model.ScenarioError,
             strategies.StrategyError, simulate.SimulationError, ValueError) as exc:
         sys.stderr.write(

@@ -461,8 +461,7 @@ def _solve_cores(cores, mu: float, start: int, full) -> tuple[np.ndarray, np.nda
         raise ChainError("fork_power must be a non-empty vector") from exc
     if cores.ndim != 2 or cores.size < 1:
         raise ChainError("fork_power must be a non-empty vector")
-    if not (cores.min() > 0.0 and cores.max() < 1.0):  # False on NaN
-        raise ChainError("fork power must lie strictly inside (0, 1) at every state")
+    _check_fork_power(cores.ravel())
     _check_mu(mu)
     width, length = cores.shape
     h = length + tail_depth(mu)

@@ -173,6 +173,8 @@ def load_pool_distribution(raw: str, attacker_id: str | None = None) -> MinerSet
         if ident in seen:
             raise PoolFileError(f"line {lineno}: duplicate id {ident!r}")
         seen.add(ident)
+        if not math.isfinite(power):
+            raise PoolFileError(f"line {lineno}: non-finite power for {ident!r}")
         if power <= 0:
             raise PoolFileError(f"line {lineno}: nonpositive power for {ident!r}")
         if is_attacker:

@@ -365,6 +365,42 @@ def test_main_reuses_one_parser_through_errors_help_and_reports(capsys, tmp_path
     assert cli._parser() is parser
 
 
+SWEEP_REWARD = ["sweep-reward", "--pools", TABLE2, "--target", "P2", "--start-state", "4",
+                "--strategy", "crb1", "--rewards", "3.125,6.25,12.5"]
+VALIDATE = ["validate", "--pools", TABLE2, "--start-state", "4", "--strategy", "bff",
+            "--trials", "5000", "--seed", "7"]
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("sweep_reward_crb1_table2_start4.csv", SWEEP_REWARD),
+    ("sweep_reward_crb1_table2_start4.json", [*SWEEP_REWARD, "--format", "json"]),
+    ("validate_bff_table2_start4_seed7.csv", VALIDATE),
+    ("validate_bff_table2_start4_seed7.json", [*VALIDATE, "--format", "json"]),
+    ("analyze_bs_whale20_stdout.txt",
+     ["analyze", "--pools", WHALE, "--target", "M", "--strategy", "bs"]),
+    ("validate_bff_table2_start4_seed7_stdout.txt", VALIDATE),
+    ("help.txt", ["--help"]),
+    ("help_analyze.txt", ["analyze", "--help"]),
+    ("help_sweep-start.txt", ["sweep-start", "--help"]),
+    ("help_sweep-reward.txt", ["sweep-reward", "--help"]),
+    ("help_validate.txt", ["validate", "--help"]),
+])
+def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
+    # a *_stdout.txt or help golden is what the command prints (help at 80
+    # columns); any other golden is the report that --out writes
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (DATA / golden).read_bytes()
+    to_stdout = golden.endswith(".txt")
+    out_file = tmp_path / golden
+    try:
+        got = main(args if to_stdout else [*args, "--out", str(out_file)])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == 0 and err == ""
+    assert (out.encode() if to_stdout else out_file.read_bytes()) == expected
+
+
 def test_format_btc_rendering():
     assert format_btc(0.0) == "0.00"
     assert format_btc(1e-8) == "1e-8"

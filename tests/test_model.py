@@ -75,6 +75,11 @@ def test_attacker_override_argument():
         ("a 0.4\nb 0.3 attacker\nc 0.3 attacker\n", "second attacker"),
         ("a 1.0 attacker\n", "at least one"),
         ("a 0.5 boss\nb 0.5 attacker\n", "unknown flag"),
+        # a non-finite power is refused at its own line, not at a later miner
+        ("A 0.3 attacker\nM1 0.3\nM2 nan\nM3 0.4\n", "line 3: non-finite power for 'M2'"),
+        ("A nan attacker\nM1 0.3\nM2 0.3\n", "line 1: non-finite power for 'A'"),
+        ("a 0.5\nb inf attacker\n", "line 2: non-finite power for 'b'"),
+        ("a -inf\nb 0.5 attacker\n", "line 1: non-finite power for 'a'"),
     ],
 )
 def test_pool_file_errors(text, match):
