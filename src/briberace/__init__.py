@@ -50,7 +50,6 @@ from .strategies import (
     StrategyOutcome,
     evaluate_schedule,
     gvc_new_markov,
-    gvc_zeta,
     optimize_gvc,
     recapture_split,
     run_bff,

@@ -1,7 +1,8 @@
 """Command line interface: analyze, sweep-start, sweep-reward, validate.
 
-``build_parser`` declares each option once, and the commands read the parsed
-namespace itself; ``_refuse`` holds the refusals that argparse cannot state.
+``build_parser`` declares each option once, on the commands that read it;
+the commands read the parsed namespace, after ``_refuse`` has made, before
+any work, the refusals that argparse cannot state.
 Reports are deterministic for fixed inputs and seed: CSV with a header row,
 LF line endings and 2-decimal BTC amounts, or JSON carrying a schema-version
 field. Dust-level bribe entries are rendered as ``1e-8``, never as zero.
@@ -43,7 +44,7 @@ def format_prob(p: float) -> str:
     return f"{p:.4g}"
 
 
-def _load_scenario(args: argparse.Namespace) -> model.Scenario:
+def _load_scenario(args: argparse.Namespace, reward: float) -> model.Scenario:
     try:
         raw = Path(args.pools).read_text(encoding="utf-8")
     except OSError as exc:
@@ -51,7 +52,7 @@ def _load_scenario(args: argparse.Namespace) -> model.Scenario:
     miner_set = model.load_pool_distribution(raw, args.attacker)
     target = args.target or miner_set.miners[0].id  # biggest main-chain miner
     return model.make_scenario(
-        miner_set, target, args.confirmations, args.premined, args.reward
+        miner_set, target, args.confirmations, args.premined, reward
     )
 
 
@@ -141,8 +142,19 @@ def _fmt_row_value(v) -> str:
     return str(v)
 
 
+def _values(text: str, kind: type, option: str) -> list:
+    """The values of a comma-separated list option, refused by name."""
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise CliError(f"{option} takes comma-separated {kind.__name__}s, got {text!r}") from None
+    if not values:
+        raise CliError(f"{option} must not be empty")
+    return values
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
+    scenario = _load_scenario(args, args.reward)
     outcome = _run_strategy(args, scenario, args.strategy, args.start_state)
     # without --out, the JSON record takes the summary's place on stdout, and
     # the summary stands for the CSV report
@@ -165,10 +177,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_start(args: argparse.Namespace) -> int:
-    states = [int(s) for s in args.states.split(",") if s.strip() != ""]
-    if not states:
-        raise CliError("state list must not be empty")
-    scenario = _load_scenario(args)
+    states = _values(args.states, int, "--states")
+    scenario = _load_scenario(args, args.reward)
     rows = []
     for strategy in STRATEGIES if args.strategy == "all" else [args.strategy]:
         for s in sorted(states):
@@ -191,14 +201,12 @@ def cmd_sweep_start(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_reward(args: argparse.Namespace) -> int:
-    rewards = [float(r) for r in args.rewards.split(",") if r.strip() != ""]
-    if not rewards:
-        raise CliError("reward list must not be empty")
-    if any(r <= 0 for r in rewards):
-        raise CliError("rewards must be positive")
-    base = _load_scenario(args)
+    rewards = sorted(_values(args.rewards, float, "--rewards"))
+    if not all(0 < r < float("inf") for r in rewards):
+        raise CliError(f"--rewards must be positive and finite, got {args.rewards!r}")
+    base = _load_scenario(args, rewards[0])
     rows = []
-    for r in sorted(rewards):
+    for r in rewards:
         scenario = model.make_scenario(
             base.miner_set, base.target_id, base.confirmations, base.premined, r
         )
@@ -218,7 +226,7 @@ def cmd_sweep_reward(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
+    scenario = _load_scenario(args, args.reward)
     outcome = _run_strategy(args, scenario, args.strategy, args.start_state)
     policy = simulate.RacePolicy.from_outcome(outcome)
     report = simulate.simulate_race(
@@ -257,43 +265,42 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pools", required=True, help="pool distribution file")
-    common.add_argument("--attacker", default=None, help="attacker id (default: flagged in file)")
-    common.add_argument("--target", default=None, help="target miner id (default: biggest)")
-    common.add_argument("--confirmations", type=int, default=6)
-    common.add_argument("--premined", type=int, default=1)
-    common.add_argument("--reward", type=float, default=6.25)
-    common.add_argument("--start-state", type=int, default=None)
-    common.add_argument("--strategy", required=True, choices=STRATEGIES + ("all",))
-    common.add_argument("--objective", choices=("ac", "rac"), default=None)
-    common.add_argument("--trials", type=int, default=1_000_000)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", dest="out_path", default=None)
-
     parser = argparse.ArgumentParser(
         prog="briberace",
         description="Fork-race bribery attack analysis and Monte Carlo validation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_analyze = sub.add_parser("analyze", parents=[common],
-                               help="run one strategy and report the outcome")
-    p_analyze.set_defaults(handler=cmd_analyze)
+    commands = {}
+    for name, handler, text in (
+        ("analyze", cmd_analyze, "run one strategy and report the outcome"),
+        ("sweep-start", cmd_sweep_start, "outcomes across starting gap states"),
+        ("sweep-reward", cmd_sweep_reward, "outcomes across block rewards"),
+        ("validate", cmd_validate, "cross-check analytics against simulation"),
+    ):
+        # no abbreviations: sweep-reward would read --reward as --rewards
+        commands[name] = sub.add_parser(name, help=text, allow_abbrev=False)
+        commands[name].set_defaults(handler=handler)
 
-    p_sweep = sub.add_parser("sweep-start", parents=[common],
-                             help="outcomes across starting gap states")
-    p_sweep.add_argument("--states", required=True, help="comma-separated start states")
-    p_sweep.set_defaults(handler=cmd_sweep_start)
+    def option(*flags, only=tuple(commands), **kwargs):
+        """Declare an option once, on the commands that read it."""
+        for name in only:
+            commands[name].add_argument(*flags, **kwargs)
 
-    p_reward = sub.add_parser("sweep-reward", parents=[common],
-                              help="outcomes across block rewards")
-    p_reward.add_argument("--rewards", required=True, help="comma-separated BTC rewards")
-    p_reward.set_defaults(handler=cmd_sweep_reward)
-
-    p_validate = sub.add_parser("validate", parents=[common],
-                                help="cross-check analytics against simulation")
-    p_validate.set_defaults(handler=cmd_validate)
+    option("--pools", required=True, help="pool distribution file")
+    option("--attacker", default=None, help="attacker id (default: flagged in file)")
+    option("--target", default=None, help="target miner id (default: biggest)")
+    option("--confirmations", type=int, default=6)
+    option("--premined", type=int, default=1)
+    option("--reward", type=float, default=6.25, only=("analyze", "sweep-start", "validate"))
+    option("--start-state", type=int, default=None, only=("analyze", "sweep-reward", "validate"))
+    option("--strategy", required=True, choices=STRATEGIES + ("all",))
+    option("--objective", choices=("ac", "rac"), default=None)
+    option("--trials", type=int, default=1_000_000, only=("validate",))
+    option("--seed", type=int, default=0)
+    option("--format", dest="out_format", choices=("csv", "json"), default="csv")
+    option("--out", dest="out_path", default=None)
+    option("--states", required=True, help="comma-separated start states", only=("sweep-start",))
+    option("--rewards", required=True, help="comma-separated BTC rewards", only=("sweep-reward",))
     return parser
 
 
@@ -305,9 +312,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _refuse(args: argparse.Namespace) -> None:
-    """Refuse the combinations of options that argparse lets through."""
-    if args.start_state is not None and args.start_state > args.confirmations:
+    """Refuse, before any work, the values and combinations argparse lets through."""
+    start = getattr(args, "start_state", None)  # sweep-start has --states instead
+    if start is not None and start > args.confirmations:
         raise CliError("start state must not exceed the confirmation depth")
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}")
+    if args.command == "validate" and args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     if args.strategy == "all" and args.command != "sweep-start":
         raise CliError("only sweep-start takes --strategy all")
     if args.strategy == "gvc" and args.objective is None:

@@ -17,9 +17,10 @@ unbribed tail of up to 512 states (``markov.extend_fork_power``). Its wall
 stands in for the open-ended race except near an attacker power of 0.5,
 where it sets the numbers (see ``markov``).
 
-Who mines the fork at each bribed state is held in one ``MembershipMatrix``;
-fork powers and recapture read it. ``evaluate_schedule`` is the one path
-from a matrix to an outcome: it solves the matrix's core with
+Who mines the fork at each bribed state has one form, a ``MembershipMatrix``;
+fork powers and recapture (``recapture_split``) read it, and its
+``memberships`` are an id view for reports. ``evaluate_schedule`` is the one
+path from a matrix to an outcome: it solves the matrix's core with
 ``markov.solve_race``, as do the solves that make no outcome (crb's pricing
 chain, the gvc thresholds).
 
@@ -32,9 +33,8 @@ through the number of miners it recruits there: the fork power
 target added (``_with_miner``) and with its row set. Each is tabulated once
 per (count, state) through those helpers, and a candidate's first-pass,
 perturbed and final cores are gathered from the tables. The target's
-thresholds take the formula ``gvc_member_thresholds`` applies
-(``_commitment_thresholds``, on arrays), feasibility is a test of them
-(``_on_fork``), and the score is ``visits @ bribes`` (ac) or the
+thresholds and membership are ``run_gvc``'s (``_commitment_thresholds``,
+``_on_fork``) on arrays, and the score is ``visits @ bribes`` (ac) or the
 success-conditioned sum (rac) of the final core.
 
 The search's descents are independent, so they run in lockstep. Each is a
@@ -116,10 +116,6 @@ class MembershipMatrix:
         z = z.astype(int)
         z.flags.writeable = False
         object.__setattr__(self, "zeta", z)
-
-    def joined_power(self, powers: np.ndarray) -> np.ndarray:
-        """Recruited power per state (``_joined_power``)."""
-        return _joined_power(self.zeta, powers)
 
     def fork_power(self, powers: np.ndarray, mu: float) -> np.ndarray:
         """Per-state fork power: the attacker plus every recruit, capped."""
@@ -220,7 +216,7 @@ def evaluate_schedule(
         cost_success = None
 
     single_visit = float(np.sum(schedule.per_state_bribe))
-    attacker_rc, target_rc = _recapture(
+    attacker_rc, target_rc = recapture_split(
         schedule.per_state_bribe, mu, scenario.target_id, ms.powers, membership
     )
 
@@ -248,41 +244,23 @@ def recapture_split(
     spend_per_state: Sequence[float],
     mu: float,
     target_id: str,
-    miner_powers: dict[str, float],
-    memberships: Sequence[Sequence[str]],
+    powers: np.ndarray,
+    membership: MembershipMatrix,
 ) -> tuple[float, float]:
     """Split bribe money won back by mining on the fork.
 
     At each state the spend is recaptured proportionally to fork power, the
-    attacker taking mu and each recruited miner its own share; the function
-    returns the attacker's and the target's aggregate shares.
+    attacker taking mu and each miner aboard its own share (``powers`` in
+    the membership's roster order); the function returns the attacker's and
+    the target's aggregate shares.
     """
-    ids = tuple(miner_powers)
-    unknown = {mid for members in memberships for mid in members} - set(ids)
-    if unknown:
-        raise StrategyError(f"no power given for {sorted(unknown)}")
-    zeta = np.array(
-        [[mid in members for members in memberships] for mid in ids], dtype=int
-    ).reshape(len(ids), len(memberships))
-    powers = np.array([miner_powers[mid] for mid in ids], dtype=float)
-    return _recapture(spend_per_state, mu, target_id, powers, MembershipMatrix(ids, zeta))
-
-
-def _recapture(
-    spend_per_state: Sequence[float],
-    mu: float,
-    target_id: str,
-    powers: np.ndarray,
-    membership: MembershipMatrix,
-) -> tuple[float, float]:
-    joined = membership.joined_power(powers).tolist()
-    if target_id in membership.miner_ids:
-        r = membership.miner_ids.index(target_id)
-        p_t, aboard = float(powers[r]), membership.zeta[r].tolist()
-    else:
-        p_t, aboard = 0.0, [0] * len(joined)
+    if target_id not in membership.miner_ids:
+        raise StrategyError(f"target {target_id!r} is not in the membership's roster")
+    r = membership.miner_ids.index(target_id)
+    p_t = float(powers[r])
+    joined = _joined_power(membership.zeta, powers).tolist()
     attacker = target = 0.0
-    for spend, joined_j, on_fork in zip(spend_per_state, joined, aboard):
+    for spend, joined_j, on_fork in zip(spend_per_state, joined, membership.zeta[r].tolist()):
         fork_total = mu + joined_j
         attacker += spend * mu / fork_total
         if on_fork:
@@ -414,7 +392,7 @@ def _commitment_thresholds(
     its win odds aboard (``pert_success``, the chain ``_with_miner``), by
     ``rationality.general_threshold`` on arrays of one shape. Infinite where
     aboard it cannot win; NaN (no threshold) where it is aboard already."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         t = rationality.general_threshold(
             power, fork_power, 1.0 - fork_power, pert_success, 1.0 - base_success, reward)
     t[pert_success <= 0.0] = np.inf
@@ -430,13 +408,14 @@ def _on_fork(entries: np.ndarray, aboard: np.ndarray, thresholds: np.ndarray) ->
 
 def gvc_member_thresholds(
     scenario: Scenario, recruit: MembershipMatrix, miner_id: str
-) -> list[float | None]:
+) -> np.ndarray:
     """Commitment-aware membership thresholds for one miner, per state, under
     the first-pass membership ``recruit`` (``gvc_new_markov``).
 
     Failure odds come from the projected chain without the miner; win odds
     from the same chain with the miner added at every state it has not
-    already joined. None marks states where the miner is already recruited.
+    already joined. NaN marks states where the miner is already recruited
+    (``_commitment_thresholds``).
     """
     ms, mu = scenario.miner_set, scenario.mu
     r = ms.row(miner_id)
@@ -445,26 +424,7 @@ def gvc_member_thresholds(
     core = recruit.fork_power(ms.powers, mu)
     base_bv = markov.solve_race(core, mu, 0).success[: core.size]
     pert_bv = markov.solve_race(_with_miner(core, aboard, p_m), mu, 0).success[: core.size]
-    t = _commitment_thresholds(core, aboard, p_m, base_bv, pert_bv, scenario.reward)
-    return [None if a else x for a, x in zip(aboard.tolist(), t.tolist())]
-
-
-def gvc_zeta(
-    scenario: Scenario, schedule: BribeSchedule, recruit: MembershipMatrix
-) -> MembershipMatrix:
-    """Full miner-by-state membership under a committed schedule: already
-    recruited, or the commitment-aware threshold is met. Every column is then
-    made monotone in power (whoever is persuaded, so is everyone bigger),
-    resolving numerical knife edges upward."""
-    ids = scenario.miner_set.ids
-    zeta = np.zeros((len(ids), schedule.h), dtype=int)
-    for r, mid in enumerate(ids):
-        thresholds = gvc_member_thresholds(scenario, recruit, mid)
-        for j, t in enumerate(thresholds):
-            if t is None or schedule.per_state_bribe[j] >= t:
-                zeta[r, j] = 1
-    zeta = np.maximum.accumulate(zeta[::-1, :], axis=0)[::-1, :]
-    return MembershipMatrix(ids, zeta)
+    return _commitment_thresholds(core, aboard, p_m, base_bv, pert_bv, scenario.reward)
 
 
 def run_gvc(
@@ -475,8 +435,9 @@ def run_gvc(
     """Evaluate a committed per-state bribe vector.
 
     Recruitment is projected for the whole roster, then membership is refined
-    for the target only (the strategy aims at one miner; everyone else is
-    counted exactly where the first pass already recruits them).
+    for the target only, by the search's rule (``_on_fork``): the strategy
+    aims at one miner, and everyone else is counted exactly where the first
+    pass already recruits them.
     """
     if not isinstance(schedule, BribeSchedule):
         schedule = BribeSchedule(tuple(float(b) for b in schedule), True, "GVC_AC")
@@ -485,9 +446,7 @@ def run_gvc(
     thresholds = gvc_member_thresholds(scenario, recruit, scenario.target_id)
     zeta = recruit.zeta.copy()
     r = scenario.miner_set.row(scenario.target_id)
-    for j, t in enumerate(thresholds):
-        if t is not None and schedule.per_state_bribe[j] >= t:
-            zeta[r, j] = 1
+    zeta[r] = _on_fork(np.asarray(schedule.per_state_bribe), zeta[r] == 1, thresholds)
     membership = MembershipMatrix(scenario.miner_set.ids, zeta)
     return evaluate_schedule(scenario, schedule, membership, start)
 

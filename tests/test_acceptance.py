@@ -60,7 +60,8 @@ def test_criterion_3_success_probability_anchor():
 def test_criterion_4_recapture_split():
     total = sum(max(r, 0.0) for r in quotes_basic())
     attacker, target = strategies.recapture_split(
-        [max(r, 0.0) for r in quotes_basic()], 0.2, "m", {"m": 0.1}, [("m",)] * 7
+        [max(r, 0.0) for r in quotes_basic()], 0.2, "m", np.array([0.1]),
+        strategies.MembershipMatrix(("m",), np.ones((1, 7))),
     )
     ok = abs(attacker - 997.1) <= 0.1 and abs(target - 498.5) <= 0.1
     report(4, ok, f"attacker {attacker:.4f} (997.1±0.1), target {target:.4f} (498.5±0.1) of {total:.1f}")

@@ -405,3 +405,42 @@ def test_format_btc_rendering():
     assert format_btc(0.0) == "0.00"
     assert format_btc(1e-8) == "1e-8"
     assert format_btc(105.014) == "105.01"
+
+
+@pytest.mark.parametrize("command, extra, unread", [
+    ("sweep-reward", ["--reward", "-1", "--rewards", "6.25"], "--reward -1"),
+    ("sweep-reward", ["--rewards", "6.25", "--trials", "0"], "--trials 0"),
+    ("sweep-start", ["--states", "0", "--start-state", "9"], "--start-state 9"),
+    ("sweep-start", ["--states", "0", "--trials", "0"], "--trials 0"),
+    ("analyze", ["--trials", "0"], "--trials 0"),
+])
+def test_commands_refuse_options_they_do_not_read(command, extra, unread, capsys):
+    # each command declares only the options it reads, and takes no
+    # abbreviation (--reward is not read as --rewards)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--pools", TABLE2, "--strategy", "bs", *extra])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["analyze", "--strategy", "gvc", "--objective", "ac", "--seed", "-1"],
+     "--seed must be nonnegative, got -1"),
+    (["validate", "--strategy", "bs", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["validate", "--strategy", "gvc", "--objective", "ac", "--trials", "0"],
+     "--trials must be at least 1, got 0"),
+    (["sweep-start", "--strategy", "bs", "--states", "a,1"],
+     "--states takes comma-separated ints, got 'a,1'"),
+    (["sweep-reward", "--strategy", "bs", "--rewards", "x"],
+     "--rewards takes comma-separated floats, got 'x'"),
+    (["sweep-reward", "--strategy", "bs", "--rewards", "6.25,inf"],
+     "--rewards must be positive and finite, got '6.25,inf'"),
+])
+def test_refusals_name_the_option_before_any_work(args, message, capsys, monkeypatch):
+    def load(*_):
+        raise AssertionError("the command loaded its scenario before refusing")
+
+    monkeypatch.setattr(cli, "_load_scenario", load)
+    code, out, err = run_cli([*args[:1], "--pools", TABLE2, *args[1:]], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": "CliError", "message": message}}

@@ -22,7 +22,6 @@ from briberace.strategies import (
     evaluate_schedule,
     gvc_member_thresholds,
     gvc_new_markov,
-    gvc_zeta,
     optimize_gvc,
     recapture_split,
     run_bff,
@@ -246,34 +245,28 @@ def test_gvc_saturation_capped(table2_scenario):
     assert np.all(fork >= 1.0 - 1e-12 - 1e-15)
 
 
-def test_gvc_zeta_first_disjunct_and_monotonicity(table2_scenario):
-    sched = BribeSchedule(PUBLISHED_GVC, True, "GVC_AC")
-    recruit = gvc_new_markov(table2_scenario, sched)
-    zeta = gvc_zeta(table2_scenario, sched, recruit)
-    ids = list(zeta.miner_ids)
-    # recruited in the first pass -> membership regardless of the entry
-    for j in range(7):
-        for mid in recruit.memberships[j]:
-            assert zeta.zeta[ids.index(mid), j] == 1
-    # columns are monotone in power by construction
-    assert np.all(np.diff(zeta.zeta, axis=0) <= 0)
+def test_run_gvc_keeps_first_pass_recruits_aboard(table2_scenario):
+    for entries in (PUBLISHED_GVC, (DUST,) * 7):
+        sched = BribeSchedule(entries, True, "GVC_AC")
+        recruit = gvc_new_markov(table2_scenario, sched)
+        zeta = run_gvc(table2_scenario, sched, 4).membership.zeta
+        # recruited in the first pass -> membership regardless of the entry
+        assert np.all(zeta >= recruit.zeta)
+        # only the target's row is refined
+        others = np.arange(14) != table2_scenario.miner_set.row("P2")
+        assert np.array_equal(zeta[others], recruit.zeta[others])
 
 
-def test_gvc_zeta_far_behind_unbribed_is_empty(table2_scenario):
-    sched = BribeSchedule((DUST,) * 7, True, "GVC_AC")
-    recruit = gvc_new_markov(table2_scenario, sched)
-    zeta = gvc_zeta(table2_scenario, sched, recruit)
-    assert zeta.zeta[:, 6].sum() == 0
+def test_run_gvc_far_behind_unbribed_is_empty(table2_scenario):
+    # far behind and unbribed, nobody mines the fork
+    zeta = run_gvc(table2_scenario, (DUST,) * 7, 4).membership.zeta
+    assert zeta[:, 6].sum() == 0
 
 
-def test_gvc_zeta_raising_entry_never_drops_members(table2_scenario):
-    base = BribeSchedule(PUBLISHED_GVC, True, "GVC_AC")
-    z0 = gvc_zeta(table2_scenario, base, gvc_new_markov(table2_scenario, base)).zeta
-    bumped_entries = tuple(
-        b + (5.0 if j == 3 else 0.0) for j, b in enumerate(PUBLISHED_GVC)
-    )
-    bumped = BribeSchedule(bumped_entries, True, "GVC_AC")
-    z1 = gvc_zeta(table2_scenario, bumped, gvc_new_markov(table2_scenario, bumped)).zeta
+def test_run_gvc_raising_entry_never_drops_members(table2_scenario):
+    z0 = run_gvc(table2_scenario, PUBLISHED_GVC, 4).membership.zeta
+    bumped = tuple(b + (5.0 if j == 3 else 0.0) for j, b in enumerate(PUBLISHED_GVC))
+    z1 = run_gvc(table2_scenario, bumped, 4).membership.zeta
     assert np.all(z1 >= z0)
 
 
@@ -282,12 +275,11 @@ def test_gvc_target_thresholds_match_choice_rule(table2_scenario):
     recruit = gvc_new_markov(table2_scenario, sched)
     thresholds = gvc_member_thresholds(table2_scenario, recruit, "P2")
     out = run_gvc(table2_scenario, sched, 4)
+    first_pass = recruit.zeta[table2_scenario.miner_set.row("P2")] == 1
+    assert np.array_equal(np.isnan(thresholds), first_pass)
     for j in range(7):
         joined = "P2" in out.memberships[j]
-        if thresholds[j] is None:
-            assert joined
-        else:
-            assert joined == (sched.per_state_bribe[j] >= thresholds[j])
+        assert joined == (first_pass[j] or sched.per_state_bribe[j] >= thresholds[j])
 
 
 def test_gvc_final_markov_from_zeta(table2_scenario):
@@ -440,9 +432,9 @@ def test_costs_match_visit_weighted_sums(table2_scenario):
 
 
 def test_recapture_conservation_per_state():
-    powers = {"a": 0.3, "b": 0.1}
+    powers = np.array([0.3, 0.1])
     spends = [10.0, 4.0]
-    members = [("a", "b"), ("b",)]
+    members = MembershipMatrix(("a", "b"), np.array([[1, 0], [1, 1]]))
     attacker, target = recapture_split(spends, 0.2, "b", powers, members)
     # state shares: attacker + a + b = spend, so explicit bookkeeping:
     s0_att = 10.0 * 0.2 / 0.6
@@ -457,9 +449,16 @@ def test_recapture_conservation_per_state():
 
 
 def test_recapture_equal_powers_split_evenly():
-    attacker, target = recapture_split([8.0], 0.1, "m", {"m": 0.1}, [("m",)])
+    members = MembershipMatrix(("m",), np.ones((1, 1)))
+    attacker, target = recapture_split([8.0], 0.1, "m", np.array([0.1]), members)
     assert attacker == pytest.approx(4.0)
     assert target == pytest.approx(4.0)
+
+
+def test_recapture_refuses_a_target_outside_the_roster():
+    members = MembershipMatrix(("a", "b"), np.ones((2, 2)))
+    with pytest.raises(StrategyError, match="'c' is not in"):
+        recapture_split([1.0, 1.0], 0.2, "c", np.array([0.3, 0.1]), members)
 
 
 # ---------------------------------------------------------------------------
