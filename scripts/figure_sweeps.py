@@ -17,13 +17,18 @@ REWARDS = [50.0, 25.0, 12.5, 6.25, 3.125, 1.5625]
 SEED = 0
 
 
-def outcomes_for(sc, start):
-    yield "BS", br.run_bs(sc, start)
-    yield "BFF", br.run_bff(sc, start)
-    yield "CRB1", br.run_crb(sc, "crb1", start)
-    yield "CRB2", br.run_crb(sc, "crb2", start)
-    _, gvc = br.optimize_gvc(sc, "ac", start, restarts=8, seed=SEED)
-    yield "GVC_AC", gvc
+def outcomes_by_start(sc):
+    """Each strategy's outcomes at every start of STARTS: one sweep for bs,
+    bff and crb, one search per start for gvc."""
+    starts = list(STARTS)
+    return {
+        "BS": br.sweep_bs(sc, starts),
+        "BFF": br.sweep_bff(sc, starts),
+        "CRB1": br.sweep_crb(sc, "crb1", starts),
+        "CRB2": br.sweep_crb(sc, "crb2", starts),
+        "GVC_AC": [br.optimize_gvc(sc, "ac", start, restarts=8, seed=SEED)[1]
+                   for start in starts],
+    }
 
 
 def write_csv(path, header, rows):
@@ -40,8 +45,10 @@ def main():
     sc = br.make_scenario(ms, "P2", 6, 1, 6.25)
 
     success_rows, bribe_rows = [], []
-    for start in STARTS:
-        for tag, out in outcomes_for(sc, start):
+    by_start = outcomes_by_start(sc)
+    for k, start in enumerate(STARTS):
+        for tag, outcomes in by_start.items():
+            out = outcomes[k]
             success_rows.append(
                 [tag, start, f"{out.success_prob:.6f}",
                  f"{out.cost_unconditional:.2f}",
@@ -56,10 +63,11 @@ def main():
               ["strategy", "start_state", "state", "bribe_btc"], bribe_rows)
 
     halving_rows = []
-    for reward in sorted(REWARDS):
-        sc_r = br.make_scenario(ms, "P2", 6, 1, reward)
-        for tag, runner in (("BS", br.run_bs), ("BFF", br.run_bff)):
-            out = runner(sc_r, 4)
+    rewards = sorted(REWARDS)
+    by_reward = {"BS": br.sweep_bs(sc, [4], rewards), "BFF": br.sweep_bff(sc, [4], rewards)}
+    for k, reward in enumerate(rewards):
+        for tag, outcomes in by_reward.items():
+            out = outcomes[k]
             halving_rows.append(
                 [tag, f"{reward:g}", f"{out.cost_unconditional:.2f}",
                  f"{out.single_visit_cost:.2f}"]

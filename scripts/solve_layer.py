@@ -25,8 +25,8 @@ host, run after run.
 The counts are deterministic: the script prints them and exits 1 unless
 the search's rounds, its solves by kind, its passes, candidates scored and
 target-level probes equal ROUNDS, SEARCH_SOLVES and PASSES, and the
-winner's evaluation by ``run_gvc`` makes WINNER_SOLVES calls of
-``solve_race``.
+winner's evaluation by ``run_gvc`` makes WINNER_SOLVES solves, through
+``solve_race`` (its thresholds) and ``solve_starts`` (its outcome).
 """
 import argparse
 import sys
@@ -52,12 +52,13 @@ def table2():
 
 def record_search():
     """The search's rounds, each as its cores by kind, its pass counts, the
-    attacker power, the start state and the winner's ``solve_race`` calls."""
+    attacker power, the start state and the cores of the winner's solves."""
     sc = table2()
     rounds: list[dict[str, list[tuple[float, ...]]]] = []
     passes = {"passes": 0, "scored": 0, "probes": 0}
     winner = []
-    batch, solve_race, run_gvc = markov._solve_cores, markov.solve_race, strategies.run_gvc
+    batch, run_gvc = markov._solve_cores, strategies.run_gvc
+    solve_race, solve_starts = markov.solve_race, markov.solve_starts
     answer = strategies._Search.answer
 
     def record_round(cores, mu, start, full):
@@ -73,12 +74,15 @@ def record_search():
             passes["scored" if j is None else "probes"] += len(entries)
         return answers
 
-    def record_winner(core, mu, start):
-        winner.append(core)
-        return solve_race(core, mu, start)
+    def record_winner(solve):
+        def record(core, mu, start):
+            winner.append(core)
+            return solve(core, mu, start)
+        return record
 
     def evaluate_winner(*args):
-        markov.solve_race = record_winner
+        markov.solve_race = record_winner(solve_race)
+        markov.solve_starts = record_winner(solve_starts)
         return run_gvc(*args)
 
     markov._solve_cores = record_round
@@ -87,7 +91,8 @@ def record_search():
     try:
         br.optimize_gvc(sc, "ac", 4)
     finally:
-        markov._solve_cores, markov.solve_race, strategies.run_gvc = batch, solve_race, run_gvc
+        markov._solve_cores, strategies.run_gvc = batch, run_gvc
+        markov.solve_race, markov.solve_starts = solve_race, solve_starts
         strategies._Search.answer = answer
     return rounds, passes, sc.mu, 4, winner
 
@@ -161,7 +166,7 @@ def main() -> int:
         distinct = len({core for r in rounds for core in r[kind]})
         print(f"{kind:<10}{count:>8}{distinct:>10}{times[kind, 'batched']:>12.2f}"
               f"{times[kind, 'solve_race']:>15.2f}")
-    print(f"winner: {len(winner)} solve_race calls")
+    print(f"winner: {len(winner)} solves")
     if (len(rounds) != ROUNDS or counts != SEARCH_SOLVES or passes != PASSES
             or len(winner) != WINNER_SOLVES):
         print(f"rounds {len(rounds)}, search solves {counts}, passes {passes} and winner "

@@ -29,6 +29,7 @@ from .markov import (
     extend_fork_power,
     fundamental_matrix,
     solve_race,
+    solve_starts,
 )
 from .rationality import (
     BribeQuote,
@@ -56,6 +57,9 @@ from .strategies import (
     run_bs,
     run_crb,
     run_gvc,
+    sweep_bff,
+    sweep_bs,
+    sweep_crb,
 )
 from .simulate import (
     ComparisonReport,

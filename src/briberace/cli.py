@@ -2,7 +2,11 @@
 
 ``build_parser`` declares each option once, on the commands that read it;
 the commands read the parsed namespace, after ``_refuse`` has made, before
-any work, the refusals that argparse cannot state.
+any work, the refusals that argparse cannot state (a start state outside
+[0, C] among them). Every command gets its outcomes from ``_outcomes``:
+sweep-start and sweep-reward run one strategy sweep (``strategies.sweep_*``)
+over all their points, which solves each chain once, and analyze and
+validate a sweep of one point; gvc runs one search per point.
 Reports are deterministic for fixed inputs and seed: CSV with a header row,
 LF line endings and 2-decimal BTC amounts, or JSON carrying a schema-version
 field. Dust-level bribe entries are rendered as ``1e-8``, never as zero.
@@ -56,18 +60,20 @@ def _load_scenario(args: argparse.Namespace, reward: float) -> model.Scenario:
     )
 
 
-def _run_strategy(args: argparse.Namespace, scenario: model.Scenario, strategy: str,
-                  start: int | None):
+def _outcomes(args: argparse.Namespace, scenario: model.Scenario, strategy: str,
+              starts: list[int | None], rewards: list[float] | None = None) -> list:
+    """The strategy's outcomes at every reward (``scenario``'s own without
+    ``rewards``) and, within a reward, at every start: one sweep for bs, bff
+    and crb, one gvc search per outcome."""
     if strategy == "bs":
-        return strategies.run_bs(scenario, start)
+        return strategies.sweep_bs(scenario, starts, rewards)
     if strategy == "bff":
-        return strategies.run_bff(scenario, start)
-    if strategy == "gvc":
-        _, outcome = strategies.optimize_gvc(
-            scenario, args.objective or "ac", start, seed=args.seed
-        )
-        return outcome
-    return strategies.run_crb(scenario, strategy, start)  # crb1 or crb2
+        return strategies.sweep_bff(scenario, starts, rewards)
+    if strategy != "gvc":
+        return strategies.sweep_crb(scenario, strategy, starts, rewards)  # crb1 or crb2
+    scenarios = [scenario] if rewards is None else [scenario.at_reward(r) for r in rewards]
+    return [strategies.optimize_gvc(sc, args.objective or "ac", start, seed=args.seed)[1]
+            for sc in scenarios for start in starts]
 
 
 def _outcome_record(outcome) -> dict:
@@ -155,7 +161,7 @@ def _values(text: str, kind: type, option: str) -> list:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args, args.reward)
-    outcome = _run_strategy(args, scenario, args.strategy, args.start_state)
+    [outcome] = _outcomes(args, scenario, args.strategy, [args.start_state])
     # without --out, the JSON record takes the summary's place on stdout, and
     # the summary stands for the CSV report
     if args.out_path is not None or args.out_format != "json":
@@ -177,16 +183,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_start(args: argparse.Namespace) -> int:
-    states = _values(args.states, int, "--states")
     scenario = _load_scenario(args, args.reward)
     rows = []
     for strategy in STRATEGIES if args.strategy == "all" else [args.strategy]:
-        for s in sorted(states):
-            outcome = _run_strategy(args, scenario, strategy, s)
+        for outcome in _outcomes(args, scenario, strategy, sorted(args.states)):
             rows.append(
                 {
                     "strategy": outcome.strategy_tag,
-                    "start_state": s,
+                    "start_state": outcome.start_state,
                     "success_prob": format_prob(outcome.success_prob),
                     "cost_unconditional": f"{outcome.cost_unconditional:.2f}",
                     "cost_on_success": (
@@ -201,33 +205,27 @@ def cmd_sweep_start(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_reward(args: argparse.Namespace) -> int:
-    rewards = sorted(_values(args.rewards, float, "--rewards"))
-    if not all(0 < r < float("inf") for r in rewards):
-        raise CliError(f"--rewards must be positive and finite, got {args.rewards!r}")
-    base = _load_scenario(args, rewards[0])
-    rows = []
-    for r in rewards:
-        scenario = model.make_scenario(
-            base.miner_set, base.target_id, base.confirmations, base.premined, r
-        )
-        outcome = _run_strategy(args, scenario, args.strategy, args.start_state)
-        rows.append(
-            {
-                "strategy": outcome.strategy_tag,
-                "reward_btc": f"{r:.6g}",
-                "start_state": outcome.start_state,
-                "success_prob": format_prob(outcome.success_prob),
-                "cost_unconditional": f"{outcome.cost_unconditional:.2f}",
-                "single_visit_cost": f"{outcome.single_visit_cost:.2f}",
-            }
-        )
+    rewards = sorted(args.rewards)
+    scenario = _load_scenario(args, rewards[0])
+    outcomes = _outcomes(args, scenario, args.strategy, [args.start_state], rewards)
+    rows = [
+        {
+            "strategy": outcome.strategy_tag,
+            "reward_btc": f"{r:.6g}",
+            "start_state": outcome.start_state,
+            "success_prob": format_prob(outcome.success_prob),
+            "cost_unconditional": f"{outcome.cost_unconditional:.2f}",
+            "single_visit_cost": f"{outcome.single_visit_cost:.2f}",
+        }
+        for r, outcome in zip(rewards, outcomes)
+    ]
     _emit(args, rows, report="sweep-reward", rows=rows)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args, args.reward)
-    outcome = _run_strategy(args, scenario, args.strategy, args.start_state)
+    [outcome] = _outcomes(args, scenario, args.strategy, [args.start_state])
     policy = simulate.RacePolicy.from_outcome(outcome)
     report = simulate.simulate_race(
         policy, simulate.SimConfig(trials=args.trials, seed=args.seed)
@@ -312,7 +310,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _refuse(args: argparse.Namespace) -> None:
-    """Refuse, before any work, the values and combinations argparse lets through."""
+    """Refuse, before any work, the values and combinations argparse lets
+    through, and parse the comma-separated lists."""
     start = getattr(args, "start_state", None)  # sweep-start has --states instead
     if start is not None and start > args.confirmations:
         raise CliError("start state must not exceed the confirmation depth")
@@ -327,6 +326,16 @@ def _refuse(args: argparse.Namespace) -> None:
     # with all, the objective applies to the gvc rows (ac when not given)
     if args.strategy not in ("gvc", "all") and args.objective is not None:
         raise CliError("--objective only applies to gvc and all")
+    if args.command == "sweep-start":
+        args.states = _values(args.states, int, "--states")
+        for state in args.states:
+            if not 0 <= state <= args.confirmations:
+                raise CliError(f"--states must lie in [0, {args.confirmations}] "
+                               f"(--confirmations), got {state}")
+    if args.command == "sweep-reward":
+        text, args.rewards = args.rewards, _values(args.rewards, float, "--rewards")
+        if not all(0 < r < float("inf") for r in args.rewards):
+            raise CliError(f"--rewards must be positive and finite, got {text!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

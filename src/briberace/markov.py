@@ -27,36 +27,41 @@ of N and the expected step count from the start (Kemeny & Snell, *Finite
 Markov Chains*, for the identities). Both apply the same residual and
 row-sum tolerances; the tests pin the second to the first.
 
-One elimination (``_eliminate``, then ``_visit_row`` for the start row of
-N) serves one core and many. Its per-state values are Python floats for one
-core (``solve_race``: at the core lengths used here a Python loop beats
-numpy's per-call overhead) or numpy columns, an element per core, for a
-batch (the private ``_solve_cores``, which the gvc search calls once per
-round with hundreds of cores). Every step is the same IEEE operation
-either way, so a core gets the same bits in a batch as alone. Each core
-takes the same checks either way: its input, both residuals of B, its
-run's scaled residuals, its row sums and, where its visit row is solved,
-that row's residual. A batch solves the visit row only of the cores it is
-asked to solve in full; the others get the success column alone, and so
-are refused only where that column is: below the top of a valley the walk
-almost never leaves (N ~ 1e10), the success column checks out to about
-1e-16 while the start row's residual trips.
+One elimination (``_eliminate``, checked by ``_columns``) serves one core
+and many, and one start or many: each start then costs one ``_visit_row``,
+its row of N, from the same pivots. Its per-state values are Python floats
+for one core (``solve_starts``, whose one-start case is ``solve_race``: at
+the core lengths used here a Python loop beats numpy's per-call overhead)
+or numpy columns, an element per core, for a batch (the private
+``_solve_cores``, which the gvc search calls once per round with hundreds
+of cores). A start sweep or a reward sweep of bs, bff or crb1 solves its
+one core once: every start of it shares the elimination. Every step is the
+same IEEE operation either way, so a core gets the same bits in a batch as
+alone. Each core takes the same checks either way: its input, both
+residuals of B, its run's scaled residuals, its row sums and, where its
+visit row is solved, that row's residual. A batch solves the visit row only
+of the cores it is asked to solve in full; the others get the success
+column alone, and so are refused only where that column is: below the top
+of a valley the walk almost never leaves (N ~ 1e10), the success column
+checks out to about 1e-16 while the start row's residual trips.
 
-The body sweeps state by state only up to the start state and the
-chain's last change of fork power. The trailing run of equal powers above
-both (the attacker alone: 22 of the 29 states of a table2 chain, 512 of
-about 515 on a deep roster) is solved on its own and kept in a small
-bounded cache (RUN_CACHE_SIZE entries) keyed by the run's exact power and
-length. An entry holds the chance g that a walk entering the run at its
-bottom comes back down, the run's visit profile and step count from its
-bottom, its exit-down (success) profile, and the largest residuals of its
-three solves and of its row sums. The core's last row absorbs the run
-(diagonal 1 - q g, failure right-hand side q (1 - g)), and the run's part
-of each result is a boundary value of the core times a cached profile. The
-checks still cover every state: the core's residuals are taken against
-the run's first values, and at each run state the full chain's residuals
-are the run's own scaled by those boundary values, so the cached maxima,
-scaled, bound them; the run's row sums are bounded the same way.
+The body sweeps state by state only up to the start state and the chain's
+last change of fork power, the start's trim point; starts with one trim
+point share their elimination, so their rows are the bits each would get
+alone. The trailing run of equal powers above both (the attacker alone: 22
+of the 29 states of a table2 chain, 512 of about 515 on a deep roster) is
+solved on its own and kept in a small bounded cache (RUN_CACHE_SIZE
+entries) keyed by the run's exact power and length. An entry holds the
+chance g that a walk entering the run at its bottom comes back down, the
+run's visit profile and step count from its bottom, its exit-down (success)
+profile, and the largest residuals of its three solves and of its row sums.
+The core's last row absorbs the run (diagonal 1 - q g, failure right-hand
+side q (1 - g)), and the run's part of each result is a boundary value of
+the core times a cached profile. The checks still cover every state: the
+core's residuals are taken against the run's first values, and at each run
+state the full chain's residuals are the run's own scaled by those boundary
+values, so the cached maxima, scaled, bound them; the run's row sums are
+bounded the same way.
 """
 from __future__ import annotations
 
@@ -64,6 +69,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -403,40 +409,62 @@ def solve_race(core: np.ndarray, mu: float, start: int) -> RaceSolution:
     The trailing run of equal fork powers above ``start`` is not swept state
     by state: its profile (``_run``) is folded into the last row of the core
     below it, and the run's part of each result is a boundary value times
-    that profile."""
+    that profile. This is ``solve_starts`` from one start."""
     head = _head(core, mu)
-    return _solve(head, mu, len(head) + tail_depth(mu), start)
+    return _solve(head, mu, len(head) + tail_depth(mu), (start,))[0]
 
 
-def _solve(head: list[float], power: float, h: int, start: int) -> RaceSolution:
-    """The body of ``solve_race``, over Python floats, for a chain of h
-    states whose first len(head) fork powers are ``head`` and whose others
-    are ``power``: the checked columns, then the start row of N, its
-    residuals (the run's scaled) and the full-length arrays."""
-    _check_start(start, h)
-    # sweep up to the start state and the core's last change of power
+def solve_starts(core: np.ndarray, mu: float, starts) -> list[RaceSolution]:
+    """``solve_race(core, mu, start)`` for each of ``starts``, in order and
+    bit for bit, from one elimination per trim point: starts that share it
+    share the success column and the pivots, and each distinct start adds
+    one visit row. Every start is checked before any work."""
+    head = _head(core, mu)
+    return _solve(head, mu, len(head) + tail_depth(mu), starts)
+
+
+def _solve(head: list[float], power: float, h: int, starts) -> list[RaceSolution]:
+    """The body of ``solve_race`` and ``solve_starts``, over Python floats,
+    for a chain of h states whose first len(head) fork powers are ``head``
+    and whose others are ``power``.
+
+    A start's sweep runs up to its trim point: the start state or the
+    core's last change of power, whichever is higher. The distinct starts
+    are taken in ascending order, so the starts of one trim point come
+    together; each trim point gets its checked columns (``_columns``) once,
+    and each start its row of N, that row's residuals (the run's scaled)
+    and the full-length arrays."""
+    for start in starts:
+        _check_start(start, h)
     last = len(head)
     while last and head[last - 1] == power:
         last -= 1
-    n = max(start + 1, last)
-    p = head[:n]
-    p += [power] * (n - len(p))
-    run = None if n == h else _run(power, h - n)
-    q, piv, win, lose = _columns(p, run)
-    row, residuals = _visit_row(p, q, piv, start, run)
-    success, visits = np.empty(h), np.empty(h)
-    run_steps = 0.0
-    if run is not None:
-        # at run state j the full chain's visit residual is c r^v_j
-        c = q[-1] * row[-1]
-        residuals.append(abs(c) * run.residuals[2])
-        np.multiply(run.success, win[-1], out=success[n:])
-        np.multiply(run.visits, c, out=visits[n:])
-        run_steps = c * run.steps
-    _check_residuals(residuals, "the start row of N")
-    success[:n], visits[:n] = win, row
-    success.flags.writeable = visits.flags.writeable = False
-    return RaceSolution(success, visits, math.fsum(row + [run_steps]))
+    solved = {}
+    for n, group in groupby(sorted(set(starts)), key=lambda start: max(start + 1, last)):
+        p = head[:n]
+        p += [power] * (n - len(p))
+        run = None if n == h else _run(power, h - n)
+        q, piv, win, lose = _columns(p, run)
+        success = np.empty(h)
+        success[:n] = win
+        if run is not None:
+            np.multiply(run.success, win[-1], out=success[n:])
+        success.flags.writeable = False
+        for start in group:
+            row, residuals = _visit_row(p, q, piv, start, run)
+            visits = np.empty(h)
+            run_steps = 0.0
+            if run is not None:
+                # at run state j the full chain's visit residual is c r^v_j
+                c = q[-1] * row[-1]
+                residuals.append(abs(c) * run.residuals[2])
+                np.multiply(run.visits, c, out=visits[n:])
+                run_steps = c * run.steps
+            _check_residuals(residuals, "the start row of N")
+            visits[:n] = row
+            visits.flags.writeable = False
+            solved[start] = RaceSolution(success, visits, math.fsum(row + [run_steps]))
+    return [solved[start] for start in starts]
 
 
 def _solve_cores(cores, mu: float, start: int, full) -> tuple[np.ndarray, np.ndarray]:

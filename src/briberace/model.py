@@ -110,6 +110,13 @@ class Scenario:
     def target(self) -> Miner:
         return self.miner_set.miner(self.target_id)
 
+    def at_reward(self, reward: float) -> Scenario:
+        """This scenario at another block reward, checked as ``make_scenario``
+        checks it."""
+        return make_scenario(
+            self.miner_set, self.target_id, self.confirmations, self.premined, reward
+        )
+
     @cached_property
     def thresholds(self) -> np.ndarray:
         """Basic-formula threshold T[miner, state] of every roster miner at

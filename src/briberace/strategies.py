@@ -19,10 +19,16 @@ where it sets the numbers (see ``markov``).
 
 Who mines the fork at each bribed state has one form, a ``MembershipMatrix``;
 fork powers and recapture (``recapture_split``) read it, and its
-``memberships`` are an id view for reports. ``evaluate_schedule`` is the one
-path from a matrix to an outcome: it solves the matrix's core with
-``markov.solve_race``, as do the solves that make no outcome (crb's pricing
-chain, the gvc thresholds).
+``memberships`` are an id view for reports. ``evaluate_schedule`` takes a
+matrix and several (schedule, start) pairs, solves the matrix's core once
+for every start (``markov.solve_starts``) and builds the outcomes
+(``_outcomes``). bs, bff and crb run as sweeps over start states and block
+rewards (``sweep_bs``, ``sweep_bff``, ``sweep_crb``), whose cores depend on
+neither; ``run_bs``, ``run_bff`` and ``run_crb`` are sweeps of one start.
+crb prices its constant on the chain its outcomes run on, so ``sweep_crb``
+makes that one solve itself, from the pricing state and the starts it
+prices, and builds its outcomes through ``_outcomes`` too. The gvc
+thresholds, which make no outcome, solve with ``markov.solve_race``.
 
 ``optimize_gvc`` scores thousands of candidate schedules and keeps one float
 per candidate, so it scores them from tables, not outcomes (``_Search``).
@@ -56,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -188,56 +194,73 @@ def _target_only(scenario: Scenario, states: Sequence[int]) -> MembershipMatrix:
 
 def evaluate_schedule(
     scenario: Scenario,
-    schedule: BribeSchedule,
     membership: MembershipMatrix,
-    start_state: int | None = None,
-) -> StrategyOutcome:
-    """Expected costs, success probability and recapture for a schedule run
-    with the given fork membership: one row per roster miner, one column per
-    scheduled state. The chain is the membership's fork powers followed by
-    the unbribed tail."""
-    start = _resolve_start(scenario, start_state)
+    runs: Sequence[tuple[BribeSchedule, int | None]],
+) -> list[StrategyOutcome]:
+    """Expected costs, success probability and recapture of each (schedule,
+    start) of ``runs``, run with the given fork membership: one row per
+    roster miner, one column per scheduled state. The chain is the
+    membership's fork powers followed by the unbribed tail, solved once for
+    every start (``markov.solve_starts``)."""
+    starts = [_resolve_start(scenario, start) for _, start in runs]
     ms, mu = scenario.miner_set, scenario.mu
-    if membership.miner_ids != ms.ids or membership.zeta.shape[1] != schedule.h:
+    if membership.miner_ids != ms.ids or any(
+            schedule.h != membership.zeta.shape[1] for schedule, _ in runs):
         raise StrategyError("membership needs one row per roster miner, one column per state")
     core = membership.fork_power(ms.powers, mu)
+    solutions = markov.solve_starts(core, mu, starts)
+    return _outcomes(scenario, membership, core, [
+        (schedule, start, solution)
+        for (schedule, _), start, solution in zip(runs, starts, solutions)])
+
+
+def _outcomes(
+    scenario: Scenario,
+    membership: MembershipMatrix,
+    core: np.ndarray,
+    runs: Sequence[tuple[BribeSchedule, int, markov.RaceSolution]],
+) -> list[StrategyOutcome]:
+    """The outcome of each (schedule, start, solution) of ``runs``, where the
+    solution solves the core of ``membership`` from the start: cost and
+    success from the solution, recapture from the membership. The outcomes
+    share one chain."""
+    ms, mu = scenario.miner_set, scenario.mu
     chain = markov.AbsorbingChain(markov.extend_fork_power(core, mu))
-    solution = markov.solve_race(core, mu, start)
-    visits = solution.visits
-    bribes = np.zeros(chain.h)
-    bribes[: schedule.h] = schedule.per_state_bribe
+    outcomes = []
+    for schedule, start, solution in runs:
+        visits = solution.visits
+        bribes = np.zeros(chain.h)
+        bribes[: schedule.h] = schedule.per_state_bribe
 
-    cost = float(visits @ bribes)
-    b_v = solution.success
-    success = float(b_v[start])
-    if success > 0.0:
-        cost_success = float(np.sum(b_v / success * visits * bribes))
-    else:
-        cost_success = None
+        cost = float(visits @ bribes)
+        b_v = solution.success
+        success = float(b_v[start])
+        if success > 0.0:
+            cost_success = float(np.sum(b_v / success * visits * bribes))
+        else:
+            cost_success = None
 
-    single_visit = float(np.sum(schedule.per_state_bribe))
-    attacker_rc, target_rc = recapture_split(
-        schedule.per_state_bribe, mu, scenario.target_id, ms.powers, membership
-    )
-
-    mu_eff = float(chain.fork_power[start])
-    basic = markov.catchup_prob(mu_eff, 1.0 - mu_eff, start)
-    return StrategyOutcome(
-        strategy_tag=schedule.strategy_tag,
-        start_state=start,
-        success_prob=success,
-        success_prob_basic=basic,
-        expected_steps=solution.steps,
-        visits=visits,
-        cost_unconditional=cost,
-        cost_on_success=cost_success,
-        single_visit_cost=single_visit,
-        attacker_recapture=attacker_rc,
-        target_recapture=target_rc,
-        schedule=schedule,
-        final_chain=chain,
-        membership=membership,
-    )
+        attacker_rc, target_rc = recapture_split(
+            schedule.per_state_bribe, mu, scenario.target_id, ms.powers, membership
+        )
+        mu_eff = float(chain.fork_power[start])
+        outcomes.append(StrategyOutcome(
+            strategy_tag=schedule.strategy_tag,
+            start_state=start,
+            success_prob=success,
+            success_prob_basic=markov.catchup_prob(mu_eff, 1.0 - mu_eff, start),
+            expected_steps=solution.steps,
+            visits=visits,
+            cost_unconditional=cost,
+            cost_on_success=cost_success,
+            single_visit_cost=float(np.sum(schedule.per_state_bribe)),
+            attacker_recapture=attacker_rc,
+            target_recapture=target_rc,
+            schedule=schedule,
+            final_chain=chain,
+            membership=membership,
+        ))
+    return outcomes
 
 
 def recapture_split(
@@ -269,21 +292,57 @@ def recapture_split(
 
 
 # ---------------------------------------------------------------------------
+# sweeps
+#
+# bs, bff and crb run as sweeps over start states and block rewards, the
+# axes of the paper's figures. A sweep returns its outcomes reward by reward
+# (the scenario's own reward alone without ``rewards``) and, within a
+# reward, start by start in the order given, duplicates included. Neither
+# membership nor fork powers depend on the start or the reward, so one solve
+# of a core serves every start and reward that shares it (one per sweep for
+# bs, bff and crb1, one per start for crb2). ``run_bs``, ``run_bff`` and
+# ``run_crb`` are sweeps of one start.
+
+def _sweep_scenarios(scenario: Scenario, rewards: Sequence[float] | None) -> list[Scenario]:
+    return [scenario] if rewards is None else [scenario.at_reward(r) for r in rewards]
+
+
+def _sweep(
+    scenario: Scenario,
+    membership: MembershipMatrix,
+    schedule_at: Callable[[Scenario], BribeSchedule],
+    starts: Sequence[int | None],
+    rewards: Sequence[float] | None,
+) -> list[StrategyOutcome]:
+    """The sweep of a strategy whose membership is fixed and whose schedule
+    depends on the reward alone (``schedule_at``)."""
+    starts = [_resolve_start(scenario, start) for start in starts]
+    schedules = [schedule_at(sc) for sc in _sweep_scenarios(scenario, rewards)]
+    return evaluate_schedule(
+        scenario, membership, [(schedule, start) for schedule in schedules for start in starts])
+
+
+# ---------------------------------------------------------------------------
 # single-target and biggest-first strategies
 
 def run_bs(scenario: Scenario, start_state: int | None = None) -> StrategyOutcome:
     """Bribe only the target, state by state, at its basic minimum."""
-    start = _resolve_start(scenario, start_state)
-    p_m = scenario.target.power
-    quotes = [
-        rationality.min_bribe_basic(
-            i, p_m, scenario.mu, scenario.lam, scenario.reward, scenario.target_id
-        )
-        for i in range(scenario.confirmations + 1)
-    ]
-    schedule = BribeSchedule(tuple(q.settled for q in quotes), False, "BS")
+    return sweep_bs(scenario, [start_state])[0]
+
+
+def sweep_bs(
+    scenario: Scenario, starts: Sequence[int | None], rewards: Sequence[float] | None = None
+) -> list[StrategyOutcome]:
+    """``run_bs`` at every reward and start, from one solve."""
+    def schedule_at(sc: Scenario) -> BribeSchedule:
+        quotes = [
+            rationality.min_bribe_basic(i, sc.target.power, sc.mu, sc.lam, sc.reward, sc.target_id)
+            for i in range(sc.confirmations + 1)
+        ]
+        return BribeSchedule(tuple(q.settled for q in quotes), False, "BS")
+
     membership = _target_only(scenario, range(scenario.confirmations + 1))
-    return evaluate_schedule(scenario, schedule, membership, start)
+    return _sweep(scenario, membership, schedule_at, starts, rewards)
 
 
 def bff_membership(scenario: Scenario) -> MembershipMatrix:
@@ -303,19 +362,27 @@ def run_bff(scenario: Scenario, start_state: int | None = None) -> StrategyOutco
     recruit; by power monotonicity it covers every bigger miner already
     aboard.
     """
-    start = _resolve_start(scenario, start_state)
+    return sweep_bff(scenario, [start_state])[0]
+
+
+def sweep_bff(
+    scenario: Scenario, starts: Sequence[int | None], rewards: Sequence[float] | None = None
+) -> list[StrategyOutcome]:
+    """``run_bff`` at every reward and start, from one solve."""
     roster = scenario.miner_set.miners
     c = scenario.confirmations
-    entries = []
-    for i in range(c + 1):
-        newest = roster[min(c - i, len(roster) - 1)]
-        quote = rationality.min_bribe_basic(
-            i, newest.power, scenario.mu, scenario.lam, scenario.reward, newest.id
-        )
-        entries.append(quote.settled)
-    schedule = BribeSchedule(tuple(entries), False, "BFF")
-    membership = bff_membership(scenario)
-    return evaluate_schedule(scenario, schedule, membership, start)
+
+    def schedule_at(sc: Scenario) -> BribeSchedule:
+        entries = []
+        for i in range(c + 1):
+            newest = roster[min(c - i, len(roster) - 1)]
+            quote = rationality.min_bribe_basic(
+                i, newest.power, sc.mu, sc.lam, sc.reward, newest.id
+            )
+            entries.append(quote.settled)
+        return BribeSchedule(tuple(entries), False, "BFF")
+
+    return _sweep(scenario, bff_membership(scenario), schedule_at, starts, rewards)
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +401,45 @@ def run_crb(
     minima, with visits taken from the chain the target itself will induce by
     accepting. Other miners stay on the main chain.
     """
+    return sweep_crb(scenario, variant, [start_state])[0]
+
+
+def sweep_crb(
+    scenario: Scenario,
+    variant: str,
+    starts: Sequence[int | None],
+    rewards: Sequence[float] | None = None,
+) -> list[StrategyOutcome]:
+    """``run_crb`` at every reward and start. The chain that prices the
+    constant is the one the outcome runs on, so one solve of it, from the
+    pricing state and the starts it prices, gives both: crb1 prices every
+    start from C, crb2 each start from itself."""
     if variant not in ("crb1", "crb2"):
         raise StrategyError(f"variant must be crb1 or crb2, got {variant!r}")
-    start = _resolve_start(scenario, start_state)
-    c = scenario.confirmations
-    calc_from = c if variant == "crb1" else start
-    offered = tuple(range(calc_from + 1))
-
+    starts = [_resolve_start(scenario, start) for start in starts]
+    scenarios = _sweep_scenarios(scenario, rewards)
+    c, mu = scenario.confirmations, scenario.mu
     p_m = scenario.target.power
     quotes = [
-        rationality.basic_threshold(i, p_m, scenario.mu, scenario.lam, scenario.reward)
-        for i in range(c + 1)
+        [rationality.basic_threshold(i, p_m, sc.mu, sc.lam, sc.reward) for i in range(c + 1)]
+        for sc in scenarios
     ]
-    target_only = _target_only(scenario, offered)
-    mu = scenario.mu
-    core = target_only.fork_power(scenario.miner_set.powers, mu)
-    pricing = markov.solve_race(core, mu, calc_from)
-    constant = rationality.crb_min_constant(pricing.visits, quotes, calc_from)
-    constant = max(constant, DUST)
-
-    entries = tuple(constant if i in offered else 0.0 for i in range(c + 1))
-    tag = variant.upper()
-    schedule = BribeSchedule(entries, True, tag)
-    return evaluate_schedule(scenario, schedule, target_only, start)
+    distinct = list(dict.fromkeys(starts))
+    priced = {c: distinct} if variant == "crb1" else {start: [start] for start in distinct}
+    outcomes = {}
+    for calc_from, group in priced.items():
+        target_only = _target_only(scenario, range(calc_from + 1))
+        core = target_only.fork_power(scenario.miner_set.powers, mu)
+        pricing, *solutions = markov.solve_starts(core, mu, [calc_from, *group])
+        for k, reward_quotes in enumerate(quotes):
+            constant = rationality.crb_min_constant(pricing.visits, reward_quotes, calc_from)
+            constant = max(constant, DUST)
+            entries = tuple(constant if i <= calc_from else 0.0 for i in range(c + 1))
+            schedule = BribeSchedule(entries, True, variant.upper())
+            runs = [(schedule, start, solution) for start, solution in zip(group, solutions)]
+            for start, outcome in zip(group, _outcomes(scenario, target_only, core, runs)):
+                outcomes[k, start] = outcome
+    return [outcomes[k, start] for k in range(len(scenarios)) for start in starts]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +531,7 @@ def run_gvc(
     r = scenario.miner_set.row(scenario.target_id)
     zeta[r] = _on_fork(np.asarray(schedule.per_state_bribe), zeta[r] == 1, thresholds)
     membership = MembershipMatrix(scenario.miner_set.ids, zeta)
-    return evaluate_schedule(scenario, schedule, membership, start)
+    return evaluate_schedule(scenario, membership, [(schedule, start)])[0]
 
 
 def _grid_above(value: float) -> float:

@@ -369,6 +369,21 @@ SWEEP_REWARD = ["sweep-reward", "--pools", TABLE2, "--target", "P2", "--start-st
                 "--strategy", "crb1", "--rewards", "3.125,6.25,12.5"]
 VALIDATE = ["validate", "--pools", TABLE2, "--start-state", "4", "--strategy", "bff",
             "--trials", "5000", "--seed", "7"]
+DEEP512 = str(DATA / "deep512.pools")
+REWARDS = "6.25,1.5625,12.5,3.125"  # unsorted: the report lists them in ascending order
+
+
+def sweep_start(strategy, states="0,1,2,3,4,5,6"):
+    return ["sweep-start", "--pools", TABLE2, "--target", "P2", "--strategy", strategy,
+            "--states", states]
+
+
+def sweep_reward(strategy, pools, rewards=REWARDS):
+    if pools == TABLE2:
+        pools = [TABLE2, "--target", "P2", "--start-state", "4"]
+    else:
+        pools = [pools]
+    return ["sweep-reward", "--pools", *pools, "--strategy", strategy, "--rewards", rewards]
 
 
 @pytest.mark.parametrize("golden, args", [
@@ -384,6 +399,12 @@ VALIDATE = ["validate", "--pools", TABLE2, "--start-state", "4", "--strategy", "
     ("help_sweep-start.txt", ["sweep-start", "--help"]),
     ("help_sweep-reward.txt", ["sweep-reward", "--help"]),
     ("help_validate.txt", ["validate", "--help"]),
+    # captured before start states and rewards shared one solve per core
+    *[(f"sweep_start_{strategy}_table2.csv", sweep_start(strategy))
+      for strategy in ("bs", "bff", "crb1", "crb2")],
+    *[(f"sweep_reward_{strategy}_{name}.csv", sweep_reward(strategy, pools))
+      for strategy in ("bs", "crb2")
+      for name, pools in (("table2_start4", TABLE2), ("deep512", DEEP512))],
 ])
 def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
     # a *_stdout.txt or help golden is what the command prints (help at 80
@@ -399,6 +420,24 @@ def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
     out, err = capsys.readouterr()
     assert got == 0 and err == ""
     assert (out.encode() if to_stdout else out_file.read_bytes()) == expected
+
+
+def test_sweeps_keep_repeated_and_unsorted_points(capsys, tmp_path):
+    # rows come in ascending order, once per mention of a start or reward,
+    # each equal to its row of the golden
+    def report(args):
+        out_file = tmp_path / "sweep.csv"
+        code, _, err = run_cli([*args, "--out", str(out_file)], capsys)
+        assert code == 0 and err == ""
+        return out_file.read_text().split("\n")
+
+    for strategy in ("bs", "crb1", "crb2"):
+        golden = (DATA / f"sweep_start_{strategy}_table2.csv").read_text().split("\n")
+        assert report(sweep_start(strategy, "5,1,5,0")) == [golden[k] for k in (0, 1, 2, 6, 6, 8)]
+        if strategy != "crb1":
+            golden = (DATA / f"sweep_reward_{strategy}_table2_start4.csv").read_text().split("\n")
+            assert (report(sweep_reward(strategy, TABLE2, "12.5,3.125,12.5"))
+                    == [golden[k] for k in (0, 2, 4, 4, 5)])
 
 
 def test_format_btc_rendering():
@@ -435,6 +474,12 @@ def test_commands_refuse_options_they_do_not_read(command, extra, unread, capsys
      "--rewards takes comma-separated floats, got 'x'"),
     (["sweep-reward", "--strategy", "bs", "--rewards", "6.25,inf"],
      "--rewards must be positive and finite, got '6.25,inf'"),
+    (["sweep-start", "--strategy", "gvc", "--objective", "ac", "--states", "0,1,9"],
+     "--states must lie in [0, 6] (--confirmations), got 9"),
+    (["sweep-start", "--strategy", "bs", "--states=0,-1"],
+     "--states must lie in [0, 6] (--confirmations), got -1"),
+    (["sweep-start", "--strategy", "all", "--confirmations", "2", "--states", "2,3"],
+     "--states must lie in [0, 2] (--confirmations), got 3"),
 ])
 def test_refusals_name_the_option_before_any_work(args, message, capsys, monkeypatch):
     def load(*_):

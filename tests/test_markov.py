@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from briberace import markov
 from briberace.markov import (
     AbsorbingChain,
     ChainError,
@@ -13,6 +14,7 @@ from briberace.markov import (
     extend_fork_power,
     fundamental_matrix,
     solve_race,
+    solve_starts,
     tail_depth,
     _solve,
     _solve_cores,
@@ -154,7 +156,7 @@ def test_success_monotone_in_fork_power(h, seed, bump):
 def solve_chain(fork_power, start):
     """solve_race's body on a whole chain, its last power taken as the tail's:
     any chain, with runs of any length, not only the tails tail_depth gives."""
-    return _solve(fork_power.tolist(), float(fork_power[-1]), fork_power.size, start)
+    return _solve(fork_power.tolist(), float(fork_power[-1]), fork_power.size, (start,))[0]
 
 
 def test_solve_race_small_cases():
@@ -269,6 +271,46 @@ def test_solve_core_rejects_what_the_chain_rejects():
     for start in (-1, h):
         with pytest.raises(ChainError):
             solve_race(np.array([0.4, 0.5]), 0.3, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solve_starts_is_solve_race_start_by_start(data):
+    """solve_starts gives each start solve_race's success column, visit row
+    and step count, bit for bit, whatever the order and repeats of the
+    starts and wherever their trim points fall: cores whose top states hold
+    mu, and starts inside the core, above its last change of power and in
+    the tail. Where solve_race refuses a start, solve_starts refuses."""
+    mu = data.draw(ATTACKER_POWERS)
+    core = data.draw(st.lists(fork_powers(mu), min_size=1, max_size=12))
+    unbribed = data.draw(st.integers(min_value=0, max_value=len(core)))
+    core[len(core) - unbribed:] = [mu] * unbribed
+    core = np.array(core)
+    h = core.size + tail_depth(mu)
+    starts = data.draw(st.lists(st.one_of(st.integers(0, core.size + 1), st.integers(0, h - 1)),
+                                min_size=1, max_size=6))
+    try:
+        want = [solve_race(core, mu, start) for start in starts]
+    except ChainError:
+        with pytest.raises(ChainError):
+            solve_starts(core, mu, starts)
+        return
+    got = solve_starts(core, mu, starts)
+    assert len(got) == len(starts)
+    for g, w in zip(got, want):
+        assert g.success.tobytes() == w.success.tobytes()
+        assert g.visits.tobytes() == w.visits.tobytes()
+        assert g.steps.hex() == w.steps.hex()
+
+
+def test_solve_starts_checks_every_start_first(monkeypatch):
+    core = np.array([0.4, 0.5])
+    h = core.size + tail_depth(0.3)
+    monkeypatch.setattr(markov, "_columns", None)  # any solve fails with TypeError
+    for starts in ([0, h], [-1, 0], [h - 1, h]):
+        with pytest.raises(ChainError):
+            solve_starts(core, 0.3, starts)
+    assert solve_starts(core, 0.3, []) == []
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -396,7 +398,7 @@ def nobody_aboard(scenario, states):
 
 def test_evaluate_zero_schedule(whale20_scenario):
     sched = BribeSchedule((0.0,) * 7, False, "BS")
-    out = evaluate_schedule(whale20_scenario, sched, nobody_aboard(whale20_scenario, 7), 6)
+    [out] = evaluate_schedule(whale20_scenario, nobody_aboard(whale20_scenario, 7), [(sched, 6)])
     assert out.cost_unconditional == 0.0
     assert out.cost_on_success == 0.0
 
@@ -404,9 +406,9 @@ def test_evaluate_zero_schedule(whale20_scenario):
 def test_evaluate_requires_chain_covering_schedule(whale20_scenario, table2_scenario):
     sched = BribeSchedule((1.0,) * 7, False, "BS")
     with pytest.raises(StrategyError):
-        evaluate_schedule(whale20_scenario, sched, nobody_aboard(whale20_scenario, 3), 2)
+        evaluate_schedule(whale20_scenario, nobody_aboard(whale20_scenario, 3), [(sched, 2)])
     with pytest.raises(StrategyError):  # a matrix over another roster
-        evaluate_schedule(whale20_scenario, sched, nobody_aboard(table2_scenario, 7), 2)
+        evaluate_schedule(whale20_scenario, nobody_aboard(table2_scenario, 7), [(sched, 2)])
 
 
 @pytest.mark.parametrize("fixture,start", [("table2", 4), ("whale20", 6)])
@@ -546,8 +548,8 @@ def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
     # column alone, and a perturbed or final core in full, each on first
     # sight, and a round solves in full any core it needs both ways;
     # run_gvc then evaluates the winner outside the search, through
-    # markov.solve_race
-    batch, solve_race = markov._solve_cores, markov.solve_race
+    # markov.solve_race (its thresholds) and markov.solve_starts (its outcome)
+    batch = markov._solve_cores
     search = {False: [], True: []}
     winner: list[bytes] = []
     phase = ["search"]
@@ -558,17 +560,20 @@ def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
             search[flag].append(np.asarray(core, dtype=float).tobytes())
         return batch(cores, mu, start, full)
 
-    def recording_solve(core, mu, start):
-        assert phase[0] == "winner"
-        winner.append(np.asarray(core, dtype=float).tobytes())
-        return solve_race(core, mu, start)
+    def recording(solve):
+        def record(core, mu, start):
+            assert phase[0] == "winner"
+            winner.append(np.asarray(core, dtype=float).tobytes())
+            return solve(core, mu, start)
+        return record
 
     def evaluate_winner(*args):
         phase[0] = "winner"
         return run_gvc(*args)
 
     monkeypatch.setattr(markov, "_solve_cores", recording_batch)
-    monkeypatch.setattr(markov, "solve_race", recording_solve)
+    monkeypatch.setattr(markov, "solve_race", recording(markov.solve_race))
+    monkeypatch.setattr(markov, "solve_starts", recording(markov.solve_starts))
     monkeypatch.setattr(strategies, "run_gvc", evaluate_winner)
     optimize_gvc(table2_scenario, "ac", 4)
     success, full = search[False], search[True]
@@ -753,3 +758,111 @@ def test_bff_beats_bs_on_random_rosters(seed):
     sc = make_scenario(ms, ms.miners[0].id, 6, 1, 6.25)
     for start in (2, 4, 6):
         assert run_bff(sc, start).success_prob >= run_bs(sc, start).success_prob - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sweeps over start states and rewards
+
+def bits(value):
+    """Every field of an outcome, down to its arrays' bytes and its floats'
+    hex forms, for comparisons bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+@st.composite
+def sweep_cases(draw):
+    """(scenario, starts, rewards): a roster of 2-40 miners, attacker power
+    0.05-0.6 (0.5 and more, the 512-state tail, drawn on purpose), C 1-12,
+    any target, starts in any order with duplicates (None is the scenario's
+    own start), and one to three rewards."""
+    mu = draw(st.one_of(st.floats(0.05, 0.6), st.sampled_from([0.5, 0.55, 0.6])))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40))
+    lines = [f"atk {mu!r} attacker"]
+    lines += [f"m{i} {(1.0 - mu) * w / sum(weights)!r}" for i, w in enumerate(weights)]
+    ms = load_pool_distribution("\n".join(lines))
+    c = draw(st.integers(1, 12))
+    target = ms.miners[draw(st.integers(0, len(ms.miners) - 1))].id
+    scenario = make_scenario(ms, target, c, draw(st.integers(1, c)), 6.25)
+    starts = draw(st.lists(st.one_of(st.integers(0, c), st.none()), min_size=1, max_size=5))
+    rewards = draw(st.lists(st.sampled_from([50.0, 12.5, 6.25, 3.125, 1.5625]),
+                            min_size=1, max_size=3))
+    return scenario, starts, rewards
+
+
+SWEEPS = {
+    "bs": (strategies.sweep_bs, run_bs),
+    "bff": (strategies.sweep_bff, run_bff),
+    "crb1": (functools.partial(strategies.sweep_crb, variant="crb1"),
+             functools.partial(run_crb, variant="crb1")),
+    "crb2": (functools.partial(strategies.sweep_crb, variant="crb2"),
+             functools.partial(run_crb, variant="crb2")),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sweep_cases())
+def test_sweeps_equal_their_one_point_runs_bit_for_bit(case):
+    # a sweep's outcomes are, in every field, the run_* outcomes of its
+    # points, start by start at the scenario's reward and reward by reward
+    scenario, starts, rewards = case
+    for sweep, run in SWEEPS.values():
+        got = sweep(scenario, starts=starts)
+        assert [bits(o) for o in got] == [bits(run(scenario, start_state=s)) for s in starts]
+        got = sweep(scenario, starts=starts, rewards=rewards)
+        want = [run(scenario.at_reward(r), start_state=s) for r in rewards for s in starts]
+        assert [bits(o) for o in got] == [bits(o) for o in want]
+
+
+def count_solves(monkeypatch):
+    """Counts of eliminations (``markov._columns``) and visit rows
+    (``markov._visit_row``) from here on."""
+    counts = {"eliminations": 0, "visit rows": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(markov, "_columns", counted("eliminations", markov._columns))
+    monkeypatch.setattr(markov, "_visit_row", counted("visit rows", markov._visit_row))
+    return counts
+
+
+@pytest.mark.parametrize("strategy", ["bs", "bff", "crb1"])
+def test_a_start_sweep_makes_one_elimination(strategy, table2_scenario, monkeypatch):
+    # every start of a bs, bff or crb1 sweep, and crb1's pricing state C,
+    # shares one core and one trim point: one elimination, one visit row
+    # per state (a first sweep solves the attacker-only run, whose own
+    # visit row is then kept)
+    sweep, _ = SWEEPS[strategy]
+    states = range(table2_scenario.confirmations + 1)
+    sweep(table2_scenario, starts=states)
+    counts = count_solves(monkeypatch)
+    sweep(table2_scenario, starts=states)
+    assert counts == {"eliminations": 1, "visit rows": len(states)}
+
+
+def test_crb2_prices_and_evaluates_from_one_solve(table2_scenario, monkeypatch):
+    # crb2 prices its constant at the start, on the chain the outcome runs
+    # on: one solve gives both the pricing visits and the outcome
+    run_crb(table2_scenario, "crb2", 4)
+    counts = count_solves(monkeypatch)
+    run_crb(table2_scenario, "crb2", 4)
+    assert counts == {"eliminations": 1, "visit rows": 1}
+
+
+def test_a_sweep_checks_every_start_before_any_work(table2_scenario, monkeypatch):
+    counts = count_solves(monkeypatch)
+    for sweep, _ in SWEEPS.values():
+        with pytest.raises(StrategyError):
+            sweep(table2_scenario, starts=[0, 1, 9])
+    assert counts == {"eliminations": 0, "visit rows": 0}
