@@ -15,7 +15,7 @@ PUBLISHED_GVC = (1e-8, 8.6, 37.02, 72.25, 1e-8, 6.43, 25.51)
 def worked_example():
     ms = br.load_pool_distribution(fixture_path("whale20").read_text())
     sc = br.make_scenario(ms, "M", 6, 1, 6.25)
-    quotes = [br.min_bribe_basic(i, 0.1, 0.2, 0.8, 6.25).min_bribe for i in range(7)]
+    quotes = [br.basic_threshold(i, 0.1, 0.2, 0.8, 6.25) for i in range(7)]
     single = sum(max(q, 0.0) for q in quotes)
     out = br.run_bs(sc)
     print("== two-party worked example (mu=0.20, target 0.10, C=6, l=1, F=6.25)")

@@ -32,17 +32,12 @@ from .markov import (
     solve_starts,
 )
 from .rationality import (
-    BribeQuote,
-    ChainChoice,
     RationalityError,
     basic_threshold,
-    choose_chain,
     crb_min_constant,
-    min_bribe_basic,
-    min_bribe_general,
     persuadable_grid_floor,
     persuadable_threshold,
-    staying_condition,
+    settled_bribe,
 )
 from .strategies import (
     BribeSchedule,

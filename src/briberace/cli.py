@@ -313,8 +313,9 @@ def _refuse(args: argparse.Namespace) -> None:
     """Refuse, before any work, the values and combinations argparse lets
     through, and parse the comma-separated lists."""
     start = getattr(args, "start_state", None)  # sweep-start has --states instead
-    if start is not None and start > args.confirmations:
-        raise CliError("start state must not exceed the confirmation depth")
+    if start is not None and not 0 <= start <= args.confirmations:
+        raise CliError(f"--start-state must lie in [0, {args.confirmations}] "
+                       f"(--confirmations), got {start}")
     if args.seed < 0:
         raise CliError(f"--seed must be nonnegative, got {args.seed}")
     if args.command == "validate" and args.trials < 1:

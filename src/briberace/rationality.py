@@ -1,8 +1,10 @@
-"""Miner-side calculus: minimum bribe thresholds and chain-choice decisions.
+"""Miner-side calculus: the minimum bribe that persuades a miner.
 
 A rational miner at gap state i compares the expected reward of mining on
 the fork (bribe plus block reward, earned only if the fork wins) against
-mining on the main chain. Two threshold formulas are provided:
+mining on the main chain. Its threshold is the bribe at which the two are
+equal, and a bribe equal to the threshold persuades: every membership rule
+of the engine joins at equality. Two threshold formulas are provided:
 
 * ``basic``  - transition probabilities assumed constant for the whole race,
   with the miner counting itself into the fork's power (the worst case in
@@ -10,12 +12,12 @@ mining on the main chain. Two threshold formulas are provided:
 * ``general`` - caller supplies per-state success/failure probabilities taken
   from an explicit chain, for committed schedules where miners can predict
   recruitment.
+
+A threshold keeps its raw sign (negative: the fork already pays without a
+bribe); ``settled_bribe`` turns it into a schedule amount.
 """
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .model import DUST
@@ -28,34 +30,6 @@ class RationalityError(ValueError):
     pass
 
 
-class ChainChoice(enum.Enum):
-    FORK = "fork"
-    MAIN = "main"
-
-
-@dataclass(frozen=True)
-class BribeQuote:
-    """Minimum bribe making the fork profitable for one miner at one state.
-
-    ``min_bribe`` keeps its raw sign: negative means the fork is already
-    profitable with no payment. ``None`` marks an unpersuadable state (the
-    fork cannot win, so no finite bribe works). Clamping to dust happens only
-    when a schedule is emitted.
-    """
-
-    state: int
-    miner_id: str
-    min_bribe: float | None
-    formula: str  # "basic" | "general"
-
-    @property
-    def settled(self) -> float:
-        """Schedule amount: one satoshi above the threshold, or dust."""
-        if self.min_bribe is None:
-            raise RationalityError(f"state {self.state}: no finite bribe persuades")
-        return DUST if self.min_bribe <= 0 else self.min_bribe + DUST
-
-
 def _check_basic_inputs(p_m: float, mu: float, lam: float) -> None:
     if mu <= 0:
         raise RationalityError("attacker power must be positive")
@@ -66,18 +40,23 @@ def _check_basic_inputs(p_m: float, mu: float, lam: float) -> None:
 
 
 def basic_threshold(i: int, p_m: float, mu: float, lam: float, reward: float) -> float:
-    """Raw constant-probability threshold value (may be negative)."""
+    """Raw constant-probability threshold value (may be negative). Where the
+    fork's odds with the miner aboard overflow a float (a miner within a hair
+    of the whole main chain, at deep states), the formula's value is
+    ``-reward`` to float precision, and that is returned."""
     _check_basic_inputs(p_m, mu, lam)
     survive = 1.0 - (mu / lam) ** (i + 1)
-    overtake = ((mu + p_m) / (lam - p_m)) ** (i + 1)
+    try:
+        overtake = ((mu + p_m) / (lam - p_m)) ** (i + 1)
+    except OverflowError:
+        return -reward
     return survive * (p_m + mu) / (lam * overtake) * reward - reward
 
 
-def min_bribe_basic(
-    i: int, p_m: float, mu: float, lam: float, reward: float, miner_id: str = "m"
-) -> BribeQuote:
-    """Minimum bribe at state i under constant transition probabilities."""
-    return BribeQuote(i, miner_id, basic_threshold(i, p_m, mu, lam, reward), "basic")
+def settled_bribe(threshold: float) -> float:
+    """Schedule amount for a threshold: one satoshi above it, or dust where
+    no payment is needed."""
+    return DUST if threshold <= 0 else threshold + DUST
 
 
 def general_threshold(
@@ -86,57 +65,6 @@ def general_threshold(
     """Raw explicit-probability threshold value (may be negative); unchecked,
     and finite only for ``p_xs_i > 0``."""
     return p_yf_i * (p_m + mu_i) / (lam_i * p_xs_i) * reward - reward
-
-
-def min_bribe_general(
-    i: int,
-    p_m: float,
-    mu_i: float,
-    lam_i: float,
-    p_xs_i: float,
-    p_yf_i: float,
-    reward: float,
-    miner_id: str = "m",
-) -> BribeQuote:
-    """Minimum bribe at state i given explicit per-state race probabilities.
-
-    ``p_xs_i`` is the fork's win probability from i with the miner aboard;
-    ``p_yf_i`` the main chain's win probability from i with the miner staying
-    put. ``p_xs_i == 0`` marks the state unpersuadable.
-    """
-    for name, p in (("p_xs_i", p_xs_i), ("p_yf_i", p_yf_i)):
-        if not (0.0 <= p <= 1.0):
-            raise RationalityError(f"{name} must be a probability, got {p}")
-    if p_xs_i == 0.0:
-        return BribeQuote(i, miner_id, None, "general")
-    value = general_threshold(p_m, mu_i, lam_i, p_xs_i, p_yf_i, reward)
-    return BribeQuote(i, miner_id, value, "general")
-
-
-def staying_condition(
-    bribes: Sequence[float],
-    p_m: float,
-    p_xs: Sequence[float],
-    p_yf: Sequence[float],
-    fork_power_wo_m: Sequence[float],
-    main_power: Sequence[float],
-    reward: float,
-) -> bool:
-    """Aggregate profitability of following the fork across all states.
-
-    Sums the miner's expected fork-side earnings (share of bribe plus block
-    reward, conditioned on the fork winning) against its main-chain earnings
-    over states 0..h-1. Necessary for the miner to stay aboard; per-state
-    persuasion is still required for sufficiency.
-    """
-    n = len(bribes)
-    if not (len(p_xs) == len(p_yf) == len(fork_power_wo_m) == len(main_power) == n):
-        raise RationalityError("per-state vectors must have equal length")
-    fork_side = sum(
-        p_xs[i] * p_m / (fork_power_wo_m[i] + p_m) * (bribes[i] + reward) for i in range(n)
-    )
-    main_side = sum(p_yf[i] * p_m / main_power[i] * reward for i in range(n))
-    return fork_side > main_side
 
 
 def crb_min_constant(
@@ -201,30 +129,3 @@ def persuadable_grid_floor(p_m: float, lam: float) -> float:
         else:
             lo = mid
     return lo
-
-
-def choose_chain(
-    i: int,
-    offered_bribe: float,
-    p_m: float,
-    mu: float,
-    lam: float,
-    reward: float,
-    p_xs_i: float | None = None,
-    p_yf_i: float | None = None,
-) -> ChainChoice:
-    """Per-event decision rule: join the fork iff the offered bribe strictly
-    exceeds the applicable threshold (basic by default, general when both
-    per-state probabilities are supplied). Indifference stays on the main
-    chain."""
-    if (p_xs_i is None) != (p_yf_i is None):
-        raise RationalityError("supply both p_xs_i and p_yf_i or neither")
-    if p_xs_i is None:
-        quote = min_bribe_basic(i, p_m, mu, lam, reward)
-    else:
-        quote = min_bribe_general(i, p_m, mu, lam, p_xs_i, p_yf_i, reward)
-    if quote.min_bribe is None:
-        return ChainChoice.MAIN
-    if not math.isfinite(offered_bribe):
-        raise RationalityError("offered bribe must be finite")
-    return ChainChoice.FORK if offered_bribe > quote.min_bribe else ChainChoice.MAIN

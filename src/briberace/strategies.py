@@ -223,15 +223,22 @@ def _outcomes(
     """The outcome of each (schedule, start, solution) of ``runs``, where the
     solution solves the core of ``membership`` from the start: cost and
     success from the solution, recapture from the membership. The outcomes
-    share one chain."""
+    share one chain, and the starts of one schedule share what depends on
+    the schedule alone: its bribe vector, single-visit cost and recapture."""
     ms, mu = scenario.miner_set, scenario.mu
     chain = markov.AbsorbingChain(markov.extend_fork_power(core, mu))
+    per_schedule: dict[int, tuple] = {}  # by id: every schedule lives in ``runs``
     outcomes = []
     for schedule, start, solution in runs:
+        if id(schedule) not in per_schedule:
+            bribes = np.zeros(chain.h)
+            bribes[: schedule.h] = schedule.per_state_bribe
+            recapture = recapture_split(
+                schedule.per_state_bribe, mu, scenario.target_id, ms.powers, membership)
+            per_schedule[id(schedule)] = (
+                bribes, float(np.sum(schedule.per_state_bribe)), recapture)
+        bribes, single_visit_cost, (attacker_rc, target_rc) = per_schedule[id(schedule)]
         visits = solution.visits
-        bribes = np.zeros(chain.h)
-        bribes[: schedule.h] = schedule.per_state_bribe
-
         cost = float(visits @ bribes)
         b_v = solution.success
         success = float(b_v[start])
@@ -239,10 +246,6 @@ def _outcomes(
             cost_success = float(np.sum(b_v / success * visits * bribes))
         else:
             cost_success = None
-
-        attacker_rc, target_rc = recapture_split(
-            schedule.per_state_bribe, mu, scenario.target_id, ms.powers, membership
-        )
         mu_eff = float(chain.fork_power[start])
         outcomes.append(StrategyOutcome(
             strategy_tag=schedule.strategy_tag,
@@ -253,7 +256,7 @@ def _outcomes(
             visits=visits,
             cost_unconditional=cost,
             cost_on_success=cost_success,
-            single_visit_cost=float(np.sum(schedule.per_state_bribe)),
+            single_visit_cost=single_visit_cost,
             attacker_recapture=attacker_rc,
             target_recapture=target_rc,
             schedule=schedule,
@@ -335,11 +338,11 @@ def sweep_bs(
 ) -> list[StrategyOutcome]:
     """``run_bs`` at every reward and start, from one solve."""
     def schedule_at(sc: Scenario) -> BribeSchedule:
-        quotes = [
-            rationality.min_bribe_basic(i, sc.target.power, sc.mu, sc.lam, sc.reward, sc.target_id)
+        thresholds = [
+            rationality.basic_threshold(i, sc.target.power, sc.mu, sc.lam, sc.reward)
             for i in range(sc.confirmations + 1)
         ]
-        return BribeSchedule(tuple(q.settled for q in quotes), False, "BS")
+        return BribeSchedule(tuple(map(rationality.settled_bribe, thresholds)), False, "BS")
 
     membership = _target_only(scenario, range(scenario.confirmations + 1))
     return _sweep(scenario, membership, schedule_at, starts, rewards)
@@ -376,10 +379,8 @@ def sweep_bff(
         entries = []
         for i in range(c + 1):
             newest = roster[min(c - i, len(roster) - 1)]
-            quote = rationality.min_bribe_basic(
-                i, newest.power, sc.mu, sc.lam, sc.reward, newest.id
-            )
-            entries.append(quote.settled)
+            threshold = rationality.basic_threshold(i, newest.power, sc.mu, sc.lam, sc.reward)
+            entries.append(rationality.settled_bribe(threshold))
         return BribeSchedule(tuple(entries), False, "BFF")
 
     return _sweep(scenario, bff_membership(scenario), schedule_at, starts, rewards)
@@ -790,10 +791,7 @@ def optimize_gvc(
     target_row = scenario.miner_set.row(scenario.target_id)
     thresholds = scenario.thresholds.tolist()
 
-    target_minima = [
-        rationality.BribeQuote(i, scenario.target_id, t, "basic").settled
-        for i, t in enumerate(thresholds[target_row])
-    ]
+    target_minima = [rationality.settled_bribe(t) for t in thresholds[target_row]]
     # static recruitment levels: one candidate per roster prefix, per state
     static_candidates: list[list[float]] = []
     for i in range(c + 1):

@@ -30,8 +30,8 @@ def quotes_basic(pm=0.1, mu=0.2, lam=0.8, f=6.25, states=7):
 
 
 def test_criterion_1_worked_example_thresholds():
-    r6 = rationality.min_bribe_basic(6, 0.1, 0.2, 0.8, 6.25).min_bribe
-    r5 = rationality.min_bribe_basic(5, 0.1, 0.2, 0.8, 6.25).min_bribe
+    r6 = rationality.basic_threshold(6, 0.1, 0.2, 0.8, 6.25)
+    r5 = rationality.basic_threshold(5, 0.1, 0.2, 0.8, 6.25)
     ok = abs(r6 - 876.2) <= 0.1 and abs(r5 - 371.9) <= 0.1
     report(1, ok, f"threshold at 6 = {r6:.4f} (876.2±0.1), release at 5 = {r5:.4f} (371.9±0.1)")
     assert ok

@@ -422,6 +422,17 @@ def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
     assert (out.encode() if to_stdout else out_file.read_bytes()) == expected
 
 
+def test_a_target_a_hair_below_the_whole_main_chain_reports_at_depth(capsys, tmp_path):
+    # its fork odds overflow a float from state 61 on; the threshold there is
+    # the formula's value, not an OverflowError traceback
+    pools = tmp_path / "near.pools"
+    pools.write_text("A 0.3 attacker\nM 0.69999\nN 0.00001\n")
+    code, _, err = run_cli(["analyze", "--pools", str(pools), "--target", "M",
+                            "--strategy", "bs", "--confirmations", "70",
+                            "--start-state", "0"], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_sweeps_keep_repeated_and_unsorted_points(capsys, tmp_path):
     # rows come in ascending order, once per mention of a start or reward,
     # each equal to its row of the golden
@@ -480,6 +491,12 @@ def test_commands_refuse_options_they_do_not_read(command, extra, unread, capsys
      "--states must lie in [0, 6] (--confirmations), got -1"),
     (["sweep-start", "--strategy", "all", "--confirmations", "2", "--states", "2,3"],
      "--states must lie in [0, 2] (--confirmations), got 3"),
+    (["analyze", "--strategy", "bs", "--start-state", "-1"],
+     "--start-state must lie in [0, 6] (--confirmations), got -1"),
+    (["sweep-reward", "--strategy", "crb2", "--rewards", "6.25", "--start-state", "-1"],
+     "--start-state must lie in [0, 6] (--confirmations), got -1"),
+    (["validate", "--strategy", "bff", "--confirmations", "3", "--start-state", "-1"],
+     "--start-state must lie in [0, 3] (--confirmations), got -1"),
 ])
 def test_refusals_name_the_option_before_any_work(args, message, capsys, monkeypatch):
     def load(*_):

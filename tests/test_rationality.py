@@ -5,16 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from briberace.model import DUST
 from briberace.rationality import (
-    ChainChoice,
     RationalityError,
     basic_threshold,
-    choose_chain,
     crb_min_constant,
-    min_bribe_basic,
-    min_bribe_general,
+    general_threshold,
     persuadable_grid_floor,
     persuadable_threshold,
-    staying_condition,
+    settled_bribe,
 )
 
 MU, LAM, PM, F = 0.2, 0.8, 0.1, 6.25
@@ -28,77 +25,65 @@ def oracle_basic(i, pm, mu, lam, f):
 
 
 def test_worked_example_values():
-    assert min_bribe_basic(6, PM, MU, LAM, F).min_bribe == pytest.approx(876.2654, abs=1e-3)
-    assert min_bribe_basic(5, PM, MU, LAM, F).min_bribe == pytest.approx(371.9016, abs=1e-3)
-    assert min_bribe_basic(0, PM, MU, LAM, F).min_bribe == pytest.approx(-2.1484, abs=1e-3)
+    assert basic_threshold(6, PM, MU, LAM, F) == pytest.approx(876.2654, abs=1e-3)
+    assert basic_threshold(5, PM, MU, LAM, F) == pytest.approx(371.9016, abs=1e-3)
+    assert basic_threshold(0, PM, MU, LAM, F) == pytest.approx(-2.1484, abs=1e-3)
 
 
 def test_basic_matches_independent_oracle():
     for i in range(10):
         for pm in (0.05, 0.1, 0.3):
-            assert min_bribe_basic(i, pm, MU, LAM, F).min_bribe == pytest.approx(
+            assert basic_threshold(i, pm, MU, LAM, F) == pytest.approx(
                 oracle_basic(i, pm, MU, LAM, F), rel=1e-12
             )
 
 
 def test_cumulative_sum_of_positive_quotes():
     total = sum(
-        max(min_bribe_basic(i, PM, MU, LAM, F).min_bribe, 0.0) for i in range(7)
+        max(basic_threshold(i, PM, MU, LAM, F), 0.0) for i in range(7)
     )
     assert total == pytest.approx(1495.587, abs=1e-2)
 
 
 def test_settled_amounts():
-    q = min_bribe_basic(0, PM, MU, LAM, F)
-    assert q.min_bribe < 0 and q.settled == DUST
-    q6 = min_bribe_basic(6, PM, MU, LAM, F)
-    assert q6.settled == pytest.approx(q6.min_bribe + DUST, rel=1e-15)
-    assert q6.settled > q6.min_bribe
+    q = basic_threshold(0, PM, MU, LAM, F)
+    assert q < 0 and settled_bribe(q) == DUST
+    assert settled_bribe(0.0) == DUST
+    q6 = basic_threshold(6, PM, MU, LAM, F)
+    assert settled_bribe(q6) == pytest.approx(q6 + DUST, rel=1e-15)
+    assert settled_bribe(q6) > q6
 
 
 def test_basic_input_validation():
     with pytest.raises(RationalityError):
-        min_bribe_basic(3, 0.9, MU, LAM, F)  # miner bigger than the main chain
+        basic_threshold(3, 0.9, MU, LAM, F)  # miner bigger than the main chain
     with pytest.raises(RationalityError):
-        min_bribe_basic(3, 0.1, 0.3, 0.8, F)  # powers not summing to 1
+        basic_threshold(3, LAM, MU, LAM, F)  # the whole main chain: a one-miner roster
+    with pytest.raises(RationalityError):
+        basic_threshold(3, 0.1, 0.3, 0.8, F)  # powers not summing to 1
+
+
+def test_odds_beyond_float_range_give_the_formulas_value():
+    # a hair below the whole main chain, the fork's odds leave float range at
+    # deep states; the formula's value there is -F to float precision, as it
+    # already is at the shallower states whose odds still fit
+    for mu in (0.05, MU, 0.5, 0.6):
+        lam = 1.0 - mu
+        near = persuadable_grid_floor(lam, lam)
+        for i in (12, 15, 20, 60, 400):
+            assert basic_threshold(i, near, mu, lam, F) == -F
 
 
 def test_general_reduces_to_basic():
     for i in range(8):
         p_xs = ((MU + PM) / (LAM - PM)) ** (i + 1)
         p_yf = 1.0 - (MU / LAM) ** (i + 1)
-        g = min_bribe_general(i, PM, MU, LAM, p_xs, p_yf, F)
-        b = min_bribe_basic(i, PM, MU, LAM, F)
-        assert g.min_bribe == pytest.approx(b.min_bribe, rel=1e-12)
-        assert g.formula == "general" and b.formula == "basic"
+        g = general_threshold(PM, MU, LAM, p_xs, p_yf, F)
+        assert g == pytest.approx(basic_threshold(i, PM, MU, LAM, F), rel=1e-12)
 
 
 def test_general_zero_failure_means_fork_already_safe():
-    q = min_bribe_general(3, PM, MU, LAM, 0.5, 0.0, F)
-    assert q.min_bribe == pytest.approx(-F, rel=1e-12)
-
-
-def test_general_unpersuadable_state_is_distinguished():
-    q = min_bribe_general(3, PM, MU, LAM, 0.0, 1.0, F)
-    assert q.min_bribe is None
-    with pytest.raises(RationalityError):
-        q.settled
-
-
-def test_staying_condition_pointwise_sufficiency():
-    # schedule at per-state minima plus dust satisfies the aggregate condition
-    n = 7
-    p_xs = [((MU + PM) / (LAM - PM)) ** (i + 1) for i in range(n)]
-    p_yf = [1.0 - (MU / LAM) ** (i + 1) for i in range(n)]
-    bribes = [min_bribe_basic(i, PM, MU, LAM, F).settled for i in range(n)]
-    assert staying_condition(bribes, PM, p_xs, p_yf, [MU] * n, [LAM] * n, F)
-
-
-def test_staying_condition_zero_schedule_fails():
-    n = 7
-    p_xs = [((MU + PM) / (LAM - PM)) ** (i + 1) for i in range(n)]
-    p_yf = [1.0 - (MU / LAM) ** (i + 1) for i in range(n)]
-    assert not staying_condition([0.0] * n, PM, p_xs, p_yf, [MU] * n, [LAM] * n, F)
+    assert general_threshold(PM, MU, LAM, 0.5, 0.0, F) == pytest.approx(-F, rel=1e-12)
 
 
 def test_crb_constant_of_constant_vector():
@@ -126,7 +111,7 @@ def test_crb_constant_range_and_errors():
 def test_persuadable_threshold_forward_consistency():
     # bisection runs to 1e-9 absolute, so allow that much slack
     for i in (2, 4, 6):
-        quote = min_bribe_basic(i, PM, MU, LAM, F).min_bribe
+        quote = basic_threshold(i, PM, MU, LAM, F)
         assert persuadable_threshold(i, quote + 1e-6, MU, LAM, F) <= PM + 2e-9
         assert persuadable_threshold(i, max(quote - 1e-6, 0.0), MU, LAM, F) >= PM - 2e-9
 
@@ -147,22 +132,6 @@ def test_persuadable_threshold_limits():
     assert persuadable_threshold(3, 1e6, MU, LAM, F) == 0.0
     # state 0 persuades anyone for dust: the threshold is identically zero
     assert persuadable_threshold(0, DUST, MU, LAM, F) == 0.0
-
-
-def test_choose_chain_around_threshold():
-    q = min_bribe_basic(6, PM, MU, LAM, F).min_bribe
-    assert choose_chain(6, 876.3, PM, MU, LAM, F) is ChainChoice.FORK
-    assert choose_chain(6, 876.1, PM, MU, LAM, F) is ChainChoice.MAIN
-    assert choose_chain(6, q, PM, MU, LAM, F) is ChainChoice.MAIN  # ties stay honest
-    assert choose_chain(3, 0.0, PM, MU, LAM, F) is ChainChoice.MAIN
-
-
-def test_choose_chain_general_beliefs():
-    p_xs = ((MU + PM) / (LAM - PM)) ** 7
-    p_yf = 1.0 - (MU / LAM) ** 7
-    assert choose_chain(6, 876.3, PM, MU, LAM, F, p_xs, p_yf) is ChainChoice.FORK
-    with pytest.raises(RationalityError):
-        choose_chain(6, 876.3, PM, MU, LAM, F, p_xs_i=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +155,8 @@ def test_bigger_miners_need_strictly_less(params):
     p1, p2 = sorted((a * lam, b * lam))
     if p2 - p1 < 1e-6:
         return
-    big = min_bribe_basic(i, p2, mu, lam, 1.0).min_bribe
-    small = min_bribe_basic(i, p1, mu, lam, 1.0).min_bribe
+    big = basic_threshold(i, p2, mu, lam, 1.0)
+    small = basic_threshold(i, p1, mu, lam, 1.0)
     assert big < small
 
 
@@ -202,8 +171,8 @@ def test_deeper_states_cost_strictly_more(mu, frac, i):
     pm = min(frac * lam, 0.49 - mu)
     if pm <= 0:
         return
-    a = min_bribe_basic(i, pm, mu, lam, F).min_bribe
-    b = min_bribe_basic(i + 1, pm, mu, lam, F).min_bribe
+    a = basic_threshold(i, pm, mu, lam, F)
+    b = basic_threshold(i + 1, pm, mu, lam, F)
     assert b > a
 
 
@@ -217,8 +186,8 @@ def test_deeper_states_cost_strictly_more(mu, frac, i):
 def test_reward_affinity(mu, frac, i, f):
     lam = 1.0 - mu
     pm = frac * lam * 0.98
-    at_unit = min_bribe_basic(i, pm, mu, lam, 1.0).min_bribe
-    at_f = min_bribe_basic(i, pm, mu, lam, f).min_bribe
+    at_unit = basic_threshold(i, pm, mu, lam, 1.0)
+    at_f = basic_threshold(i, pm, mu, lam, f)
     assert at_f == pytest.approx((at_unit + 1.0) * f - f, rel=1e-9, abs=1e-12)
 
 
@@ -231,7 +200,7 @@ def test_reward_affinity(mu, frac, i, f):
 def test_threshold_inversion_brackets_power(mu, frac, i):
     lam = 1.0 - mu
     pm = frac * lam * 0.98
-    quote = min_bribe_basic(i, pm, mu, lam, F).min_bribe
+    quote = basic_threshold(i, pm, mu, lam, F)
     if quote < 0:
         return
     delta = max(abs(quote) * 1e-7, 1e-7)

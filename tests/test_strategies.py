@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from briberace.model import DUST, load_pool_distribution, make_scenario
 from briberace.rationality import (
-    BribeQuote,
     basic_threshold,
     general_threshold,
-    min_bribe_basic,
     persuadable_threshold,
+    settled_bribe,
 )
 from briberace.strategies import (
     GVC_QUANTUM,
@@ -88,9 +87,9 @@ def test_bff_first_recruit_matches_single_target(table2_scenario):
     c = table2_scenario.confirmations
     assert out.memberships[c] == ("P2",)
     p2 = table2_scenario.miner_set.miner("P2").power
-    expected = min_bribe_basic(
+    expected = settled_bribe(basic_threshold(
         c, p2, table2_scenario.mu, table2_scenario.lam, table2_scenario.reward
-    ).settled
+    ))
     assert out.schedule.per_state_bribe[c] == pytest.approx(expected, rel=1e-12)
 
 
@@ -340,8 +339,6 @@ def test_gvc_commitment_beats_single_target_on_same_spend(table2_scenario):
 
 
 def test_published_vector_satisfies_staying_condition(table2_scenario):
-    from briberace.rationality import staying_condition
-
     out = run_gvc(table2_scenario, PUBLISHED_GVC, 4)
     fork = out.final_chain.fork_power
     p_m = table2_scenario.target.power
@@ -354,15 +351,18 @@ def test_published_vector_satisfies_staying_condition(table2_scenario):
             wo[j] = max(wo[j] - p_m, 1e-9)
     p_yf = 1.0 - markov.analyze(markov.AbsorbingChain(wo)).B[:7, 0]
     fork_wo_m = wo[:7]
-    assert staying_condition(
-        out.schedule.per_state_bribe, p_m, p_xs, p_yf,
-        fork_wo_m, 1.0 - fork_wo_m, table2_scenario.reward,
+    reward = table2_scenario.reward
+    # aggregate over the states: the target's expected share of bribe and
+    # reward on the fork beats its expected reward on the main chain
+    fork_side = sum(
+        x * p_m / (f + p_m) * (b + reward)
+        for x, f, b in zip(p_xs, fork_wo_m, out.schedule.per_state_bribe)
     )
+    main_side = sum(y * p_m / (1.0 - f) * reward for y, f in zip(p_yf, fork_wo_m))
+    assert fork_side > main_side
 
 
 def test_committed_beliefs_cut_below_constant_probability_quote(table2_scenario):
-    from briberace.rationality import min_bribe_basic, min_bribe_general
-
     # beliefs from the biggest-first chain: recruited states lift the win
     # odds, so the per-state minimum drops below the constant-power quote
     out = run_bff(table2_scenario, 4)
@@ -379,13 +379,13 @@ def test_committed_beliefs_cut_below_constant_probability_quote(table2_scenario)
     ]
     p_yf = 1.0 - markov.analyze(markov.AbsorbingChain(wo)).B[j, 0]
     p_xs = analysis.B[j, 0]
-    general = min_bribe_general(
-        j, p_m, fork_wo_m, 1.0 - fork_wo_m, p_xs, p_yf, table2_scenario.reward
+    general = general_threshold(
+        p_m, fork_wo_m, 1.0 - fork_wo_m, p_xs, p_yf, table2_scenario.reward
     )
-    basic = min_bribe_basic(
+    basic = basic_threshold(
         j, p_m, table2_scenario.mu, table2_scenario.lam, table2_scenario.reward
     )
-    assert general.min_bribe < basic.min_bribe
+    assert general < basic
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +676,7 @@ def test_search_columns_are_membership_columns(n, c, seed):
         sc = make_scenario(ms, target.id, c, 1, 6.25)
         search = strategies._Search(sc, "ac", 0)
         levels = [
-            sorted({DUST, strategies._grid_above(BribeQuote(
-                i, target.id, float(sc.thresholds[row, i]), "basic").settled)}
+            sorted({DUST, strategies._grid_above(settled_bribe(float(sc.thresholds[row, i])))}
                 | {strategies._grid_above(t) for t in sc.thresholds[:, i].tolist()})
             for i in range(c + 1)
         ]
@@ -740,6 +739,23 @@ def test_commitment_thresholds_are_general_thresholds(data, k, n):
         all(t is None or e >= t for e, t in zip(row, ts))
         for row, ts in zip(entries.tolist(), want)
     ]
+
+
+def test_a_bribe_equal_to_a_threshold_persuades(table2_scenario):
+    # the engine's one tie rule: the recruit table (gvc_new_markov) and the
+    # target's commitment rule (_on_fork) join at equality, and one step
+    # below a threshold does not persuade
+    sc = table2_scenario
+    r = sc.miner_set.row("P3")
+    recruit = sc.recruit_thresholds[r]
+    positive = recruit > 0
+    assert positive.sum() >= 3
+    for entries, joins in ((recruit, True), (np.nextafter(recruit, 0.0), False)):
+        entries = np.where(positive, entries, DUST)
+        zeta = gvc_new_markov(sc, BribeSchedule(tuple(entries.tolist()), True, "GVC_AC")).zeta
+        assert (zeta[r, positive] == joins).all()
+        not_aboard = np.zeros(recruit.size, dtype=bool)
+        assert (strategies._on_fork(entries, not_aboard, recruit)[positive] == joins).all()
 
 
 def test_optimize_rejects_bad_objective(table2_scenario):
