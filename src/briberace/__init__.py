@@ -18,16 +18,11 @@ from .model import (
 from .markov import (
     AbsorbingChain,
     AbsorptionAnalysis,
-    CanonicalForm,
     ChainError,
     RaceSolution,
-    absorption_probs,
     analyze,
-    canonical_form,
     catchup_prob,
-    expected_steps,
     extend_fork_power,
-    fundamental_matrix,
     solve_race,
     solve_starts,
 )

@@ -17,15 +17,15 @@ expected steps, where the open-ended race wins surely in unbounded expected
 time. Expected step counts are the wall's at every power up to 0.5, since
 the open-ended race then has no finite mean duration.
 
-Two solvers read the same chain. ``analyze`` is the dense reference: it
-builds the canonical form and inverts I - Q with an LU solve, giving the
-whole fundamental matrix. ``solve_race`` is the hot path: it reads the
-chain as its bribed core and the attacker's power, and builds no chain.
-I - Q is tridiagonal, so Thomas sweeps give in O(h) the three things
-strategy evaluation reads, namely the success column of B, the start row
-of N and the expected step count from the start (Kemeny & Snell, *Finite
-Markov Chains*, for the identities). Both apply the same residual and
-row-sum tolerances; the tests pin the second to the first.
+Two solvers read the same chain. ``analyze`` is the dense reference, one
+function: it builds I - Q and the absorbing block from the fork powers and
+solves for the whole fundamental matrix by LU. ``solve_race`` is the hot
+path: it reads the chain as its bribed core and the attacker's power, and
+builds no chain. I - Q is tridiagonal, so Thomas sweeps give in O(h) the
+three things strategy evaluation reads, namely the success column of B,
+the start row of N and the expected step count from the start (Kemeny &
+Snell, *Finite Markov Chains*, for the identities). Both apply the same
+residual and row-sum tolerances; the tests pin the second to the first.
 
 One elimination (``_eliminate``, checked by ``_columns``) serves one core
 and many, and one start or many: each start then costs one ``_visit_row``,
@@ -118,24 +118,6 @@ class AbsorbingChain:
 
 
 @dataclass(frozen=True, eq=False)
-class CanonicalForm:
-    """Transient-to-transient block Q and transient-to-absorbing block G.
-
-    G columns are ordered (success, failure).
-    """
-
-    Q: np.ndarray
-    G: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "Q", _frozen(self.Q))
-        object.__setattr__(self, "G", _frozen(self.G))
-        rows = np.hstack([self.Q, self.G]).sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-9:
-            raise ChainError("canonical form rows must sum to 1")
-
-
-@dataclass(frozen=True, eq=False)
 class AbsorptionAnalysis:
     """Fundamental matrix N, expected step counts e, absorption probabilities B."""
 
@@ -180,53 +162,27 @@ def tail_depth(mu: float) -> int:
     return int(min(TAIL_MAX, max(TAIL_MIN, math.ceil(math.log(TAIL_MASS) / math.log(rho)))))
 
 
-def canonical_form(chain: AbsorbingChain) -> CanonicalForm:
-    h = chain.h
-    Q = np.zeros((h, h))
-    G = np.zeros((h, 2))
-    for i in range(h):
-        down, up = chain.fork_power[i], 1.0 - chain.fork_power[i]
-        if i == 0:
-            G[i, 0] = down
-        else:
-            Q[i, i - 1] = down
-        if i == h - 1:
-            G[i, 1] = up
-        else:
-            Q[i, i + 1] = up
-    return CanonicalForm(Q, G)
-
-
-def fundamental_matrix(cf: CanonicalForm) -> np.ndarray:
-    """Expected visit counts N = (I - Q)^{-1} via a dense LU solve."""
-    h = cf.Q.shape[0]
-    eye = np.eye(h)
+def analyze(chain: AbsorbingChain) -> AbsorptionAnalysis:
+    """The dense reference: N = (I - Q)^{-1} by an LU solve, e = N 1 and
+    B = N G, G's columns being (success, failure). Refuses a singular I - Q,
+    a solve residual of SOLVER_RESIDUAL_TOL or more, and a row of B that
+    misses 1 by more than ROW_SUM_TOL."""
+    p = chain.fork_power
+    eye = np.eye(chain.h)
+    transient = eye - (np.diag(1.0 - p[:-1], 1) + np.diag(p[1:], -1))
+    G = np.zeros((chain.h, 2))
+    G[0, 0], G[-1, 1] = p[0], 1.0 - p[-1]
     try:
-        N = np.linalg.solve(eye - cf.Q, eye)
+        N = np.linalg.solve(transient, eye)
     except np.linalg.LinAlgError as exc:
         raise ChainError("transient block is singular; chain is not absorbing") from exc
-    residual = np.max(np.abs((eye - cf.Q) @ N - eye))
+    residual = np.max(np.abs(transient @ N - eye))
     if residual >= SOLVER_RESIDUAL_TOL:
         raise ChainError(f"solve residual {residual:.3e} exceeds {SOLVER_RESIDUAL_TOL}")
-    return N
-
-
-def expected_steps(N: np.ndarray) -> np.ndarray:
-    return N @ np.ones(N.shape[0])
-
-
-def absorption_probs(N: np.ndarray, G: np.ndarray) -> np.ndarray:
     B = N @ G
     if np.max(np.abs(B.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
         raise ChainError("absorption probabilities must sum to 1 per start state")
-    return B
-
-
-def analyze(chain: AbsorbingChain) -> AbsorptionAnalysis:
-    """Full absorption analysis of a chain."""
-    cf = canonical_form(chain)
-    N = fundamental_matrix(cf)
-    return AbsorptionAnalysis(N, expected_steps(N), absorption_probs(N, cf.G))
+    return AbsorptionAnalysis(N, N @ np.ones(chain.h), B)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,17 +40,18 @@ def _check_basic_inputs(p_m: float, mu: float, lam: float) -> None:
 
 
 def basic_threshold(i: int, p_m: float, mu: float, lam: float, reward: float) -> float:
-    """Raw constant-probability threshold value (may be negative). Where the
-    fork's odds with the miner aboard overflow a float (a miner within a hair
-    of the whole main chain, at deep states), the formula's value is
-    ``-reward`` to float precision, and that is returned."""
+    """Raw constant-probability threshold value (may be negative): the
+    general threshold at the constant-power race's survive and overtake odds.
+    Where the fork's odds with the miner aboard overflow a float (a miner
+    within a hair of the whole main chain, at deep states), the formula's
+    value is ``-reward`` to float precision, and that is returned."""
     _check_basic_inputs(p_m, mu, lam)
     survive = 1.0 - (mu / lam) ** (i + 1)
     try:
         overtake = ((mu + p_m) / (lam - p_m)) ** (i + 1)
     except OverflowError:
         return -reward
-    return survive * (p_m + mu) / (lam * overtake) * reward - reward
+    return general_threshold(p_m, mu, lam, overtake, survive, reward)
 
 
 def settled_bribe(threshold: float) -> float:

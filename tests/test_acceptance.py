@@ -130,17 +130,13 @@ def test_criterion_9_markov_engine_properties():
     rows_ok = residual_ok = True
     for _ in range(40):
         h = int(rng.integers(1, 12))
-        chain = markov.AbsorbingChain(rng.uniform(0.05, 0.95, size=h))
-        cf = markov.canonical_form(chain)
-        N = markov.fundamental_matrix(cf)
-        B = markov.absorption_probs(N, cf.G)
-        rows_ok &= bool(np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-6)
-        residual_ok &= bool(
-            np.max(np.abs((np.eye(h) - cf.Q) @ N - np.eye(h))) < 1e-8
-        )
-    two = markov.fundamental_matrix(
-        markov.canonical_form(markov.AbsorbingChain(np.array([0.5, 0.5])))
-    )
+        p = rng.uniform(0.05, 0.95, size=h)
+        dense = markov.analyze(markov.AbsorbingChain(p))
+        # I - Q: p[i] steps down toward success, 1 - p[i] up toward failure
+        walk = np.eye(h) - np.diag(1.0 - p[:-1], 1) - np.diag(p[1:], -1)
+        rows_ok &= bool(np.max(np.abs(dense.B.sum(axis=1) - 1.0)) < 1e-6)
+        residual_ok &= bool(np.max(np.abs(walk @ dense.N - np.eye(h))) < 1e-8)
+    two = markov.analyze(markov.AbsorbingChain(np.array([0.5, 0.5]))).N
     hand = np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
     two_ok = bool(np.max(np.abs(two - hand)) < 1e-12)
     ok = rows_ok and residual_ok and two_ok

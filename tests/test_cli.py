@@ -405,6 +405,9 @@ def sweep_reward(strategy, pools, rewards=REWARDS):
     *[(f"sweep_reward_{strategy}_{name}.csv", sweep_reward(strategy, pools))
       for strategy in ("bs", "crb2")
       for name, pools in (("table2_start4", TABLE2), ("deep512", DEEP512))],
+    # the gvc search's optimum at every start, which the search path can move
+    *[(f"sweep_start_gvc_{objective}_table2.csv", [*sweep_start("gvc"), "--objective", objective])
+      for objective in ("ac", "rac")],
 ])
 def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
     # a *_stdout.txt or help golden is what the command prints (help at 80

@@ -6,13 +6,9 @@ from briberace import markov
 from briberace.markov import (
     AbsorbingChain,
     ChainError,
-    absorption_probs,
     analyze,
-    canonical_form,
     catchup_prob,
-    expected_steps,
     extend_fork_power,
-    fundamental_matrix,
     solve_race,
     solve_starts,
     tail_depth,
@@ -27,55 +23,54 @@ def chain_const(p, h):
     return AbsorbingChain(np.full(h, p))
 
 
+def walk(fork_power):
+    """I - Q of the race chain, entry by entry: from state i the walk steps
+    down (toward success, out of state 0) with probability fork_power[i] and
+    up (toward failure, out of the top state) otherwise."""
+    h = len(fork_power)
+    a = np.eye(h)
+    for i in range(h):
+        if i > 0:
+            a[i, i - 1] = -fork_power[i]
+        if i < h - 1:
+            a[i, i + 1] = -(1.0 - fork_power[i])
+    return a
+
+
 def test_single_state_canonical_form():
-    cf = canonical_form(chain_const(0.3, 1))
-    assert cf.Q.tolist() == [[0.0]]
-    assert cf.G.tolist() == [[0.3, 0.7]]
+    # h = 1: Q = [[0]] and N = [[1]], so B = N G is G's one row
+    assert analyze(chain_const(0.3, 1)).B.tolist() == [[0.3, 0.7]]
 
 
 def test_tridiagonal_structure_h7():
-    cf = canonical_form(chain_const(0.3, 7))
-    expected_q = np.zeros((7, 7))
-    for i in range(7):
-        if i > 0:
-            expected_q[i, i - 1] = 0.3
-        if i < 6:
-            expected_q[i, i + 1] = 0.7
-    assert np.array_equal(cf.Q, expected_q)
-    assert cf.G[0, 0] == 0.3 and cf.G[6, 1] == 0.7
-    rows = np.hstack([cf.Q, cf.G]).sum(axis=1)
-    assert np.max(np.abs(rows - 1.0)) < 1e-9
-
-
-def test_row_sums_stochastic():
-    cf = canonical_form(chain_const(0.2, 7))
-    rows = np.hstack([cf.Q, cf.G]).sum(axis=1)
-    assert np.allclose(rows, 1.0, atol=1e-9)
+    for p in (0.2, 0.3):
+        dense = analyze(chain_const(p, 7))
+        assert np.array_equal(dense.N, np.linalg.solve(walk(np.full(7, p)), np.eye(7)))
+        G = np.zeros((7, 2))
+        G[0, 0], G[6, 1] = p, 1.0 - p
+        assert np.array_equal(dense.B, dense.N @ G)
 
 
 def test_fundamental_matrix_identity_case():
-    cf = canonical_form(chain_const(0.3, 1))
-    assert fundamental_matrix(cf).tolist() == [[1.0]]
+    assert analyze(chain_const(0.3, 1)).N.tolist() == [[1.0]]
 
 
 def test_fundamental_matrix_symmetric_two_state():
-    cf = canonical_form(chain_const(0.5, 2))
-    N = fundamental_matrix(cf)
+    N = analyze(chain_const(0.5, 2)).N
     expected = np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
     assert np.max(np.abs(N - expected)) < 1e-12
 
 
 def test_expected_steps_from_n():
-    assert expected_steps(np.array([[1.0]])).tolist() == [1.0]
-    cf = canonical_form(chain_const(0.5, 2))
-    e = expected_steps(fundamental_matrix(cf))
-    assert np.allclose(e, [2.0, 2.0], atol=1e-12)
+    assert analyze(chain_const(0.3, 1)).e.tolist() == [1.0]
+    dense = analyze(chain_const(0.5, 2))
+    assert np.array_equal(dense.e, dense.N @ np.ones(2))
+    assert np.allclose(dense.e, [2.0, 2.0], atol=1e-12)
 
 
 def test_absorption_probs_rows_sum_to_one():
     for p in (0.2, 0.3, 0.47):
-        cf = canonical_form(chain_const(p, 7))
-        B = absorption_probs(fundamental_matrix(cf), cf.G)
+        B = analyze(chain_const(p, 7)).B
         assert np.allclose(B.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -84,15 +79,13 @@ def test_absorption_prob_matches_ruin_closed_form():
     # absorbed at -1 and 7, starting from 6, with step-down probability 0.3
     r = 0.3 / 0.7
     closed = (r**7 - r**8) / (1 - r**8)
-    cf = canonical_form(chain_const(0.3, 7))
-    B = absorption_probs(fundamental_matrix(cf), cf.G)
+    B = analyze(chain_const(0.3, 7)).B
     assert B[6, 0] == pytest.approx(closed, rel=1e-12)
     assert B[6, 0] == pytest.approx(0.00152, abs=5e-6)
 
 
 def test_symmetric_single_state_is_fair_coin():
-    cf = canonical_form(chain_const(0.5, 1))
-    B = absorption_probs(fundamental_matrix(cf), cf.G)
+    B = analyze(chain_const(0.5, 1)).B
     assert np.allclose(B[0], [0.5, 0.5], atol=1e-12)
 
 
@@ -123,13 +116,11 @@ def test_solver_residual_small_on_random_chains():
     for _ in range(50):
         h = int(rng.integers(1, 12))
         chain = AbsorbingChain(rng.uniform(0.05, 0.95, size=h))
-        cf = canonical_form(chain)
-        N = fundamental_matrix(cf)
-        residual = np.max(np.abs((np.eye(h) - cf.Q) @ N - np.eye(h)))
+        dense = analyze(chain)
+        residual = np.max(np.abs(walk(chain.fork_power) @ dense.N - np.eye(h)))
         assert residual < 1e-8
-        assert np.all(N >= -1e-12)
-        e = expected_steps(N)
-        assert np.all(e >= 1.0 - 1e-12)
+        assert np.all(dense.N >= -1e-12)
+        assert np.all(dense.e >= 1.0 - 1e-12)
 
 
 @settings(max_examples=60, deadline=None)

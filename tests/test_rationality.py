@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from briberace.model import DUST
 from briberace.rationality import (
@@ -74,12 +74,24 @@ def test_odds_beyond_float_range_give_the_formulas_value():
             assert basic_threshold(i, near, mu, lam, F) == -F
 
 
-def test_general_reduces_to_basic():
-    for i in range(8):
-        p_xs = ((MU + PM) / (LAM - PM)) ** (i + 1)
-        p_yf = 1.0 - (MU / LAM) ** (i + 1)
-        g = general_threshold(PM, MU, LAM, p_xs, p_yf, F)
-        assert g == pytest.approx(basic_threshold(i, PM, MU, LAM, F), rel=1e-12)
+@settings(max_examples=300, deadline=None)
+@given(
+    i=st.integers(min_value=0, max_value=599),
+    mu=st.floats(min_value=0.01, max_value=0.7),
+    share=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+)
+def test_general_reduces_to_basic(i, mu, share):
+    # the basic threshold is the general one at constant odds, bit for bit
+    lam = 1.0 - mu
+    p_m = share * lam
+    try:
+        p_xs = ((mu + p_m) / (lam - p_m)) ** (i + 1)
+    except OverflowError:
+        p_xs = math.inf
+    assume(0.0 < p_m < lam and 0.0 < p_xs < math.inf)
+    p_yf = 1.0 - (mu / lam) ** (i + 1)
+    g = general_threshold(p_m, mu, lam, p_xs, p_yf, F)
+    assert g == basic_threshold(i, p_m, mu, lam, F)
 
 
 def test_general_zero_failure_means_fork_already_safe():
