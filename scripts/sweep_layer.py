@@ -7,15 +7,17 @@ one sweep-grid cycle, and microseconds per outcome.
 Builds the benchmark's sweep-grid cycle at seed 0 from
 ``perfbench/workloads.py`` (its sweep-start and sweep-reward invocations
 over seeded rosters; the trials probes are left out) and runs it through
-``cli.main`` in this process, each cycle from an empty cache of
-attacker-only runs. It counts the eliminations (``markov._columns``: one
-Thomas sweep of a core up to its trim point, for the success and failure
-columns), the visit rows (``markov._visit_row``: one start row of N each,
-the attacker-only runs' own among them), the attacker-only runs solved
-(``markov._run`` misses) and the outcomes (report rows of the invocations
-that succeed; the one-miner roster's are refused). A time is the best of
-``--repeats`` cycles, divided by the outcomes: raw wall-clock time on this
-host, so compare trees on one host, run after run.
+``cli.main`` in this process, each cycle from empty caches of attacker-only
+runs and of their per-power forward sweeps. It counts the eliminations
+(``markov._columns``: one Thomas sweep of a core up to its trim point, for
+the success and failure columns), the visit rows (``markov._visit_row``:
+one start row of N each), the attacker-only runs solved (``markov._run``
+misses), the per-power forward sweeps they read (``markov._forward``
+misses) and the outcomes (report rows of the invocations that succeed; the
+one-miner roster's are refused). A time is the best of ``--repeats``
+cycles, divided by the outcomes, in total and by kind of invocation
+(strategy and sweep axis): raw wall-clock time on this host, so compare
+trees on one host, run after run.
 
 The counts are deterministic: the script prints them and exits 1 unless
 they equal PINNED.
@@ -36,12 +38,19 @@ import workloads  # noqa: E402  (the benchmark's corpus, read as it stands)
 
 SEED = 0
 PINNED = {"operations": 136, "failed": 8, "outcomes": 736,
-          "eliminations": 232, "visit rows": 664, "run misses": 120}
+          "eliminations": 232, "visit rows": 544, "run misses": 120, "power sweeps": 16}
 
 
-def run_cycle(ops) -> tuple[dict[str, int], float]:
-    """One cycle's counts and its wall-clock seconds."""
+def kind(op) -> str:
+    """The invocation's strategy and sweep axis, as ``crb2 start``."""
+    return f"{op.argv[op.argv.index('--strategy') + 1]} {op.argv[0].split('-')[1]}"
+
+
+def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list]]:
+    """One cycle's counts, its wall-clock seconds, and the seconds and
+    outcomes of each kind of invocation that succeeds."""
     counts = dict.fromkeys(PINNED, 0)
+    by_kind = {}
     columns, visit_row = markov._columns, markov._visit_row
 
     def counted(key, fn):
@@ -51,23 +60,29 @@ def run_cycle(ops) -> tuple[dict[str, int], float]:
         return wrapper
 
     markov._run.cache_clear()
+    markov._forward.cache_clear()
     markov._columns = counted("eliminations", columns)
     markov._visit_row = counted("visit rows", visit_row)
     try:
         t0 = perf_counter()
         for op in ops:
+            t = perf_counter()
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
                 rc = cli.main(list(op.argv))
             counts["operations"] += 1
             if rc == 0:
                 counts["outcomes"] += op.rows
+                spent = by_kind.setdefault(kind(op), [0.0, 0])
+                spent[0] += perf_counter() - t
+                spent[1] += op.rows
             else:
                 counts["failed"] += 1
         seconds = perf_counter() - t0
     finally:
         markov._columns, markov._visit_row = columns, visit_row
     counts["run misses"] = markov._run.cache_info().misses
-    return counts, seconds
+    counts["power sweeps"] = markov._forward.cache_info().misses
+    return counts, seconds, by_kind
 
 
 def main() -> int:
@@ -78,11 +93,14 @@ def main() -> int:
         ops = [op for op in workloads.sweep_grid(ROOT, Path(work), SEED) if op.main]
         runs = [run_cycle(ops) for _ in range(args.repeats)]
     counts = runs[0][0]
-    best = min(seconds for _, seconds in runs)
+    best = min(seconds for _, seconds, _ in runs)
     for key, value in counts.items():
         print(f"{key:<14}{value:>8}")
     print(f"{'us/outcome':<14}{best / counts['outcomes'] * 1e6:>8.1f}")
-    if any(c != counts for c, _ in runs):
+    for name, (_, rows) in sorted(runs[0][2].items()):
+        seconds = min(by_kind[name][0] for _, _, by_kind in runs)
+        print(f"  {name:<12}{seconds / rows * 1e6:>8.1f}")
+    if any(c != counts for c, _, _ in runs):
         print("counts differ between cycles")
         return 1
     if counts != PINNED:

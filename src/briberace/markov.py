@@ -62,6 +62,17 @@ core's residuals are taken against the run's first values, and at each run
 state the full chain's residuals are the run's own scaled by those boundary
 values, so the cached maxima, scaled, bound them; the run's row sums are
 bounded the same way.
+
+A run's last diagonal is exactly 1, so the forward half of its solve (the
+pivots, the reduced success right-hand side and the visit row's forward
+half from the bottom) is the same at every length. It is kept per power
+(``_forward``, also RUN_CACHE_SIZE entries) and extended on demand, so a
+run of a new length costs its three back substitutions on Python floats
+and its residual and row-sum maxima as array operations. These are the
+IEEE operations of the state-by-state solve, so the bits are its bits (the
+tests hold ``_run`` to that solve, kept in ``tests/run_reference.py``). A
+crb2 start sweep asks for a run of another length at every start above the
+core, all at the attacker's power.
 """
 from __future__ import annotations
 
@@ -81,7 +92,9 @@ TAIL_MIN = 16
 TAIL_MAX = 512
 TAIL_MASS = 1e-12
 
-# Attacker-only runs kept solved by solve_race, by (fork power, length).
+# Attacker-only runs kept solved by solve_race, by (fork power, length), and
+# the forward sweeps they are read from, by fork power: each cache holds at
+# most this many entries.
 RUN_CACHE_SIZE = 64
 
 
@@ -304,16 +317,82 @@ def _check_start(start: int, h: int) -> None:
         raise ChainError(f"start state must be in [0, {h - 1}], got {start}")
 
 
+class _Forward:
+    """The forward half of the sweep of a run at one fork power, from its
+    bottom: per state, the reduced success right-hand side, ``up`` (q over
+    the state's pivot), the forward half of the visit row from the bottom
+    and ``down`` (p over the state's pivot), each by ``_eliminate``'s and
+    ``_visit_row``'s operations. A run's last diagonal is exactly 1.0, so
+    these are the same at every length: a longer run extends them."""
+
+    def __init__(self, power: float):
+        p, q = power, 1.0 - power
+        self.power, self.q = p, q
+        self.states = [(p, q, 1.0, p)]  # the bottom's pivot is 1
+        self.up = np.array([q])
+        # the coefficients of the state below and above in the success,
+        # failure and visit residuals, one row each
+        self.lo = np.array([[p], [p], [q]])
+        self.hi = np.array([[q], [q], [p]])
+
+    def reach(self, length: int) -> None:
+        """Extend the sweep to at least ``length`` states (``up`` last, so a
+        sweep cut short is finished by the next call)."""
+        if self.up.size >= length:
+            return
+        states = self.states
+        p, q = self.power, self.q
+        w, u, x, _ = states[-1]
+        for _ in range(length - len(states)):
+            d = 1.0 - p * u
+            u = q / d
+            w = p * w / d
+            x = q * x / d
+            states.append((w, u, x, p / d))
+        self.up = np.array([state[1] for state in states])
+
+
+@lru_cache(maxsize=RUN_CACHE_SIZE)
+def _forward(power: float) -> _Forward:
+    return _Forward(power)
+
+
 @lru_cache(maxsize=RUN_CACHE_SIZE)
 def _run(power: float, length: int) -> _Run:
-    p = [power] * length
-    q, piv, s, l, res_s, res_l = _eliminate(p, None)
-    v, res_v = _visit_row(p, q, piv, 0, None)
-    success, visits = np.array(s), np.array(v)
-    success.flags.writeable = visits.flags.writeable = False
-    return _Run(power, success, visits, math.fsum(v), s[0], l[0],
-                (_largest(res_s), _largest(res_l), _largest(res_v)),
-                _largest([abs(a + b - 1.0) for a, b in zip(s, l)]))
+    """A run of ``length`` states at ``power``: the back substitutions of
+    its success column, failure column (a running product of ``up`` from
+    the top) and visit row from the bottom over its forward sweep
+    (``_forward``), then its residuals and row sums as array operations,
+    each the same IEEE operation that ``_eliminate`` and ``_visit_row`` take
+    state by state."""
+    fw = _forward(power)
+    fw.reach(length)
+    top = length - 1
+    b, _, x, _ = fw.states[top]
+    s, v = [b], [x]  # from the top state down
+    for w, u, r, dn in reversed(fw.states[:top]):
+        b = w + u * b
+        x = r + dn * x
+        s.append(b)
+        v.append(x)
+    # columns 1..length hold the three solutions by state, columns 0 and
+    # length + 1 their values below and above the run
+    table = np.empty((3, length + 2))
+    table[0, length:0:-1] = np.fromiter(s, float, length)
+    np.multiply.accumulate(fw.up[top::-1], out=table[1, length:0:-1])
+    table[2, length:0:-1] = np.fromiter(v, float, length)
+    b_top, l_top, x_top = table[:, length].tolist()
+    table[:, 0] = 1.0, 0.0, 0.0
+    table[:, -1] = b_top * 0.0, l_top * 0.0 + 1.0, fw.q * x_top * 0.0
+    at, below, above = table[:, 1:-1], table[:, :-2], table[:, 2:]
+    residual = at - fw.lo * below
+    residual -= fw.hi * above
+    residual[2, 0] -= 1.0
+    res_s, res_l, res_v = np.abs(residual, out=residual).max(axis=1).tolist()
+    row_sum_error = float(np.abs(at[0] + at[1] - 1.0).max())
+    table.flags.writeable = False
+    return _Run(power, table[0, 1:-1], table[2, 1:-1], math.fsum(reversed(v)), b,
+                float(table[1, 1]), (res_s, res_l, res_v), row_sum_error)
 
 
 def _head(core, mu: float) -> list[float]:

@@ -27,7 +27,9 @@ rewards (``sweep_bs``, ``sweep_bff``, ``sweep_crb``), whose cores depend on
 neither; ``run_bs``, ``run_bff`` and ``run_crb`` are sweeps of one start.
 crb prices its constant on the chain its outcomes run on, so ``sweep_crb``
 makes that one solve itself, from the pricing state and the starts it
-prices, and builds its outcomes through ``_outcomes`` too. The gvc
+prices, and builds its outcomes through ``_outcomes`` too, every reward's
+in one call. Each pricing state's membership and fork powers are read off
+one table of the target aboard at every state. The gvc
 thresholds, which make no outcome, solve with ``markov.solve_race``.
 
 ``optimize_gvc`` scores thousands of candidate schedules and keeps one float
@@ -117,7 +119,7 @@ class MembershipMatrix:
         z = np.asarray(self.zeta)
         if z.ndim != 2 or z.shape[0] != len(self.miner_ids):
             raise StrategyError("membership needs one row per roster miner")
-        if not np.all((z == 0) | (z == 1)):
+        if z.dtype != bool and not ((z == 0) | (z == 1)).all():
             raise StrategyError("membership entries must be 0/1")
         z = z.astype(int)
         z.flags.writeable = False
@@ -145,7 +147,12 @@ def _joined_power(zeta: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 
 def _fork_power(zeta: np.ndarray, powers: np.ndarray, mu: float) -> np.ndarray:
-    return np.minimum(mu + _joined_power(zeta, powers), 1.0 - MIN_MAIN_SHARE)
+    return _capped(mu + _joined_power(zeta, powers))
+
+
+def _capped(fork_total: np.ndarray) -> np.ndarray:
+    """Fork power from the attacker's plus the recruits' power, capped."""
+    return np.minimum(fork_total, 1.0 - MIN_MAIN_SHARE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +194,8 @@ def _resolve_start(scenario: Scenario, start_state: int | None) -> int:
 def _target_only(scenario: Scenario, states: Sequence[int]) -> MembershipMatrix:
     """The target alone aboard at the given states."""
     ms = scenario.miner_set
-    zeta = np.zeros((len(ms.ids), scenario.confirmations + 1), dtype=int)
-    zeta[ms.row(scenario.target_id), list(states)] = 1
+    zeta = np.zeros((len(ms.ids), scenario.confirmations + 1), dtype=bool)
+    zeta[ms.row(scenario.target_id), list(states)] = True
     return MembershipMatrix(ms.ids, zeta)
 
 
@@ -207,9 +214,10 @@ def evaluate_schedule(
     if membership.miner_ids != ms.ids or any(
             schedule.h != membership.zeta.shape[1] for schedule, _ in runs):
         raise StrategyError("membership needs one row per roster miner, one column per state")
-    core = membership.fork_power(ms.powers, mu)
+    fork_total = mu + _joined_power(membership.zeta, ms.powers)
+    core = _capped(fork_total)
     solutions = markov.solve_starts(core, mu, starts)
-    return _outcomes(scenario, membership, core, [
+    return _outcomes(scenario, membership, fork_total, core, [
         (schedule, start, solution)
         for (schedule, _), start, solution in zip(runs, starts, solutions)])
 
@@ -217,36 +225,44 @@ def evaluate_schedule(
 def _outcomes(
     scenario: Scenario,
     membership: MembershipMatrix,
+    fork_total: np.ndarray,
     core: np.ndarray,
     runs: Sequence[tuple[BribeSchedule, int, markov.RaceSolution]],
 ) -> list[StrategyOutcome]:
     """The outcome of each (schedule, start, solution) of ``runs``, where the
     solution solves the core of ``membership`` from the start: cost and
-    success from the solution, recapture from the membership. The outcomes
-    share one chain, and the starts of one schedule share what depends on
-    the schedule alone: its bribe vector, single-visit cost and recapture."""
+    success from the solution, recapture from the membership. ``fork_total``
+    is the attacker's plus the recruits' power per state, and ``core`` its
+    capped form (``_capped``). The outcomes share one chain, and the starts
+    of one schedule share what depends on the schedule alone: its bribe
+    vector, single-visit cost and recapture."""
     ms, mu = scenario.miner_set, scenario.mu
     chain = markov.AbsorbingChain(markov.extend_fork_power(core, mu))
+    row = ms.row(scenario.target_id)
+    recapture_args = (mu, float(ms.powers[row]), fork_total.tolist(),
+                      membership.zeta[row].tolist())
     per_schedule: dict[int, tuple] = {}  # by id: every schedule lives in ``runs``
     outcomes = []
     for schedule, start, solution in runs:
         if id(schedule) not in per_schedule:
             bribes = np.zeros(chain.h)
             bribes[: schedule.h] = schedule.per_state_bribe
-            recapture = recapture_split(
-                schedule.per_state_bribe, mu, scenario.target_id, ms.powers, membership)
+            recapture = _recapture(schedule.per_state_bribe, *recapture_args)
             per_schedule[id(schedule)] = (
-                bribes, float(np.sum(schedule.per_state_bribe)), recapture)
+                bribes, float(bribes[: schedule.h].sum()), recapture)
         bribes, single_visit_cost, (attacker_rc, target_rc) = per_schedule[id(schedule)]
         visits = solution.visits
         cost = float(visits @ bribes)
         b_v = solution.success
         success = float(b_v[start])
         if success > 0.0:
-            cost_success = float(np.sum(b_v / success * visits * bribes))
+            weighted = b_v / success
+            weighted *= visits
+            weighted *= bribes
+            cost_success = float(weighted.sum())
         else:
             cost_success = None
-        mu_eff = float(chain.fork_power[start])
+        mu_eff = float(core[start])
         outcomes.append(StrategyOutcome(
             strategy_tag=schedule.strategy_tag,
             start_state=start,
@@ -283,14 +299,20 @@ def recapture_split(
     if target_id not in membership.miner_ids:
         raise StrategyError(f"target {target_id!r} is not in the membership's roster")
     r = membership.miner_ids.index(target_id)
-    p_t = float(powers[r])
-    joined = _joined_power(membership.zeta, powers).tolist()
+    fork_total = mu + _joined_power(membership.zeta, powers)
+    return _recapture(spend_per_state, mu, float(powers[r]), fork_total.tolist(),
+                      membership.zeta[r].tolist())
+
+
+def _recapture(spend_per_state, mu: float, p_t: float, fork_total: list[float],
+               on_fork: list[int]) -> tuple[float, float]:
+    """``recapture_split`` of a target of power ``p_t``, from the fork's
+    uncapped total power and the target's membership, state by state."""
     attacker = target = 0.0
-    for spend, joined_j, on_fork in zip(spend_per_state, joined, membership.zeta[r].tolist()):
-        fork_total = mu + joined_j
-        attacker += spend * mu / fork_total
-        if on_fork:
-            target += spend * p_t / fork_total
+    for spend, total, aboard in zip(spend_per_state, fork_total, on_fork):
+        attacker += spend * mu / total
+        if aboard:
+            target += spend * p_t / total
     return attacker, target
 
 
@@ -337,9 +359,11 @@ def sweep_bs(
     scenario: Scenario, starts: Sequence[int | None], rewards: Sequence[float] | None = None
 ) -> list[StrategyOutcome]:
     """``run_bs`` at every reward and start, from one solve."""
+    p_m, mu, lam = scenario.target.power, scenario.mu, scenario.lam
+
     def schedule_at(sc: Scenario) -> BribeSchedule:
         thresholds = [
-            rationality.basic_threshold(i, sc.target.power, sc.mu, sc.lam, sc.reward)
+            rationality.basic_threshold(i, p_m, mu, lam, sc.reward)
             for i in range(sc.confirmations + 1)
         ]
         return BribeSchedule(tuple(map(rationality.settled_bribe, thresholds)), False, "BS")
@@ -373,13 +397,13 @@ def sweep_bff(
 ) -> list[StrategyOutcome]:
     """``run_bff`` at every reward and start, from one solve."""
     roster = scenario.miner_set.miners
-    c = scenario.confirmations
+    c, mu, lam = scenario.confirmations, scenario.mu, scenario.lam
 
     def schedule_at(sc: Scenario) -> BribeSchedule:
         entries = []
         for i in range(c + 1):
             newest = roster[min(c - i, len(roster) - 1)]
-            threshold = rationality.basic_threshold(i, newest.power, sc.mu, sc.lam, sc.reward)
+            threshold = rationality.basic_threshold(i, newest.power, mu, lam, sc.reward)
             entries.append(rationality.settled_bribe(threshold))
         return BribeSchedule(tuple(entries), False, "BFF")
 
@@ -414,32 +438,46 @@ def sweep_crb(
     """``run_crb`` at every reward and start. The chain that prices the
     constant is the one the outcome runs on, so one solve of it, from the
     pricing state and the starts it prices, gives both: crb1 prices every
-    start from C, crb2 each start from itself."""
+    start from C, crb2 each start from itself. A pricing state's chain has
+    the target aboard up to it and the attacker alone above it, so its
+    membership and fork powers are the columns of one full-depth table up
+    to that state and the unbribed values above it."""
     if variant not in ("crb1", "crb2"):
         raise StrategyError(f"variant must be crb1 or crb2, got {variant!r}")
     starts = [_resolve_start(scenario, start) for start in starts]
     scenarios = _sweep_scenarios(scenario, rewards)
-    c, mu = scenario.confirmations, scenario.mu
+    c, mu, lam = scenario.confirmations, scenario.mu, scenario.lam
     p_m = scenario.target.power
     quotes = [
-        [rationality.basic_threshold(i, p_m, sc.mu, sc.lam, sc.reward) for i in range(c + 1)]
+        [rationality.basic_threshold(i, p_m, mu, lam, sc.reward) for i in range(c + 1)]
         for sc in scenarios
     ]
     distinct = list(dict.fromkeys(starts))
     priced = {c: distinct} if variant == "crb1" else {start: [start] for start in distinct}
+    # the target aboard at every state (crb1's chain); above a pricing state
+    # nobody is recruited, and an empty column's joined power is 0.0, so the
+    # fork total there is mu + 0.0 = mu
+    states = np.arange(c + 1)
+    aboard = _target_only(scenario, states)
+    aboard_total = mu + _joined_power(aboard.zeta, scenario.miner_set.powers)
+    target_aboard = aboard.zeta == 1
     outcomes = {}
     for calc_from, group in priced.items():
-        target_only = _target_only(scenario, range(calc_from + 1))
-        core = target_only.fork_power(scenario.miner_set.powers, mu)
+        on = states <= calc_from
+        target_only = MembershipMatrix(aboard.miner_ids, target_aboard & on)
+        fork_total = np.where(on, aboard_total, mu)
+        core = _capped(fork_total)
         pricing, *solutions = markov.solve_starts(core, mu, [calc_from, *group])
-        for k, reward_quotes in enumerate(quotes):
-            constant = rationality.crb_min_constant(pricing.visits, reward_quotes, calc_from)
+        visits = pricing.visits[: calc_from + 1].tolist()  # the same sums, on Python floats
+        runs = []
+        for reward_quotes in quotes:
+            constant = rationality.crb_min_constant(visits, reward_quotes, calc_from)
             constant = max(constant, DUST)
             entries = tuple(constant if i <= calc_from else 0.0 for i in range(c + 1))
             schedule = BribeSchedule(entries, True, variant.upper())
-            runs = [(schedule, start, solution) for start, solution in zip(group, solutions)]
-            for start, outcome in zip(group, _outcomes(scenario, target_only, core, runs)):
-                outcomes[k, start] = outcome
+            runs += [(schedule, start, solution) for start, solution in zip(group, solutions)]
+        keys = [(k, start) for k in range(len(quotes)) for start in group]
+        outcomes.update(zip(keys, _outcomes(scenario, target_only, fork_total, core, runs)))
     return [outcomes[k, start] for k in range(len(scenarios)) for start in starts]
 
 

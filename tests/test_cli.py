@@ -408,6 +408,14 @@ def sweep_reward(strategy, pools, rewards=REWARDS):
     # the gvc search's optimum at every start, which the search path can move
     *[(f"sweep_start_gvc_{objective}_table2.csv", [*sweep_start("gvc"), "--objective", objective])
       for objective in ("ac", "rac")],
+    # deep crb2: every start above the core runs its own attacker-only tail
+    ("sweep_start_crb2_deep512_c11.csv",
+     ["sweep-start", "--pools", DEEP512, "--strategy", "crb2", "--confirmations", "11",
+      "--states", ",".join(map(str, range(12)))]),
+    *[(f"analyze_{strategy}_deep512_c11_start7.json",
+       ["analyze", "--pools", DEEP512, "--strategy", strategy, "--confirmations", "11",
+        "--start-state", "7", "--format", "json"])
+      for strategy in ("crb2", "bs")],
 ])
 def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
     # a *_stdout.txt or help golden is what the command prints (help at 80

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import run_reference
 from briberace import markov
 from briberace.markov import (
     AbsorbingChain,
@@ -410,3 +413,42 @@ def test_trap_valley_trips_only_the_visit_row_below_its_top():
         for flag in (False, True):
             with pytest.raises(ChainError, match="sum to 1"):
                 _solve_cores([trap], 0.95, start, [flag])
+
+
+def run_fields(run):
+    """Every field of a ``markov._Run``, floats as hex and arrays as their
+    dtype, shape, bytes and writeable flag, for comparisons bit for bit."""
+    def bits(value):
+        if isinstance(value, float):
+            assert type(value) is float
+            return value.hex()
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes(), value.flags.writeable
+        return tuple(bits(v) for v in value)
+    return {f.name: bits(getattr(run, f.name)) for f in dataclasses.fields(run)}
+
+
+RUN_POWERS = st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                                 exclude_max=True),
+                       st.just(0.5),
+                       st.floats(min_value=0.5, max_value=0.6, exclude_min=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(power=RUN_POWERS,
+       lengths=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=4))
+def test_run_is_the_reference_run_bit_for_bit(power, lengths):
+    """_run reads a per-power forward sweep that grows on demand, so a run
+    must not depend on what the sweep already holds: every field equals the
+    reference's (the whole elimination per run) bit for bit, with the sweep
+    grown short-then-long, long-then-short, and rebuilt after cache_clear."""
+    want = {length: run_fields(run_reference.run(power, length)) for length in lengths}
+    for order in (sorted(lengths), sorted(lengths, reverse=True)):
+        markov._run.cache_clear()
+        markov._forward.cache_clear()
+        for length in order:
+            assert run_fields(markov._run(power, length)) == want[length]
+    # the sweep now holds the longest run; a fresh sweep gives the same bits
+    markov._forward.cache_clear()
+    for length in lengths:
+        assert run_fields(markov._run.__wrapped__(power, length)) == want[length]

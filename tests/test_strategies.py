@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from briberace.model import DUST, load_pool_distribution, make_scenario
 from briberace.rationality import (
     basic_threshold,
+    crb_min_constant,
     general_threshold,
     persuadable_threshold,
     settled_bribe,
@@ -835,6 +836,37 @@ def test_sweeps_equal_their_one_point_runs_bit_for_bit(case):
         got = sweep(scenario, starts=starts, rewards=rewards)
         want = [run(scenario.at_reward(r), start_state=s) for r in rewards for s in starts]
         assert [bits(o) for o in got] == [bits(o) for o in want]
+
+
+def crb2_by_hand(scenario, start):
+    """crb2 at one start, step by step: the target alone aboard up to the
+    start, the constant priced on that chain's visit row from the start,
+    and the schedule evaluated on the same membership."""
+    c = scenario.confirmations
+    target_only = strategies._target_only(scenario, range(start + 1))
+    core = target_only.fork_power(scenario.miner_set.powers, scenario.mu)
+    pricing = markov.solve_race(core, scenario.mu, start)
+    quotes = [basic_threshold(i, scenario.target.power, scenario.mu, scenario.lam,
+                              scenario.reward) for i in range(c + 1)]
+    constant = max(crb_min_constant(pricing.visits, quotes, start), DUST)
+    schedule = BribeSchedule(tuple(constant if i <= start else 0.0 for i in range(c + 1)),
+                             True, "CRB2")
+    return evaluate_schedule(scenario, target_only, [(schedule, start)])[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sweep_cases())
+def test_crb2_sweeps_equal_the_strategy_step_by_step(case):
+    # a crb2 sweep builds every start's chain from one table of the target
+    # aboard and runs it beside the other starts; each point must be the
+    # strategy computed on its own, in every field
+    scenario, starts, rewards = case
+    starts = [scenario.d0 if start is None else start for start in starts]
+    got = strategies.sweep_crb(scenario, "crb2", starts)
+    assert [bits(o) for o in got] == [bits(crb2_by_hand(scenario, s)) for s in starts]
+    got = strategies.sweep_crb(scenario, "crb2", starts, rewards)
+    want = [crb2_by_hand(scenario.at_reward(r), s) for r in rewards for s in starts]
+    assert [bits(o) for o in got] == [bits(o) for o in want]
 
 
 def count_solves(monkeypatch):
