@@ -18,13 +18,14 @@ time. Expected step counts are the wall's at every power up to 0.5, since
 the open-ended race then has no finite mean duration.
 
 Two solvers read the same chain. ``analyze`` is the dense reference, one
-function: it builds I - Q and the absorbing block from the fork powers and
-solves for the whole fundamental matrix by LU. ``solve_race`` is the hot
-path: it reads the chain as its bribed core and the attacker's power, and
-builds no chain. I - Q is tridiagonal, so Thomas sweeps give in O(h) the
-three things strategy evaluation reads, namely the success column of B,
-the start row of N and the expected step count from the start (Kemeny &
-Snell, *Finite Markov Chains*, for the identities). Both apply the same
+function: it builds I - Q and the absorbing block from an
+``AbsorbingChain``'s fork powers and solves for the whole fundamental
+matrix by LU; only its callers build an ``AbsorbingChain``. ``solve_race``
+is the hot path: it reads the chain as its bribed core and the attacker's
+power, and builds no chain. I - Q is tridiagonal, so Thomas sweeps give in
+O(h) the three things strategy evaluation reads, namely the success column
+of B, the start row of N and the expected step count from the start (Kemeny
+& Snell, *Finite Markov Chains*, for the identities). Both apply the same
 residual and row-sum tolerances; the tests pin the second to the first.
 
 One elimination (``_eliminate``, checked by ``_columns``) serves one core
@@ -397,16 +398,12 @@ def _run(power: float, length: int) -> _Run:
 
 def _head(core, mu: float) -> list[float]:
     """``core`` as Python floats, after ``solve_race``'s input checks: a
-    non-empty vector of fork powers and an attacker power, all strictly
-    inside (0, 1)."""
+    non-empty vector of fork powers (``_check_fork_power``, as
+    ``AbsorbingChain``) and an attacker power, all strictly inside (0, 1)."""
     core = np.asarray(core, dtype=float)
-    if core.ndim != 1 or core.size < 1:
-        raise ChainError("fork_power must be a non-empty vector")
-    head = core.tolist()
-    if not all(0.0 < x < 1.0 for x in head):  # False on NaN
-        raise ChainError("fork power must lie strictly inside (0, 1) at every state")
+    _check_fork_power(core)
     _check_mu(mu)
-    return head
+    return core.tolist()
 
 
 def _check_mu(mu: float) -> None:

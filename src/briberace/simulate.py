@@ -73,15 +73,13 @@ class RacePolicy:
 
     @classmethod
     def from_outcome(cls, outcome) -> "RacePolicy":
-        chain = outcome.final_chain
+        """An outcome's race: its fork powers, the core and then the
+        unbribed tail, and its schedule's bribes, zero over the tail."""
+        fork = outcome.fork_power
         bribes = list(outcome.schedule.per_state_bribe)
-        bribes += [0.0] * (chain.h - len(bribes))
-        return cls(
-            tuple(float(p) for p in chain.fork_power),
-            tuple(bribes),
-            outcome.start_state,
-            scheduled_states=outcome.schedule.h,
-        )
+        bribes += [0.0] * (fork.size - len(bribes))
+        return cls(tuple(fork.tolist()), tuple(bribes), outcome.start_state,
+                   scheduled_states=outcome.schedule.h)
 
 
 @dataclass(frozen=True)

@@ -15,22 +15,25 @@ Outcomes are computed from the attacker's view: bribes exist only at gap
 states 0..C, and past C the fork is mined by the attacker alone on an
 unbribed tail of up to 512 states (``markov.extend_fork_power``). Its wall
 stands in for the open-ended race except near an attacker power of 0.5,
-where it sets the numbers (see ``markov``).
+where it sets the numbers (see ``markov``). An outcome holds the chain's
+fork powers, core then tail, as one read-only array per core
+(``fork_power``); the engine builds no ``markov.AbsorbingChain``.
 
-Who mines the fork at each bribed state has one form, a ``MembershipMatrix``;
-fork powers and recapture (``recapture_split``) read it, and its
-``memberships`` are an id view for reports. ``evaluate_schedule`` takes a
-matrix and several (schedule, start) pairs, solves the matrix's core once
-for every start (``markov.solve_starts``) and builds the outcomes
-(``_outcomes``). bs, bff and crb run as sweeps over start states and block
-rewards (``sweep_bs``, ``sweep_bff``, ``sweep_crb``), whose cores depend on
-neither; ``run_bs``, ``run_bff`` and ``run_crb`` are sweeps of one start.
-crb prices its constant on the chain its outcomes run on, so ``sweep_crb``
-makes that one solve itself, from the pricing state and the starts it
-prices, and builds its outcomes through ``_outcomes`` too, every reward's
-in one call. Each pricing state's membership and fork powers are read off
-one table of the target aboard at every state. The gvc
-thresholds, which make no outcome, solve with ``markov.solve_race``.
+Who mines the fork at each bribed state has one form, a read-only boolean
+``MembershipMatrix``; fork powers and recapture (``recapture_split``) read
+it, and its ``memberships`` are an id view for reports.
+``evaluate_schedule`` takes a matrix and several (schedule, start) pairs,
+solves the matrix's core once for every start (``markov.solve_starts``) and
+builds the outcomes (``_outcomes``). bs, bff and crb run as sweeps over
+start states and block rewards (``sweep_bs``, ``sweep_bff``,
+``sweep_crb``), whose cores depend on neither; ``run_bs``, ``run_bff`` and
+``run_crb`` are sweeps of one start. crb prices its constant on the chain
+its outcomes run on, so ``sweep_crb`` makes that one solve itself, from the
+pricing state and the starts it prices, and builds its outcomes through
+``_outcomes`` too, every reward's in one call. Each pricing state's
+membership and fork powers are read off one table of the target aboard at
+every state. The gvc thresholds, which make no outcome, solve with
+``markov.solve_race``.
 
 ``optimize_gvc`` scores thousands of candidate schedules and keeps one float
 per candidate, so it scores them from tables, not outcomes (``_Search``).
@@ -61,6 +64,7 @@ winner alone is evaluated into an outcome, by ``run_gvc``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -89,16 +93,16 @@ class StrategyError(ValueError):
 @dataclass(frozen=True)
 class BribeSchedule:
     """Per-state bribe totals, indexed by gap state (entry 0 belongs to the
-    state where the next fork block wins the race). Entries are >= 0; dust
-    stands in for "no payment needed"."""
+    state where the next fork block wins the race). Entries are finite and
+    >= 0; dust stands in for "no payment needed"."""
 
     per_state_bribe: tuple[float, ...]
     committed: bool
     strategy_tag: str
 
     def __post_init__(self) -> None:
-        if any(b < 0 for b in self.per_state_bribe):
-            raise StrategyError("schedule entries must be nonnegative")
+        if not all(0.0 <= b < math.inf for b in self.per_state_bribe):  # False on NaN
+            raise StrategyError("schedule entries must be finite and nonnegative")
         if self.strategy_tag not in STRATEGY_TAGS:
             raise StrategyError(f"unknown strategy tag {self.strategy_tag!r}")
 
@@ -109,8 +113,9 @@ class BribeSchedule:
 
 @dataclass(frozen=True, eq=False)
 class MembershipMatrix:
-    """0/1 matrix of miner-by-state fork membership: one row per roster miner,
-    in roster order (descending power), one column per bribed state."""
+    """Read-only boolean matrix of miner-by-state fork membership: one row
+    per roster miner, in roster order (descending power), one column per
+    bribed state. A boolean input is frozen as it is, any other checked 0/1."""
 
     miner_ids: tuple[str, ...]
     zeta: np.ndarray
@@ -121,7 +126,7 @@ class MembershipMatrix:
             raise StrategyError("membership needs one row per roster miner")
         if z.dtype != bool and not ((z == 0) | (z == 1)).all():
             raise StrategyError("membership entries must be 0/1")
-        z = z.astype(int)
+        z = z.astype(bool, copy=False)
         z.flags.writeable = False
         object.__setattr__(self, "zeta", z)
 
@@ -138,7 +143,7 @@ class MembershipMatrix:
 
 
 def _joined_power(zeta: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Recruited power per state of a 0/1 (or boolean) miner-by-state matrix,
+    """Recruited power per state of a boolean (or 0/1) miner-by-state matrix,
     summed left to right in roster order (an accumulation, so the rounding
     never depends on memory layout)."""
     if not zeta.shape[0]:
@@ -171,7 +176,7 @@ class StrategyOutcome:
     attacker_recapture: float
     target_recapture: float
     schedule: BribeSchedule
-    final_chain: markov.AbsorbingChain
+    fork_power: np.ndarray       # read-only: the core's fork powers, then the unbribed tail
     membership: MembershipMatrix  # who mines the fork, per bribed state
 
     @property
@@ -233,11 +238,12 @@ def _outcomes(
     solution solves the core of ``membership`` from the start: cost and
     success from the solution, recapture from the membership. ``fork_total``
     is the attacker's plus the recruits' power per state, and ``core`` its
-    capped form (``_capped``). The outcomes share one chain, and the starts
-    of one schedule share what depends on the schedule alone: its bribe
-    vector, single-visit cost and recapture."""
+    capped form (``_capped``). The outcomes share one read-only array of
+    fork powers, and the starts of one schedule share what depends on the
+    schedule alone: its bribe vector, single-visit cost and recapture."""
     ms, mu = scenario.miner_set, scenario.mu
-    chain = markov.AbsorbingChain(markov.extend_fork_power(core, mu))
+    fork_power = markov.extend_fork_power(core, mu)
+    fork_power.flags.writeable = False
     row = ms.row(scenario.target_id)
     recapture_args = (mu, float(ms.powers[row]), fork_total.tolist(),
                       membership.zeta[row].tolist())
@@ -245,7 +251,7 @@ def _outcomes(
     outcomes = []
     for schedule, start, solution in runs:
         if id(schedule) not in per_schedule:
-            bribes = np.zeros(chain.h)
+            bribes = np.zeros(fork_power.size)
             bribes[: schedule.h] = schedule.per_state_bribe
             recapture = _recapture(schedule.per_state_bribe, *recapture_args)
             per_schedule[id(schedule)] = (
@@ -276,7 +282,7 @@ def _outcomes(
             attacker_recapture=attacker_rc,
             target_recapture=target_rc,
             schedule=schedule,
-            final_chain=chain,
+            fork_power=fork_power,
             membership=membership,
         ))
     return outcomes
@@ -460,11 +466,10 @@ def sweep_crb(
     states = np.arange(c + 1)
     aboard = _target_only(scenario, states)
     aboard_total = mu + _joined_power(aboard.zeta, scenario.miner_set.powers)
-    target_aboard = aboard.zeta == 1
     outcomes = {}
     for calc_from, group in priced.items():
         on = states <= calc_from
-        target_only = MembershipMatrix(aboard.miner_ids, target_aboard & on)
+        target_only = MembershipMatrix(aboard.miner_ids, aboard.zeta & on)
         fork_total = np.where(on, aboard_total, mu)
         core = _capped(fork_total)
         pricing, *solutions = markov.solve_starts(core, mu, [calc_from, *group])
@@ -498,7 +503,7 @@ def gvc_new_markov(scenario: Scenario, schedule: BribeSchedule) -> MembershipMat
 
 def _with_miner(fork_power: np.ndarray, aboard: np.ndarray, power: float) -> np.ndarray:
     """The core with a miner of ``power`` added at every state it is not aboard."""
-    return np.where(aboard, fork_power, np.minimum(fork_power + power, 1.0 - MIN_MAIN_SHARE))
+    return np.where(aboard, fork_power, _capped(fork_power + power))
 
 
 def _commitment_thresholds(
@@ -542,7 +547,7 @@ def gvc_member_thresholds(
     ms, mu = scenario.miner_set, scenario.mu
     r = ms.row(miner_id)
     p_m = ms.miners[r].power
-    aboard = recruit.zeta[r].astype(bool)
+    aboard = recruit.zeta[r]
     core = recruit.fork_power(ms.powers, mu)
     base_bv = markov.solve_race(core, mu, 0).success[: core.size]
     pert_bv = markov.solve_race(_with_miner(core, aboard, p_m), mu, 0).success[: core.size]
@@ -568,7 +573,7 @@ def run_gvc(
     thresholds = gvc_member_thresholds(scenario, recruit, scenario.target_id)
     zeta = recruit.zeta.copy()
     r = scenario.miner_set.row(scenario.target_id)
-    zeta[r] = _on_fork(np.asarray(schedule.per_state_bribe), zeta[r] == 1, thresholds)
+    zeta[r] = _on_fork(np.asarray(schedule.per_state_bribe), zeta[r], thresholds)
     membership = MembershipMatrix(scenario.miner_set.ids, zeta)
     return evaluate_schedule(scenario, membership, [(schedule, start)])[0]
 

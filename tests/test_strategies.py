@@ -55,7 +55,7 @@ def test_bs_schedule_and_chain(whale20_scenario):
     assert sched[6] == pytest.approx(876.2654, abs=1e-3)
     assert out.single_visit_cost == pytest.approx(1495.587, abs=0.01)
     # the target mines the fork at every state
-    assert np.allclose(out.final_chain.fork_power[:7], 0.3, atol=1e-12)
+    assert np.allclose(out.fork_power[:7], 0.3, atol=1e-12)
     assert out.memberships == tuple(("M",) for _ in range(7))
 
 
@@ -277,7 +277,7 @@ def test_gvc_target_thresholds_match_choice_rule(table2_scenario):
     recruit = gvc_new_markov(table2_scenario, sched)
     thresholds = gvc_member_thresholds(table2_scenario, recruit, "P2")
     out = run_gvc(table2_scenario, sched, 4)
-    first_pass = recruit.zeta[table2_scenario.miner_set.row("P2")] == 1
+    first_pass = recruit.zeta[table2_scenario.miner_set.row("P2")]
     assert np.array_equal(np.isnan(thresholds), first_pass)
     for j in range(7):
         joined = "P2" in out.memberships[j]
@@ -305,6 +305,27 @@ def test_gvc_final_markov_from_zeta(table2_scenario):
 def test_membership_matrix_rejects_malformed_input(ids, zeta):
     with pytest.raises(StrategyError):
         MembershipMatrix(ids, np.array(zeta))
+
+
+@pytest.mark.parametrize("zeta", [
+    [[1, 0], [1, 1]], [[1.0, 0.0], [1.0, 1.0]], [[True, False], [True, True]],
+])
+def test_membership_matrix_is_a_read_only_boolean_matrix(zeta):
+    members = MembershipMatrix(("a", "b"), np.array(zeta))
+    assert members.zeta.dtype == bool
+    assert members.zeta.tolist() == [[True, False], [True, True]]
+    with pytest.raises(ValueError, match="read-only"):
+        members.zeta[0, 1] = True
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_schedule_entries_must_be_finite_and_nonnegative(bad, table2_scenario):
+    # NaN fails every comparison, so a check of ``b < 0`` alone let it
+    # through, and with it a NaN cost; +inf made an infinite cost
+    with pytest.raises(StrategyError, match="finite and nonnegative"):
+        BribeSchedule((DUST, 1.0, bad, 2.0, DUST, DUST, DUST), True, "GVC_AC")
+    with pytest.raises(StrategyError, match="finite and nonnegative"):
+        run_gvc(table2_scenario, [bad] * 7, 4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,9 +362,9 @@ def test_gvc_commitment_beats_single_target_on_same_spend(table2_scenario):
 
 def test_published_vector_satisfies_staying_condition(table2_scenario):
     out = run_gvc(table2_scenario, PUBLISHED_GVC, 4)
-    fork = out.final_chain.fork_power
+    fork = out.fork_power
     p_m = table2_scenario.target.power
-    analysis = markov.analyze(out.final_chain)
+    analysis = markov.analyze(markov.AbsorbingChain(fork))
     p_xs = analysis.B[:7, 0]
     # failure odds with the target back on the main chain everywhere
     wo = fork.copy()
@@ -367,11 +388,11 @@ def test_committed_beliefs_cut_below_constant_probability_quote(table2_scenario)
     # beliefs from the biggest-first chain: recruited states lift the win
     # odds, so the per-state minimum drops below the constant-power quote
     out = run_bff(table2_scenario, 4)
-    analysis = markov.analyze(out.final_chain)
+    analysis = markov.analyze(markov.AbsorbingChain(out.fork_power))
     p_m = table2_scenario.target.power
     j = 3
-    fork_wo_m = out.final_chain.fork_power[j] - p_m  # target is aboard at 3
-    pert = out.final_chain.fork_power.copy()
+    fork_wo_m = out.fork_power[j] - p_m  # target is aboard at 3
+    pert = out.fork_power.copy()
     # failure odds with the target elsewhere
     wo = pert.copy()
     wo[: 7] = [
@@ -415,20 +436,23 @@ def test_evaluate_requires_chain_covering_schedule(whale20_scenario, table2_scen
 @pytest.mark.parametrize("fixture,start", [("table2", 4), ("whale20", 6)])
 def test_every_outcome_chain_is_its_membership_chain(fixture, start, table2_scenario,
                                                      whale20_scenario):
-    # RacePolicy.from_outcome hands final_chain's fork powers to the oracle:
-    # they must be exactly the chain of the outcome's own membership
+    # RacePolicy.from_outcome hands an outcome's fork powers to the oracle:
+    # they must be exactly the chain of the outcome's own membership, and
+    # read-only, since the outcomes of one core share them
     sc = table2_scenario if fixture == "table2" else whale20_scenario
     outcomes = [run_bs(sc, start), run_bff(sc, start), run_crb(sc, "crb1", start),
                 run_crb(sc, "crb2", start), run_gvc(sc, PUBLISHED_GVC, start)]
     for out in outcomes:
         core = out.membership.fork_power(sc.miner_set.powers, sc.mu)
         want = markov.extend_fork_power(core, sc.mu)
-        assert out.final_chain.fork_power.tobytes() == want.tobytes(), out.strategy_tag
+        assert out.fork_power.tobytes() == want.tobytes(), out.strategy_tag
+        with pytest.raises(ValueError, match="read-only"):
+            out.fork_power[0] = 0.5
 
 
 def test_costs_match_visit_weighted_sums(table2_scenario):
     out = run_bff(table2_scenario, 4)
-    bribes = np.zeros(out.final_chain.h)
+    bribes = np.zeros(out.fork_power.size)
     bribes[:7] = out.schedule.per_state_bribe
     assert out.cost_unconditional == pytest.approx(float(out.visits @ bribes), rel=1e-12)
     assert out.cost_on_success is not None and out.cost_on_success > 0
@@ -688,7 +712,7 @@ def test_search_columns_are_membership_columns(n, c, seed):
         for k, entries in enumerate(batch):
             recruit = gvc_new_markov(sc, BribeSchedule(entries, True, "GVC_AC"))
             fork = recruit.fork_power(ms.powers, sc.mu)
-            aboard = recruit.zeta[row].astype(bool)
+            aboard = recruit.zeta[row]
             pert = strategies._with_miner(fork, aboard, target.power)
             zeta = recruit.zeta.copy()
             zeta[row] = 1
@@ -838,35 +862,139 @@ def test_sweeps_equal_their_one_point_runs_bit_for_bit(case):
         assert [bits(o) for o in got] == [bits(o) for o in want]
 
 
-def crb2_by_hand(scenario, start):
-    """crb2 at one start, step by step: the target alone aboard up to the
-    start, the constant priced on that chain's visit row from the start,
-    and the schedule evaluated on the same membership."""
+def fork_totals_by_hand(scenario, membership):
+    """Each state's fork total, the attacker's power plus each miner aboard
+    added in roster order, and its capped form, the core."""
+    totals = []
+    for column in membership.zeta.T.tolist():
+        joined = 0.0
+        for aboard, power in zip(column, scenario.miner_set.powers.tolist()):
+            if aboard:
+                joined += power
+        totals.append(scenario.mu + joined)
+    return totals, np.minimum(totals, 1.0 - MIN_MAIN_SHARE)
+
+
+def outcome_by_hand(scenario, membership, schedule, start):
+    """The outcome of a schedule from one start, step by step: the core
+    from ``fork_totals_by_hand``, the race solved from the start
+    (``markov.solve_race``), the costs weighed over its visit row, and the
+    recapture summed state by state."""
+    mu = scenario.mu
+    totals, core = fork_totals_by_hand(scenario, membership)
+    solution = markov.solve_race(core, mu, start)
+    fork_power = markov.extend_fork_power(core, mu)
+    bribes = np.zeros(fork_power.size)
+    bribes[: schedule.h] = schedule.per_state_bribe
+    success = float(solution.success[start])
+    cost_on_success = None
+    if success > 0.0:
+        cost_on_success = float((solution.success / success * solution.visits * bribes).sum())
+    row = scenario.miner_set.row(scenario.target_id)
+    p_t = float(scenario.miner_set.powers[row])
+    attacker = target = 0.0
+    for spend, total, aboard in zip(schedule.per_state_bribe, totals, membership.zeta[row]):
+        attacker += spend * mu / total
+        if aboard:
+            target += spend * p_t / total
+    mu_eff = float(core[start])
+    return strategies.StrategyOutcome(
+        strategy_tag=schedule.strategy_tag,
+        start_state=start,
+        success_prob=success,
+        success_prob_basic=markov.catchup_prob(mu_eff, 1.0 - mu_eff, start),
+        expected_steps=solution.steps,
+        visits=solution.visits,
+        cost_unconditional=float(solution.visits @ bribes),
+        cost_on_success=cost_on_success,
+        single_visit_cost=float(np.sum(schedule.per_state_bribe)),
+        attacker_recapture=attacker,
+        target_recapture=target,
+        schedule=schedule,
+        fork_power=fork_power,
+        membership=membership,
+    )
+
+
+def quotes_by_hand(scenario, power):
+    """The basic threshold of a miner of ``power`` at every state 0..C."""
+    return [basic_threshold(i, power, scenario.mu, scenario.lam, scenario.reward)
+            for i in range(scenario.confirmations + 1)]
+
+
+def bs_by_hand(scenario, start):
+    """bs at one start: the target alone aboard at every state, each paid
+    its settled basic minimum."""
+    quotes = quotes_by_hand(scenario, scenario.target.power)
+    schedule = BribeSchedule(tuple(map(settled_bribe, quotes)), False, "BS")
+    target_only = strategies._target_only(scenario, range(scenario.confirmations + 1))
+    return outcome_by_hand(scenario, target_only, schedule, start)
+
+
+def bff_by_hand(scenario, start):
+    """bff at one start: the top C-i+1 miners aboard at state i, each state
+    paid the settled basic minimum of its smallest recruit."""
+    roster, c = scenario.miner_set.miners, scenario.confirmations
+    entries = tuple(
+        settled_bribe(quotes_by_hand(scenario, roster[min(c - i, len(roster) - 1)].power)[i])
+        for i in range(c + 1))
+    schedule = BribeSchedule(entries, False, "BFF")
+    return outcome_by_hand(scenario, bff_membership(scenario), schedule, start)
+
+
+def crb_by_hand(scenario, start, variant):
+    """crb at one start: the target alone aboard up to the pricing state (C
+    for crb1, the start for crb2), the constant priced on that chain's
+    visit row from the pricing state, and nothing paid above it."""
     c = scenario.confirmations
-    target_only = strategies._target_only(scenario, range(start + 1))
-    core = target_only.fork_power(scenario.miner_set.powers, scenario.mu)
-    pricing = markov.solve_race(core, scenario.mu, start)
-    quotes = [basic_threshold(i, scenario.target.power, scenario.mu, scenario.lam,
-                              scenario.reward) for i in range(c + 1)]
-    constant = max(crb_min_constant(pricing.visits, quotes, start), DUST)
-    schedule = BribeSchedule(tuple(constant if i <= start else 0.0 for i in range(c + 1)),
-                             True, "CRB2")
-    return evaluate_schedule(scenario, target_only, [(schedule, start)])[0]
+    calc_from = c if variant == "crb1" else start
+    target_only = strategies._target_only(scenario, range(calc_from + 1))
+    _, core = fork_totals_by_hand(scenario, target_only)
+    pricing = markov.solve_race(core, scenario.mu, calc_from)
+    quotes = quotes_by_hand(scenario, scenario.target.power)
+    constant = max(crb_min_constant(pricing.visits.tolist(), quotes, calc_from), DUST)
+    schedule = BribeSchedule(tuple(constant if i <= calc_from else 0.0 for i in range(c + 1)),
+                             True, variant.upper())
+    return outcome_by_hand(scenario, target_only, schedule, start)
 
 
+BY_HAND = {"bs": bs_by_hand, "bff": bff_by_hand,
+           "crb1": functools.partial(crb_by_hand, variant="crb1"),
+           "crb2": functools.partial(crb_by_hand, variant="crb2")}
+
+
+@pytest.mark.parametrize("strategy", BY_HAND)
 @settings(max_examples=40, deadline=None)
 @given(case=sweep_cases())
-def test_crb2_sweeps_equal_the_strategy_step_by_step(case):
-    # a crb2 sweep builds every start's chain from one table of the target
-    # aboard and runs it beside the other starts; each point must be the
-    # strategy computed on its own, in every field
+def test_sweeps_equal_the_strategy_step_by_step(strategy, case):
+    # run_bs, run_bff and run_crb are sweeps of one start, so a fault in
+    # what they share with the sweeps shows only against the strategy
+    # computed on its own: every start and reward, in every field (a crb2
+    # sweep also builds every start's chain from one table of the target
+    # aboard and runs it beside the other starts)
     scenario, starts, rewards = case
+    sweep, _ = SWEEPS[strategy]
+    by_hand = BY_HAND[strategy]
     starts = [scenario.d0 if start is None else start for start in starts]
-    got = strategies.sweep_crb(scenario, "crb2", starts)
-    assert [bits(o) for o in got] == [bits(crb2_by_hand(scenario, s)) for s in starts]
-    got = strategies.sweep_crb(scenario, "crb2", starts, rewards)
-    want = [crb2_by_hand(scenario.at_reward(r), s) for r in rewards for s in starts]
+    got = sweep(scenario, starts=starts)
+    assert [bits(o) for o in got] == [bits(by_hand(scenario, s)) for s in starts]
+    got = sweep(scenario, starts=starts, rewards=rewards)
+    want = [by_hand(scenario.at_reward(r), s) for r in rewards for s in starts]
     assert [bits(o) for o in got] == [bits(o) for o in want]
+
+
+def test_the_engine_builds_no_absorbing_chain(table2_scenario, monkeypatch):
+    # only the dense reference (markov.analyze) reads an AbsorbingChain;
+    # every sweep and run_gvc hand the chain around as fork powers
+    def refuse(fork_power):
+        raise AssertionError("the engine built an AbsorbingChain")
+
+    monkeypatch.setattr(markov, "AbsorbingChain", refuse)
+    sc = table2_scenario
+    states = range(sc.confirmations + 1)
+    for sweep, _ in SWEEPS.values():
+        assert len(sweep(sc, starts=states, rewards=[3.125, 6.25])) == 2 * len(states)
+    assert run_gvc(sc, PUBLISHED_GVC, 4).fork_power.size == 7 + markov.tail_depth(sc.mu)
 
 
 def count_solves(monkeypatch):
