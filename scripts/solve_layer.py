@@ -26,7 +26,8 @@ The counts are deterministic: the script prints them and exits 1 unless
 the search's rounds, its solves by kind, its passes, candidates scored and
 target-level probes equal ROUNDS, SEARCH_SOLVES and PASSES, and the
 winner's evaluation by ``run_gvc`` makes WINNER_SOLVES solves, through
-``solve_race`` (its thresholds) and ``solve_starts`` (its outcome).
+one ``_solve_cores`` batch of two cores (its thresholds) and
+``solve_starts`` (its outcome).
 """
 import argparse
 import sys
@@ -80,7 +81,12 @@ def record_search():
             return solve(core, mu, start)
         return record
 
+    def record_winner_batch(cores, mu, start, full):
+        winner.extend(cores)
+        return batch(cores, mu, start, full)
+
     def evaluate_winner(*args):
+        markov._solve_cores = record_winner_batch
         markov.solve_race = record_winner(solve_race)
         markov.solve_starts = record_winner(solve_starts)
         return run_gvc(*args)

@@ -129,10 +129,12 @@ def _emit(args: argparse.Namespace, table: list[dict], **fields) -> None:
         payload = {"schema_version": SCHEMA_VERSION, **fields}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
+        # every row has the header's keys in its order: a row's values are
+        # its CSV fields, with no per-row lookup of the header
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(table[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(table)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(table[0])
+        writer.writerows(map(dict.values, table))
         text = buf.getvalue()
     if args.out_path is None:
         sys.stdout.write(text)

@@ -71,9 +71,15 @@ half from the bottom) is the same at every length. It is kept per power
 run of a new length costs its three back substitutions on Python floats
 and its residual and row-sum maxima as array operations. These are the
 IEEE operations of the state-by-state solve, so the bits are its bits (the
-tests hold ``_run`` to that solve, kept in ``tests/run_reference.py``). A
-crb2 start sweep asks for a run of another length at every start above the
-core, all at the attacker's power.
+tests hold ``_run`` to that solve, kept in ``tests/run_reference.py``).
+
+A crb2 start sweep prices and runs each start s on its own chain: the
+target's power a up to s and the attacker alone above it. ``solve_prefixes``
+solves all of them: start s sweeps states 0..s, all at a, so the
+elimination below s is a prefix of the forward sweep at a, and each start
+pays its last pivot (which folds in its run of h - s - 1 states, a run of
+another length per start), its back substitutions, its visit row and its
+checks.
 """
 from __future__ import annotations
 
@@ -229,9 +235,13 @@ def _holds(compare, values: list, tol: float) -> bool:
     return bool(compare(np.array(values), tol).all())
 
 
-def _eliminate(p: list, run: _Run | None):
+def _eliminate(p: list, run: _Run | None, head: tuple | None = None):
     """The success and failure columns of B over states 0..n-1 of fork
-    powers p (q = 1 - p), by one Thomas sweep.
+    powers p (q = 1 - p), by one Thomas sweep. ``head``, where given, is
+    the sweep's forward elimination of states 0..n-2 (their pivots, ``up``
+    and reduced success right-hand sides, as lists), as a forward sweep at
+    one power holds it (``_Forward.head``): only the last state is
+    eliminated here.
 
     Each p_i is a Python float (one core) or a numpy column (a batch of
     cores, one per element, that share the run): every step is the same
@@ -252,11 +262,15 @@ def _eliminate(p: list, run: _Run | None):
     diag = [1.0] * n
     diag[-1] = 1.0 - q[-1] * g
 
-    # forward elimination
-    d = diag[0]
-    u, w = q[0] / d, p[0] / d
-    piv, up, win = [d], [u], [w]  # up: q_i / pivot_i; win: reduced success right-hand side
-    for pi, qi, di in zip(p[1:], q[1:], diag[1:]):
+    # forward elimination (up: q_i / pivot_i; win: reduced success right-hand side)
+    if head is None:
+        d = diag[0]
+        piv, up, win = [d], [q[0] / d], [p[0] / d]
+    else:
+        piv, up, win = head
+    u, w = up[-1], win[-1]
+    k = len(piv)
+    for pi, qi, di in zip(p[k:], q[k:], diag[k:]):
         d = di - pi * u
         u = qi / d
         w = pi * w / d
@@ -283,14 +297,19 @@ def _eliminate(p: list, run: _Run | None):
     return q, piv, win, lose, res_b, res_f
 
 
-def _visit_row(p: list, q: list, piv: list, start: int, run: _Run | None):
+def _down(p: list, piv: list) -> list:
+    """p_{i+1} over pivot i: the elimination of (I - Q)^T, which every start
+    of a sweep shares."""
+    return [pn / d for pn, d in zip(p[1:], piv)]
+
+
+def _visit_row(p: list, q: list, piv: list, down: list, start: int, run: _Run | None):
     """The start row of N over the states of ``_eliminate``, floats or
     columns as there: it solves (I - Q)^T x = e_start, whose elimination has
-    the same pivots. Returns the row and its residuals, state by state,
-    taken against the run's first values."""
+    the same pivots (``_down``). Returns the row and its residuals, state
+    by state, taken against the run's first values."""
     n = len(p)
     visits0, mu = (0.0, 0.0) if run is None else (float(run.visits[0]), run.power)
-    down = [pn / d for pn, d in zip(p[1:], piv)]  # p_{i+1} / pivot_i: of (I - Q)^T
     row = [0.0] * n
     x = row[start] = 1.0 / piv[start]
     for i in range(start + 1, n):
@@ -321,15 +340,17 @@ def _check_start(start: int, h: int) -> None:
 class _Forward:
     """The forward half of the sweep of a run at one fork power, from its
     bottom: per state, the reduced success right-hand side, ``up`` (q over
-    the state's pivot), the forward half of the visit row from the bottom
-    and ``down`` (p over the state's pivot), each by ``_eliminate``'s and
-    ``_visit_row``'s operations. A run's last diagonal is exactly 1.0, so
-    these are the same at every length: a longer run extends them."""
+    the state's pivot), the forward half of the visit row from the bottom,
+    ``down`` (p over the state's pivot) and the pivot, each by
+    ``_eliminate``'s and ``_visit_row``'s operations. A run's last diagonal
+    is exactly 1.0, so these are the same at every length: a longer run
+    extends them. So are the states below the top of any chain of one
+    power, whose last diagonal alone differs (``head``)."""
 
     def __init__(self, power: float):
         p, q = power, 1.0 - power
         self.power, self.q = p, q
-        self.states = [(p, q, 1.0, p)]  # the bottom's pivot is 1
+        self.states = [(p, q, 1.0, p, 1.0)]  # the bottom's pivot is 1
         self.up = np.array([q])
         # the coefficients of the state below and above in the success,
         # failure and visit residuals, one row each
@@ -343,14 +364,22 @@ class _Forward:
             return
         states = self.states
         p, q = self.power, self.q
-        w, u, x, _ = states[-1]
+        w, u, x, _, _ = states[-1]
         for _ in range(length - len(states)):
             d = 1.0 - p * u
             u = q / d
             w = p * w / d
             x = q * x / d
-            states.append((w, u, x, p / d))
+            states.append((w, u, x, p / d, d))
         self.up = np.array([state[1] for state in states])
+
+    def head(self, length: int) -> tuple[tuple, tuple, tuple]:
+        """The pivots, ``up`` and reduced success right-hand sides of states
+        0..length-1, as tuples: ``_eliminate``'s forward elimination of a
+        sweep at this power below its last state."""
+        self.reach(length)
+        w, u, _, _, d = zip(*self.states[:length])
+        return d, u, w
 
 
 @lru_cache(maxsize=RUN_CACHE_SIZE)
@@ -369,9 +398,9 @@ def _run(power: float, length: int) -> _Run:
     fw = _forward(power)
     fw.reach(length)
     top = length - 1
-    b, _, x, _ = fw.states[top]
+    b, _, x, _, _ = fw.states[top]
     s, v = [b], [x]  # from the top state down
-    for w, u, r, dn in reversed(fw.states[:top]):
+    for w, u, r, dn, _ in reversed(fw.states[:top]):
         b = w + u * b
         x = r + dn * x
         s.append(b)
@@ -411,13 +440,14 @@ def _check_mu(mu: float) -> None:
         raise ChainError("the tail's power must lie strictly inside (0, 1)")
 
 
-def _columns(p: list, run: _Run | None):
+def _columns(p: list, run: _Run | None, head: tuple | None = None):
     """The success and failure columns of the swept states p (floats or
     columns), with the run (None when the sweep reaches state h-1) folded
     into the last of them, after their checks: both columns' residuals, the
-    run's scaled ones included, and every row sum. Returns q, the pivots
-    and the two columns."""
-    q, piv, win, lose, res_b, res_f = _eliminate(p, run)
+    run's scaled ones included, and every row sum. ``head`` is the forward
+    elimination below the last state where it is known (``_eliminate``).
+    Returns q, the pivots and the two columns."""
+    q, piv, win, lose, res_b, res_f = _eliminate(p, run, head)
     residuals = res_b + res_f
     sums = [abs(s + l - 1.0) for s, l in zip(win, lose)]
     if run is not None:
@@ -455,6 +485,37 @@ def solve_starts(core: np.ndarray, mu: float, starts) -> list[RaceSolution]:
     return _solve(head, mu, len(head) + tail_depth(mu), starts)
 
 
+def solve_prefixes(power: float, mu: float, length: int, starts) -> list[RaceSolution]:
+    """``solve_race(np.where(np.arange(length) <= s, power, mu), mu, s)``
+    for each s of ``starts``, in order and bit for bit: from each start,
+    the chain that holds ``power`` up to the start and the attacker alone
+    above it, as crb2 prices and runs a start. The starts lie in the core
+    (0 <= s < length); they and both powers are checked before any work.
+
+    A start s sweeps states 0..s, all at ``power``, so every start reads
+    the elimination of the states below it off one forward sweep at
+    ``power`` (``_Forward.head``). Each start pays its last pivot, whose
+    diagonal 1 - q g folds in its run (``_run``: h - s - 1 states at mu),
+    its back substitutions, its visit row (the start is the top of its
+    swept states) and ``solve_race``'s checks."""
+    if not (length >= 1 and 0.0 < power < 1.0):  # False on NaN
+        _check_fork_power(np.full(max(length, 0), power))  # refuses the core as solve_race
+    _check_mu(mu)
+    for start in starts:
+        _check_start(start, length)
+    distinct = sorted(set(starts))
+    if not distinct:
+        return []
+    h = length + tail_depth(mu)
+    piv, up, win = _forward(power).head(max(distinct[-1], 1))
+    solved = {}
+    for start in distinct:
+        below = (list(piv[:start]), list(up[:start]), list(win[:start])) if start else None
+        solved.update(_solve_group(h, [power] * (start + 1), _run(mu, h - start - 1),
+                                   [start], below))
+    return [solved[start] for start in starts]
+
+
 def _solve(head: list[float], power: float, h: int, starts) -> list[RaceSolution]:
     """The body of ``solve_race`` and ``solve_starts``, over Python floats,
     for a chain of h states whose first len(head) fork powers are ``head``
@@ -463,9 +524,7 @@ def _solve(head: list[float], power: float, h: int, starts) -> list[RaceSolution
     A start's sweep runs up to its trim point: the start state or the
     core's last change of power, whichever is higher. The distinct starts
     are taken in ascending order, so the starts of one trim point come
-    together; each trim point gets its checked columns (``_columns``) once,
-    and each start its row of N, that row's residuals (the run's scaled)
-    and the full-length arrays."""
+    together and share its elimination (``_solve_group``)."""
     for start in starts:
         _check_start(start, h)
     last = len(head)
@@ -475,28 +534,43 @@ def _solve(head: list[float], power: float, h: int, starts) -> list[RaceSolution
     for n, group in groupby(sorted(set(starts)), key=lambda start: max(start + 1, last)):
         p = head[:n]
         p += [power] * (n - len(p))
-        run = None if n == h else _run(power, h - n)
-        q, piv, win, lose = _columns(p, run)
-        success = np.empty(h)
-        success[:n] = win
-        if run is not None:
-            np.multiply(run.success, win[-1], out=success[n:])
-        success.flags.writeable = False
-        for start in group:
-            row, residuals = _visit_row(p, q, piv, start, run)
-            visits = np.empty(h)
-            run_steps = 0.0
-            if run is not None:
-                # at run state j the full chain's visit residual is c r^v_j
-                c = q[-1] * row[-1]
-                residuals.append(abs(c) * run.residuals[2])
-                np.multiply(run.visits, c, out=visits[n:])
-                run_steps = c * run.steps
-            _check_residuals(residuals, "the start row of N")
-            visits[:n] = row
-            visits.flags.writeable = False
-            solved[start] = RaceSolution(success, visits, math.fsum(row + [run_steps]))
+        solved.update(_solve_group(h, p, None if n == h else _run(power, h - n), group))
     return [solved[start] for start in starts]
+
+
+def _solve_group(h: int, p: list, run: _Run | None, starts,
+                 head: tuple | None = None) -> dict[int, RaceSolution]:
+    """The solution from each of ``starts`` of a chain of h states whose
+    swept fork powers are p, with the run above them (None when the sweep
+    reaches state h-1) and, where known, the forward elimination below the
+    last swept state (``head``, as ``_eliminate`` takes it). The starts
+    share the checked columns (``_columns``) and ``_down``; each start gets
+    its row of N, that row's residuals (the run's scaled) and the
+    full-length arrays."""
+    n = len(p)
+    q, piv, win, lose = _columns(p, run, head)
+    success = np.empty(h)
+    success[:n] = win
+    if run is not None:
+        np.multiply(run.success, win[-1], out=success[n:])
+    success.flags.writeable = False
+    down = _down(p, piv)
+    solved = {}
+    for start in starts:
+        row, residuals = _visit_row(p, q, piv, down, start, run)
+        visits = np.empty(h)
+        run_steps = 0.0
+        if run is not None:
+            # at run state j the full chain's visit residual is c r^v_j
+            c = q[-1] * row[-1]
+            residuals.append(abs(c) * run.residuals[2])
+            np.multiply(run.visits, c, out=visits[n:])
+            run_steps = c * run.steps
+        _check_residuals(residuals, "the start row of N")
+        visits[:n] = row
+        visits.flags.writeable = False
+        solved[start] = RaceSolution(success, visits, math.fsum(row + [run_steps]))
+    return solved
 
 
 def _solve_cores(cores, mu: float, start: int, full) -> tuple[np.ndarray, np.ndarray]:
@@ -548,7 +622,7 @@ def _solve_cores(cores, mu: float, start: int, full) -> tuple[np.ndarray, np.nda
         if flagged.size < batch.size:  # the visit row of the flagged cores alone
             batch = batch[flagged]
             p, q, piv = ([x if type(x) is float else x[flagged] for x in v] for v in (p, q, piv))
-        row, residuals = _visit_row(p, q, piv, start, run)
+        row, residuals = _visit_row(p, q, piv, _down(p, piv), start, run)
         visits[batch, :n] = np.array(row).T
         if run is not None:
             c = q[-1] * row[-1]

@@ -14,10 +14,16 @@ of the engine joins at equality. Two threshold formulas are provided:
   recruitment.
 
 A threshold keeps its raw sign (negative: the fork already pays without a
-bribe); ``settled_bribe`` turns it into a schedule amount.
+bribe); ``settled_bribe`` turns it into a schedule amount. A small miner's
+basic threshold is +inf at the deep states where its odds of overtaking
+underflow: no bribe persuades it there. ``basic_thresholds`` gives the
+basic threshold at every state for several rewards, bit for bit, from one
+factor of the reward per state.
 """
 from __future__ import annotations
 
+import math
+import operator
 from typing import Sequence
 
 from .model import DUST
@@ -41,17 +47,37 @@ def _check_basic_inputs(p_m: float, mu: float, lam: float) -> None:
 
 def basic_threshold(i: int, p_m: float, mu: float, lam: float, reward: float) -> float:
     """Raw constant-probability threshold value (may be negative): the
-    general threshold at the constant-power race's survive and overtake odds.
-    Where the fork's odds with the miner aboard overflow a float (a miner
-    within a hair of the whole main chain, at deep states), the formula's
-    value is ``-reward`` to float precision, and that is returned."""
+    general threshold at the constant-power race's survive and overtake
+    odds, by ``general_threshold``'s operations (``_basic_factor``)."""
     _check_basic_inputs(p_m, mu, lam)
+    return _basic_factor(i, p_m, mu, lam) * reward - reward
+
+
+def basic_thresholds(powers: Sequence[float], mu: float, lam: float,
+                     rewards: Sequence[float]) -> list[list[float]]:
+    """``basic_threshold(i, powers[i], mu, lam, reward)`` at every state i,
+    one list per reward of ``rewards``, bit for bit: each state's factor is
+    taken once for every reward, and each distinct power checked once."""
+    for p_m in dict.fromkeys(powers):
+        _check_basic_inputs(p_m, mu, lam)
+    factors = [_basic_factor(i, p_m, mu, lam) for i, p_m in enumerate(powers)]
+    return [[f * reward - reward for f in factors] for reward in rewards]
+
+
+def _basic_factor(i: int, p_m: float, mu: float, lam: float) -> float:
+    """f of the basic threshold f R - R at state i: f = survive (p_m + mu) /
+    (lam overtake), evaluated as ``general_threshold`` evaluates it, so
+    f R - R is its value bit for bit. Where the fork's odds with the miner
+    aboard overflow a float (a miner within a hair of the whole main chain,
+    at deep states), the formula's value is -R to float precision, and f is
+    0. Where they underflow to 0 (a small miner at deep states), f is the
+    formula's limit, +inf: no bribe persuades the miner."""
     survive = 1.0 - (mu / lam) ** (i + 1)
     try:
         overtake = ((mu + p_m) / (lam - p_m)) ** (i + 1)
     except OverflowError:
-        return -reward
-    return general_threshold(p_m, mu, lam, overtake, survive, reward)
+        return 0.0
+    return math.inf if overtake == 0.0 else survive * (p_m + mu) / (lam * overtake)
 
 
 def settled_bribe(threshold: float) -> float:
@@ -76,11 +102,11 @@ def crb_min_constant(
     the whole remaining attack profitable in expectation."""
     if not (0 <= current_state < min(len(visits), len(quotes))):
         raise RationalityError("current_state out of range")
-    idx = range(current_state + 1)
-    total = sum(visits[i] for i in idx)
+    visits, quotes = visits[: current_state + 1], quotes[: current_state + 1]
+    total = sum(visits)
     if total <= 0:
         raise RationalityError("empty or unvisited summation range")
-    return sum(visits[i] * quotes[i] for i in idx) / total
+    return sum(map(operator.mul, visits, quotes)) / total
 
 
 def persuadable_threshold(

@@ -27,13 +27,18 @@ solves the matrix's core once for every start (``markov.solve_starts``) and
 builds the outcomes (``_outcomes``). bs, bff and crb run as sweeps over
 start states and block rewards (``sweep_bs``, ``sweep_bff``,
 ``sweep_crb``), whose cores depend on neither; ``run_bs``, ``run_bff`` and
-``run_crb`` are sweeps of one start. crb prices its constant on the chain
-its outcomes run on, so ``sweep_crb`` makes that one solve itself, from the
-pricing state and the starts it prices, and builds its outcomes through
-``_outcomes`` too, every reward's in one call. Each pricing state's
-membership and fork powers are read off one table of the target aboard at
-every state. The gvc thresholds, which make no outcome, solve with
-``markov.solve_race``.
+``run_crb`` are sweeps of one start. A sweep prices every reward's
+thresholds from one factor per state (``rationality.basic_thresholds``)
+and refuses one that is not finite, naming the miner and state, before any
+solve (``_payable``). crb prices its constant on the chain its outcomes run
+on, so ``sweep_crb`` makes that one solve itself, from the pricing state
+and the starts it prices: crb1 prices every start on one chain, crb2 each
+start on its own, all of them solved together (``markov.solve_prefixes``).
+Each pricing state's membership, fork total and fork powers are rows of one
+table of the target aboard. A sweep builds its outcomes in one
+``_outcomes`` call, with the visit rows, success columns and bribe vectors
+as the rows of arrays. The gvc thresholds, which make no outcome, solve
+both their chains in one ``markov._solve_cores`` batch.
 
 ``optimize_gvc`` scores thousands of candidate schedules and keeps one float
 per candidate, so it scores them from tables, not outcomes (``_Search``).
@@ -67,13 +72,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Callable, Sequence
+from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
 from . import markov, rationality
-from .model import DUST, Scenario
+from .model import DUST, Miner, Scenario
 
 # Keep at least this much main-chain share at every state so the chain stays
 # strictly inside (0, 1) when a schedule recruits the entire roster.
@@ -101,7 +106,8 @@ class BribeSchedule:
     strategy_tag: str
 
     def __post_init__(self) -> None:
-        if not all(0.0 <= b < math.inf for b in self.per_state_bribe):  # False on NaN
+        entries = self.per_state_bribe
+        if not (all(map(math.isfinite, entries)) and min(entries, default=0.0) >= 0.0):
             raise StrategyError("schedule entries must be finite and nonnegative")
         if self.strategy_tag not in STRATEGY_TAGS:
             raise StrategyError(f"unknown strategy tag {self.strategy_tag!r}")
@@ -222,69 +228,68 @@ def evaluate_schedule(
     fork_total = mu + _joined_power(membership.zeta, ms.powers)
     core = _capped(fork_total)
     solutions = markov.solve_starts(core, mu, starts)
-    return _outcomes(scenario, membership, fork_total, core, [
-        (schedule, start, solution)
+    fork_power = markov.extend_fork_power(core, mu)
+    fork_power.flags.writeable = False
+    return _outcomes(scenario, [(membership, fork_total.tolist(), fork_power)], [
+        (schedule, start, solution, 0)
         for (schedule, _), start, solution in zip(runs, starts, solutions)])
 
 
 def _outcomes(
     scenario: Scenario,
-    membership: MembershipMatrix,
-    fork_total: np.ndarray,
-    core: np.ndarray,
-    runs: Sequence[tuple[BribeSchedule, int, markov.RaceSolution]],
+    chains: Sequence[tuple[MembershipMatrix, list[float], np.ndarray]],
+    runs: Sequence[tuple[BribeSchedule, int, markov.RaceSolution, int]],
 ) -> list[StrategyOutcome]:
-    """The outcome of each (schedule, start, solution) of ``runs``, where the
-    solution solves the core of ``membership`` from the start: cost and
-    success from the solution, recapture from the membership. ``fork_total``
-    is the attacker's plus the recruits' power per state, and ``core`` its
-    capped form (``_capped``). The outcomes share one read-only array of
-    fork powers, and the starts of one schedule share what depends on the
-    schedule alone: its bribe vector, single-visit cost and recapture."""
-    ms, mu = scenario.miner_set, scenario.mu
-    fork_power = markov.extend_fork_power(core, mu)
-    fork_power.flags.writeable = False
+    """The outcome of each (schedule, start, solution, chain) of ``runs``:
+    ``chains[chain]`` is a membership, the attacker's plus the recruits'
+    power at each of its states (the fork total) and its read-only fork
+    powers, core (the capped fork total, ``_capped``) then tail, and the
+    solution solves that chain from the start. Cost and success come from
+    the solution, recapture from the membership; the schedules share one
+    length. The visit rows, success columns and bribe vectors are the rows
+    of three arrays, which give every success-weighted and single-visit
+    cost at once; the unconditional cost is one ``visits @ bribes`` dot per
+    row, whose bits a batched product need not keep. The runs of one
+    schedule and chain share its recapture."""
+    if not runs:
+        return []
+    ms, mu, catchup = scenario.miner_set, scenario.mu, markov.catchup_prob
     row = ms.row(scenario.target_id)
-    recapture_args = (mu, float(ms.powers[row]), fork_total.tolist(),
-                      membership.zeta[row].tolist())
-    per_schedule: dict[int, tuple] = {}  # by id: every schedule lives in ``runs``
+    p_t = float(ms.powers[row])
+    n = runs[0][0].h
+    visits, columns, entries, success, divisors = [], [], [], [], []
+    for schedule, start, solution, _ in runs:
+        visits.append(solution.visits)
+        columns.append(solution.success)
+        entries.append(schedule.per_state_bribe)
+        s = float(solution.success[start])
+        success.append(s)
+        # a row whose success is 0 has no success-weighted cost: divide by 1
+        divisors.append(s if s > 0.0 else 1.0)
+    visits = np.array(visits)
+    bribes = np.zeros_like(visits)
+    bribes[:, :n] = entries
+    weighted = np.array(columns)
+    weighted /= np.array(divisors)[:, None]
+    weighted *= visits
+    weighted *= bribes
+    on_success = weighted.sum(axis=1).tolist()
+    single_visit = bribes[:, :n].sum(axis=1).tolist()
+    recaptures: dict[tuple[int, int], tuple[float, float]] = {}  # by schedule id and chain
     outcomes = []
-    for schedule, start, solution in runs:
-        if id(schedule) not in per_schedule:
-            bribes = np.zeros(fork_power.size)
-            bribes[: schedule.h] = schedule.per_state_bribe
-            recapture = _recapture(schedule.per_state_bribe, *recapture_args)
-            per_schedule[id(schedule)] = (
-                bribes, float(bribes[: schedule.h].sum()), recapture)
-        bribes, single_visit_cost, (attacker_rc, target_rc) = per_schedule[id(schedule)]
-        visits = solution.visits
-        cost = float(visits @ bribes)
-        b_v = solution.success
-        success = float(b_v[start])
-        if success > 0.0:
-            weighted = b_v / success
-            weighted *= visits
-            weighted *= bribes
-            cost_success = float(weighted.sum())
-        else:
-            cost_success = None
-        mu_eff = float(core[start])
+    for (schedule, start, solution, ch), paid, s, cost_s, single in zip(
+            runs, bribes, success, on_success, single_visit):
+        membership, fork_total, fork_power = chains[ch]
+        key = (id(schedule), ch)  # every schedule lives in ``runs``
+        if key not in recaptures:
+            recaptures[key] = _recapture(schedule.per_state_bribe, mu, p_t, fork_total,
+                                         membership.zeta[row].tolist())
+        mu_eff = float(fork_power[start])
         outcomes.append(StrategyOutcome(
-            strategy_tag=schedule.strategy_tag,
-            start_state=start,
-            success_prob=success,
-            success_prob_basic=markov.catchup_prob(mu_eff, 1.0 - mu_eff, start),
-            expected_steps=solution.steps,
-            visits=visits,
-            cost_unconditional=cost,
-            cost_on_success=cost_success,
-            single_visit_cost=single_visit_cost,
-            attacker_recapture=attacker_rc,
-            target_recapture=target_rc,
-            schedule=schedule,
-            fork_power=fork_power,
-            membership=membership,
-        ))
+            schedule.strategy_tag, start, s, catchup(mu_eff, 1.0 - mu_eff, start),
+            solution.steps, solution.visits, float(solution.visits @ paid),
+            cost_s if s > 0.0 else None, single, *recaptures[key], schedule, fork_power,
+            membership))
     return outcomes
 
 
@@ -331,8 +336,21 @@ def _recapture(spend_per_state, mu: float, p_t: float, fork_total: list[float],
 # reward, start by start in the order given, duplicates included. Neither
 # membership nor fork powers depend on the start or the reward, so one solve
 # of a core serves every start and reward that shares it (one per sweep for
-# bs, bff and crb1, one per start for crb2). ``run_bs``, ``run_bff`` and
-# ``run_crb`` are sweeps of one start.
+# bs, bff and crb1; crb2 prices each start on its own chain, and solves them
+# together). ``run_bs``, ``run_bff`` and ``run_crb`` are sweeps of one start.
+
+def _payable(thresholds: list[float], miners: Sequence[str]) -> list[float]:
+    """The basic thresholds of ``miners[i]`` at each state i, refused where
+    one is not finite: no bribe can be paid there (the miner's odds of
+    overtaking underflow at deep states, and a huge reward overflows the
+    formula)."""
+    if not all(map(math.isfinite, thresholds)):
+        i = [math.isfinite(t) for t in thresholds].index(False)
+        raise StrategyError(
+            f"miner {miners[i]!r} has no finite threshold at state {i} ({thresholds[i]}), "
+            "so no bribe persuades it there: lower --confirmations or --reward")
+    return thresholds
+
 
 def _sweep_scenarios(scenario: Scenario, rewards: Sequence[float] | None) -> list[Scenario]:
     return [scenario] if rewards is None else [scenario.at_reward(r) for r in rewards]
@@ -341,14 +359,20 @@ def _sweep_scenarios(scenario: Scenario, rewards: Sequence[float] | None) -> lis
 def _sweep(
     scenario: Scenario,
     membership: MembershipMatrix,
-    schedule_at: Callable[[Scenario], BribeSchedule],
+    paid: Sequence[Miner],
+    tag: str,
     starts: Sequence[int | None],
     rewards: Sequence[float] | None,
 ) -> list[StrategyOutcome]:
-    """The sweep of a strategy whose membership is fixed and whose schedule
-    depends on the reward alone (``schedule_at``)."""
+    """The sweep of a strategy whose membership is fixed and which pays at
+    each state i the settled basic threshold of the miner ``paid[i]``."""
     starts = [_resolve_start(scenario, start) for start in starts]
-    schedules = [schedule_at(sc) for sc in _sweep_scenarios(scenario, rewards)]
+    rewards = [sc.reward for sc in _sweep_scenarios(scenario, rewards)]
+    powers, ids = [miner.power for miner in paid], [miner.id for miner in paid]
+    schedules = [
+        BribeSchedule(tuple(map(rationality.settled_bribe, _payable(thresholds, ids))), False, tag)
+        for thresholds in rationality.basic_thresholds(powers, scenario.mu, scenario.lam, rewards)
+    ]
     return evaluate_schedule(
         scenario, membership, [(schedule, start) for schedule in schedules for start in starts])
 
@@ -365,18 +389,9 @@ def sweep_bs(
     scenario: Scenario, starts: Sequence[int | None], rewards: Sequence[float] | None = None
 ) -> list[StrategyOutcome]:
     """``run_bs`` at every reward and start, from one solve."""
-    p_m, mu, lam = scenario.target.power, scenario.mu, scenario.lam
-
-    def schedule_at(sc: Scenario) -> BribeSchedule:
-        thresholds = [
-            rationality.basic_threshold(i, p_m, mu, lam, sc.reward)
-            for i in range(sc.confirmations + 1)
-        ]
-        return BribeSchedule(tuple(map(rationality.settled_bribe, thresholds)), False, "BS")
-
-    membership = _target_only(scenario, range(scenario.confirmations + 1))
-    return _sweep(scenario, membership, schedule_at, starts, rewards)
-
+    states = range(scenario.confirmations + 1)
+    return _sweep(scenario, _target_only(scenario, states), [scenario.target] * len(states),
+                  "BS", starts, rewards)
 
 def bff_membership(scenario: Scenario) -> MembershipMatrix:
     """Fork membership per state: at gap state i the top C-i+1 miners are
@@ -401,19 +416,11 @@ def run_bff(scenario: Scenario, start_state: int | None = None) -> StrategyOutco
 def sweep_bff(
     scenario: Scenario, starts: Sequence[int | None], rewards: Sequence[float] | None = None
 ) -> list[StrategyOutcome]:
-    """``run_bff`` at every reward and start, from one solve."""
-    roster = scenario.miner_set.miners
-    c, mu, lam = scenario.confirmations, scenario.mu, scenario.lam
-
-    def schedule_at(sc: Scenario) -> BribeSchedule:
-        entries = []
-        for i in range(c + 1):
-            newest = roster[min(c - i, len(roster) - 1)]
-            threshold = rationality.basic_threshold(i, newest.power, mu, lam, sc.reward)
-            entries.append(rationality.settled_bribe(threshold))
-        return BribeSchedule(tuple(entries), False, "BFF")
-
-    return _sweep(scenario, bff_membership(scenario), schedule_at, starts, rewards)
+    """``run_bff`` at every reward and start, from one solve: each state
+    pays its newest recruit's threshold."""
+    roster, c = scenario.miner_set.miners, scenario.confirmations
+    newest = [roster[min(c - i, len(roster) - 1)] for i in range(c + 1)]
+    return _sweep(scenario, bff_membership(scenario), newest, "BFF", starts, rewards)
 
 
 # ---------------------------------------------------------------------------
@@ -446,44 +453,54 @@ def sweep_crb(
     pricing state and the starts it prices, gives both: crb1 prices every
     start from C, crb2 each start from itself. A pricing state's chain has
     the target aboard up to it and the attacker alone above it, so its
-    membership and fork powers are the columns of one full-depth table up
-    to that state and the unbribed values above it."""
+    membership, fork total and fork powers are rows of one table each, and
+    crb2 solves its starts' chains together (``markov.solve_prefixes``)."""
     if variant not in ("crb1", "crb2"):
         raise StrategyError(f"variant must be crb1 or crb2, got {variant!r}")
     starts = [_resolve_start(scenario, start) for start in starts]
-    scenarios = _sweep_scenarios(scenario, rewards)
+    rewards = [sc.reward for sc in _sweep_scenarios(scenario, rewards)]
     c, mu, lam = scenario.confirmations, scenario.mu, scenario.lam
-    p_m = scenario.target.power
-    quotes = [
-        [rationality.basic_threshold(i, p_m, mu, lam, sc.reward) for i in range(c + 1)]
-        for sc in scenarios
-    ]
+    target = scenario.target
+    targets = [target.id] * (c + 1)
+    quotes = [_payable(thresholds, targets) for thresholds in
+              rationality.basic_thresholds([target.power] * (c + 1), mu, lam, rewards)]
     distinct = list(dict.fromkeys(starts))
-    priced = {c: distinct} if variant == "crb1" else {start: [start] for start in distinct}
-    # the target aboard at every state (crb1's chain); above a pricing state
-    # nobody is recruited, and an empty column's joined power is 0.0, so the
-    # fork total there is mu + 0.0 = mu
+    if not distinct:
+        return []
+    pricing, groups = ([c], [distinct]) if variant == "crb1" else (distinct, [[s] for s in distinct])
+    # the target aboard at every state up to each pricing state, a row
+    # each; above it nobody is recruited, and an empty column's joined
+    # power is 0.0, so the fork total there is mu + 0.0 = mu
     states = np.arange(c + 1)
     aboard = _target_only(scenario, states)
-    aboard_total = mu + _joined_power(aboard.zeta, scenario.miner_set.powers)
-    outcomes = {}
-    for calc_from, group in priced.items():
-        on = states <= calc_from
-        target_only = MembershipMatrix(aboard.miner_ids, aboard.zeta & on)
-        fork_total = np.where(on, aboard_total, mu)
-        core = _capped(fork_total)
-        pricing, *solutions = markov.solve_starts(core, mu, [calc_from, *group])
-        visits = pricing.visits[: calc_from + 1].tolist()  # the same sums, on Python floats
-        runs = []
-        for reward_quotes in quotes:
+    on = states <= np.array(pricing)[:, None]
+    fork_total = np.where(on, mu + _joined_power(aboard.zeta, scenario.miner_set.powers), mu)
+    fork_power = np.concatenate(
+        [_capped(fork_total), np.full((len(pricing), markov.tail_depth(mu)), mu)], axis=1)
+    fork_power.flags.writeable = False
+    cores = fork_power[:, : c + 1]
+    if variant == "crb1":
+        pricings = markov.solve_starts(cores[0], mu, [c, *distinct])
+        solutions = pricings[1:]
+    elif mu <= 1.0 - MIN_MAIN_SHARE:  # the target's power up to the start, mu above
+        pricings = solutions = markov.solve_prefixes(float(cores[0, 0]), mu, c + 1, distinct)
+    else:  # mu itself is capped, so every pricing chain is the same
+        pricings = solutions = markov.solve_starts(cores[0], mu, distinct)
+    solution_of = dict(zip(distinct, solutions))
+    chains = list(zip(map(MembershipMatrix, repeat(aboard.miner_ids), aboard.zeta & on[:, None, :]),
+                      fork_total.tolist(), fork_power))
+    tag, runs, keys = variant.upper(), [], []
+    for k, reward_quotes in enumerate(quotes):
+        for ch, (calc_from, priced, group) in enumerate(zip(pricing, pricings, groups)):
+            visits = priced.visits[: calc_from + 1].tolist()  # the same sums, on Python floats
             constant = rationality.crb_min_constant(visits, reward_quotes, calc_from)
-            constant = max(constant, DUST)
-            entries = tuple(constant if i <= calc_from else 0.0 for i in range(c + 1))
-            schedule = BribeSchedule(entries, True, variant.upper())
-            runs += [(schedule, start, solution) for start, solution in zip(group, solutions)]
-        keys = [(k, start) for k in range(len(quotes)) for start in group]
-        outcomes.update(zip(keys, _outcomes(scenario, target_only, fork_total, core, runs)))
-    return [outcomes[k, start] for k in range(len(scenarios)) for start in starts]
+            entries = (max(constant, DUST),) * (calc_from + 1) + (0.0,) * (c - calc_from)
+            schedule = BribeSchedule(entries, True, tag)
+            for start in group:
+                runs.append((schedule, start, solution_of[start], ch))
+                keys.append((k, start))
+    outcomes = dict(zip(keys, _outcomes(scenario, chains, runs)))
+    return [outcomes[k, start] for k in range(len(rewards)) for start in starts]
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +566,10 @@ def gvc_member_thresholds(
     p_m = ms.miners[r].power
     aboard = recruit.zeta[r]
     core = recruit.fork_power(ms.powers, mu)
-    base_bv = markov.solve_race(core, mu, 0).success[: core.size]
-    pert_bv = markov.solve_race(_with_miner(core, aboard, p_m), mu, 0).success[: core.size]
+    # both chains in one batch, flagged full so that each takes the checks
+    # of solve_race, its visit row's included
+    success, _ = markov._solve_cores([core, _with_miner(core, aboard, p_m)], mu, 0, [True, True])
+    base_bv, pert_bv = success[:, : core.size]
     return _commitment_thresholds(core, aboard, p_m, base_bv, pert_bv, scenario.reward)
 
 
@@ -582,11 +601,16 @@ def _grid_above(value: float) -> float:
     """A schedule amount on the 0.01 BTC grid at least ``value`` and at most
     one step above it (``DUST`` for ``value <= 0``). The float floor of
     ``value / 0.01`` picks the step, so a grid amount may come back as
-    itself (0.29) or one step up (0.07 gives 0.08)."""
+    itself (0.29) or one step up (0.07 gives 0.08). A value whose step
+    count is not finite (near the float range, from a huge reward) has no
+    grid amount and is refused."""
     if value <= 0:
         return DUST
-    steps = int(np.floor(value / GVC_QUANTUM)) + 1
-    return round(steps * GVC_QUANTUM, 10)
+    steps = value / GVC_QUANTUM
+    if not math.isfinite(steps):
+        raise StrategyError(f"a bribe of {value!r} BTC has no step count on the "
+                            f"{GVC_QUANTUM} BTC grid: lower --reward")
+    return round((int(np.floor(steps)) + 1) * GVC_QUANTUM, 10)
 
 
 def _keys(cores: np.ndarray) -> list[bytes]:
@@ -833,6 +857,8 @@ def optimize_gvc(
     c = scenario.confirmations
     target_row = scenario.miner_set.row(scenario.target_id)
     thresholds = scenario.thresholds.tolist()
+    for miner_id, row in zip(scenario.miner_set.ids, thresholds):
+        _payable(row, (miner_id,) * len(row))
 
     target_minima = [rationality.settled_bribe(t) for t in thresholds[target_row]]
     # static recruitment levels: one candidate per roster prefix, per state

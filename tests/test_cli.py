@@ -517,3 +517,32 @@ def test_refusals_name_the_option_before_any_work(args, message, capsys, monkeyp
     code, out, err = run_cli([*args[:1], "--pools", TABLE2, *args[1:]], capsys)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": {"type": "CliError", "message": message}}
+
+
+@pytest.mark.parametrize("args, option", [
+    # table2's smallest miner: overtake odds that underflow to 0 (C = 600,
+    # a ZeroDivisionError before) and subnormal ones, an infinite threshold
+    # (C = 580, refused only after the solve before, naming no option)
+    (["--strategy", "bff", "--confirmations", "600"], "--confirmations"),
+    (["--strategy", "bff", "--confirmations", "580"], "--confirmations"),
+    # thresholds that overflow (bs, refused late before) or a grid step
+    # count that does (gvc, an OverflowError before)
+    (["--strategy", "bs", "--reward", "1e307"], "--reward"),
+    (["--strategy", "gvc", "--objective", "ac", "--reward", "1e307"], "--reward"),
+])
+def test_an_accepted_input_ends_in_a_named_refusal(args, option, capsys):
+    code, out, err = run_cli(["analyze", "--pools", TABLE2, *args], capsys)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "StrategyError" and option in error["message"]
+
+
+@pytest.mark.parametrize("strategy", [["bs"], ["bff"], ["crb1"], ["crb2"],
+                                      ["gvc", "--objective", "ac"],
+                                      ["gvc", "--objective", "rac"]])
+@pytest.mark.parametrize("extra", [["--confirmations", "1"], ["--reward", "1e-300"]])
+def test_a_one_block_race_and_a_tiny_reward_still_report(strategy, extra, capsys):
+    code, out, err = run_cli(["analyze", "--pools", TABLE2, "--strategy", *strategy, *extra],
+                             capsys)
+    assert code == 0 and err == "" and "strategy" in out

@@ -12,6 +12,7 @@ from briberace.markov import (
     analyze,
     catchup_prob,
     extend_fork_power,
+    solve_prefixes,
     solve_race,
     solve_starts,
     tail_depth,
@@ -305,6 +306,54 @@ def test_solve_starts_checks_every_start_first(monkeypatch):
         with pytest.raises(ChainError):
             solve_starts(core, 0.3, starts)
     assert solve_starts(core, 0.3, []) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solve_prefixes_is_solve_race_start_by_start(data):
+    """solve_prefixes gives each start solve_race's success column, visit
+    row and step count on the chain that holds the power up to the start
+    and mu above it, bit for bit, whatever the order and repeats of the
+    starts: C 1-12, and attacker powers 0.5, 0.55 and 0.6 (the 512-state
+    tail) drawn on purpose. Where solve_race refuses, solve_prefixes
+    refuses."""
+    mu = data.draw(st.one_of(ATTACKER_POWERS, st.sampled_from([0.5, 0.55, 0.6])))
+    power = data.draw(st.one_of(fork_powers(mu), st.just(mu), st.floats(0.01, 0.99)))
+    length = data.draw(st.integers(min_value=2, max_value=13))
+    starts = data.draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=8))
+    states = np.arange(length)
+    try:
+        want = [solve_race(np.where(states <= start, power, mu), mu, start) for start in starts]
+    except ChainError:
+        with pytest.raises(ChainError):
+            solve_prefixes(power, mu, length, starts)
+        return
+    got = solve_prefixes(power, mu, length, starts)
+    assert len(got) == len(starts)
+    for g, w in zip(got, want):
+        assert g.success.tobytes() == w.success.tobytes()
+        assert g.visits.tobytes() == w.visits.tobytes()
+        assert g.steps.hex() == w.steps.hex()
+        assert not (g.success.flags.writeable or g.visits.flags.writeable)
+
+
+def test_solve_prefixes_checks_everything_first(monkeypatch):
+    # solve_prefixes refuses, before any solve, what solve_race refuses of
+    # its chains (a start outside the chain, a power outside (0, 1), NaN),
+    # and a start above the core, where the chain is no such prefix
+    nan, h = float("nan"), 3 + tail_depth(0.3)
+    refused = [(0.4, 0.3, -1), (0.4, 0.3, h), (0.0, 0.3, 0), (1.0, 0.3, 0), (nan, 0.3, 1),
+               (0.4, 0.0, 0), (0.4, 1.0, 0), (0.4, nan, 0)]
+    for power, mu, start in refused:
+        with pytest.raises(ChainError):
+            solve_race(np.where(np.arange(3) <= max(start, 0), power, mu), mu, start)
+    monkeypatch.setattr(markov, "_columns", None)  # any solve fails with TypeError
+    monkeypatch.setattr(markov, "_run", None)
+    for power, mu, start in refused + [(0.4, 0.3, 3)]:
+        with pytest.raises(ChainError):
+            solve_prefixes(power, mu, 3, [0, start])
+    with pytest.raises(ChainError):
+        solve_prefixes(0.4, 0.3, 0, [])
 
 
 @st.composite

@@ -7,6 +7,7 @@ from briberace.model import DUST
 from briberace.rationality import (
     RationalityError,
     basic_threshold,
+    basic_thresholds,
     crb_min_constant,
     general_threshold,
     persuadable_grid_floor,
@@ -72,6 +73,37 @@ def test_odds_beyond_float_range_give_the_formulas_value():
         near = persuadable_grid_floor(lam, lam)
         for i in (12, 15, 20, 60, 400):
             assert basic_threshold(i, near, mu, lam, F) == -F
+
+
+def test_underflowing_odds_give_an_infinite_threshold():
+    # a small miner's odds of overtaking underflow at deep states (to 0
+    # here from about state 530, and subnormal just before): no bribe
+    # persuades it, the formula's limit +inf
+    assert ((MU + 0.0025) / (LAM - 0.0025)) ** 601 == 0.0
+    assert basic_threshold(600, 0.0025, MU, LAM, F) == math.inf
+    assert basic_threshold(520, 0.0025, MU, LAM, F) == math.inf
+    assert math.isfinite(basic_threshold(400, 0.0025, MU, LAM, F))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(min_value=0.01, max_value=0.7),
+    shares=st.lists(st.sampled_from([1e-4, 0.003, 0.2, 0.5, 0.9]), min_size=1, max_size=5),
+    size=st.integers(min_value=1, max_value=700),
+    rewards=st.lists(st.one_of(st.floats(min_value=1e-300, max_value=1e307), st.just(6.25)),
+                     min_size=1, max_size=3),
+)
+def test_thresholds_at_every_state_are_basic_thresholds(mu, shares, size, rewards):
+    # the list form takes each state's factor of the reward once, and gives
+    # basic_threshold's bits at every state and reward: overflowing odds
+    # (a miner a hair below the whole main chain), underflowing ones (a
+    # small miner at deep states) and overflowing rewards included
+    lam = 1.0 - mu
+    pool = [share * lam for share in shares] + [persuadable_grid_floor(lam, lam)]
+    powers = [pool[i % len(pool)] for i in range(size)]
+    got = basic_thresholds(powers, mu, lam, rewards)
+    want = [[basic_threshold(i, p, mu, lam, r) for i, p in enumerate(powers)] for r in rewards]
+    assert [[t.hex() for t in row] for row in got] == [[t.hex() for t in row] for row in want]
 
 
 @settings(max_examples=300, deadline=None)

@@ -284,6 +284,41 @@ def test_gvc_target_thresholds_match_choice_rule(table2_scenario):
         assert joined == (first_pass[j] or sched.per_state_bribe[j] >= thresholds[j])
 
 
+def test_member_thresholds_solve_both_chains_in_one_full_batch(table2_scenario, monkeypatch):
+    # the projected chain and the chain with the miner added are solved in
+    # one markov._solve_cores batch, both flagged full so that each takes
+    # solve_race's checks, visit row included; the thresholds are those of
+    # two solve_race calls, bit for bit
+    sc = table2_scenario
+    ms, mu = sc.miner_set, sc.mu
+    batches = []
+    batch = markov._solve_cores
+
+    def recording(cores, mu, start, full):
+        batches.append((len(cores), start, [bool(f) for f in full]))
+        return batch(cores, mu, start, full)
+
+    rng = np.random.default_rng(5)
+    schedules = [PUBLISHED_GVC, tuple(DUST for _ in range(7))] + [
+        tuple(rng.choice([DUST, 1.0, 10.0, 40.0, 90.0], size=7).tolist()) for _ in range(4)]
+    for entries in schedules:
+        recruit = gvc_new_markov(sc, BribeSchedule(entries, True, "GVC_AC"))
+        core = recruit.fork_power(ms.powers, mu)
+        for miner_id in ms.ids:
+            r = ms.row(miner_id)
+            pert = strategies._with_miner(core, recruit.zeta[r], ms.powers[r])
+            want = strategies._commitment_thresholds(
+                core, recruit.zeta[r], ms.miners[r].power,
+                markov.solve_race(core, mu, 0).success[:7],
+                markov.solve_race(pert, mu, 0).success[:7], sc.reward)
+            batches.clear()
+            monkeypatch.setattr(markov, "_solve_cores", recording)
+            got = gvc_member_thresholds(sc, recruit, miner_id)
+            monkeypatch.setattr(markov, "_solve_cores", batch)
+            assert batches == [(2, 0, [True, True])]
+            assert got.tobytes() == want.tobytes()
+
+
 def test_gvc_final_markov_from_zeta(table2_scenario):
     ms = table2_scenario.miner_set
     empty = MembershipMatrix(ms.ids, np.zeros((14, 7), dtype=int))
@@ -572,8 +607,9 @@ def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
     # (markov._solve_cores): a first-pass core, never scored, for its success
     # column alone, and a perturbed or final core in full, each on first
     # sight, and a round solves in full any core it needs both ways;
-    # run_gvc then evaluates the winner outside the search, through
-    # markov.solve_race (its thresholds) and markov.solve_starts (its outcome)
+    # run_gvc then evaluates the winner outside the search, through one
+    # markov._solve_cores batch of two cores (its thresholds) and
+    # markov.solve_starts (its outcome)
     batch = markov._solve_cores
     search = {False: [], True: []}
     winner: list[bytes] = []
@@ -582,7 +618,8 @@ def test_optimize_solves_each_core_once(table2_scenario, monkeypatch):
 
     def recording_batch(cores, mu, start, full):
         for core, flag in zip(cores, full):
-            search[flag].append(np.asarray(core, dtype=float).tobytes())
+            core = np.asarray(core, dtype=float).tobytes()
+            (winner if phase[0] == "winner" else search[flag]).append(core)
         return batch(cores, mu, start, full)
 
     def recording(solve):
@@ -981,6 +1018,73 @@ def test_sweeps_equal_the_strategy_step_by_step(strategy, case):
     got = sweep(scenario, starts=starts, rewards=rewards)
     want = [by_hand(scenario.at_reward(r), s) for r in rewards for s in starts]
     assert [bits(o) for o in got] == [bits(o) for o in want]
+
+
+@pytest.mark.parametrize("strategy", ["bs", "bff", "crb1", "crb2", "gvc"])
+def test_an_unpayable_threshold_is_refused_before_any_solve(strategy, table2_scenario,
+                                                            monkeypatch):
+    # at C = 580 the smallest miner's odds of overtaking are subnormal and
+    # its basic threshold is +inf (at C = 600 they underflow to 0, the same
+    # limit); each strategy that pays it refuses by name, before any chain
+    # is solved, rather than build a schedule it cannot pay
+    ms, small = table2_scenario.miner_set, table2_scenario.miner_set.miners[-1]
+    # bs and crb pay the target alone: make it the smallest miner
+    target = small.id if strategy in ("bs", "crb1", "crb2") else ms.miners[0].id
+    sc = make_scenario(ms, target, 580, 1, table2_scenario.reward)
+    assert basic_threshold(579, small.power, sc.mu, sc.lam, sc.reward) == np.inf
+    monkeypatch.setattr(markov, "_columns", None)  # any solve fails with TypeError
+    monkeypatch.setattr(markov, "_solve_cores", None)
+    with pytest.raises(StrategyError, match="--confirmations or --reward"):
+        if strategy == "gvc":
+            optimize_gvc(sc, "ac", 0)
+        else:
+            SWEEPS[strategy][0](sc, starts=[0])
+
+
+def test_a_bribe_beyond_the_grid_is_refused(table2_scenario):
+    # a value whose count of 0.01 BTC steps is not finite has no grid amount
+    assert strategies._grid_above(0.07) == 0.08
+    for value in (1e307, np.inf, np.nan):
+        with pytest.raises(StrategyError, match="--reward"):
+            strategies._grid_above(value)
+
+
+def test_crb2_of_a_capped_attacker_equals_the_strategy_step_by_step():
+    # an attacker within 1e-12 of the whole network is capped like any
+    # fork: then every pricing chain is the capped power at every bribed
+    # state, not the prefix chains solve_prefixes reads, and the sweep
+    # solves them as one chain
+    ms = load_pool_distribution("A 0.9999999999995 attacker\nM1 3e-13\nM2 2e-13")
+    assert ms.attacker_power > 1.0 - MIN_MAIN_SHARE
+    scenario = make_scenario(ms, "M1", 3, 1, 6.25)
+    starts, rewards = [3, 0, 2, 2], [6.25, 1.5625]
+    sweep, by_hand = SWEEPS["crb2"][0], BY_HAND["crb2"]
+    got = sweep(scenario, starts=starts, rewards=rewards)
+    want = [by_hand(scenario.at_reward(r), s) for r in rewards for s in starts]
+    assert [bits(o) for o in got] == [bits(o) for o in want]
+
+
+@pytest.mark.parametrize("strategy", SWEEPS)
+def test_a_sweep_of_no_starts_or_no_rewards_is_empty(strategy, table2_scenario):
+    sweep = SWEEPS[strategy][0]
+    assert sweep(table2_scenario, starts=[]) == []
+    assert sweep(table2_scenario, starts=[0, 2], rewards=[]) == []
+    assert sweep(table2_scenario, starts=[], rewards=[6.25, 1.0]) == []
+    assert evaluate_schedule(table2_scenario, nobody_aboard(table2_scenario, 7), []) == []
+
+
+def test_a_long_crb2_sweep_after_a_short_one_is_the_strategy_step_by_step(table2_scenario):
+    # a sweep of one start caches its run; a later sweep of the same
+    # attacker power asks for that run first and then for more new runs
+    # than the run cache holds
+    sc = make_scenario(table2_scenario.miner_set, table2_scenario.target_id, 100, 1,
+                       table2_scenario.reward)
+    sweep, by_hand = SWEEPS["crb2"][0], BY_HAND["crb2"]
+    assert [bits(o) for o in sweep(sc, starts=[0])] == [bits(by_hand(sc, 0))]
+    starts = list(range(101))
+    assert len(starts) > markov.RUN_CACHE_SIZE + 1
+    got = sweep(sc, starts=starts)
+    assert [bits(o) for o in got] == [bits(by_hand(sc, s)) for s in starts]
 
 
 def test_the_engine_builds_no_absorbing_chain(table2_scenario, monkeypatch):
