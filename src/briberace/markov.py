@@ -31,8 +31,9 @@ residual and row-sum tolerances; the tests pin the second to the first.
 One elimination (``_eliminate``, checked by ``_columns``) serves one core
 and many, and one start or many: each start then costs one ``_visit_row``,
 its row of N, from the same pivots. Its per-state values are Python floats
-for one core (``solve_starts``, whose one-start case is ``solve_race``: at
-the core lengths used here a Python loop beats numpy's per-call overhead)
+for one core (``solve_starts``, whose one-start case is ``solve_race``, and
+``solve_each``, one core per start: at the core lengths used here a Python
+loop beats numpy's per-call overhead)
 or numpy columns, an element per core, for a batch (the private
 ``_solve_cores``, which the gvc search calls once per round with hundreds
 of cores). A start sweep or a reward sweep of bs, bff or crb1 solves its
@@ -74,12 +75,10 @@ IEEE operations of the state-by-state solve, so the bits are its bits (the
 tests hold ``_run`` to that solve, kept in ``tests/run_reference.py``).
 
 A crb2 start sweep prices and runs each start s on its own chain: the
-target's power a up to s and the attacker alone above it. ``solve_prefixes``
-solves all of them: start s sweeps states 0..s, all at a, so the
-elimination below s is a prefix of the forward sweep at a, and each start
-pays its last pivot (which folds in its run of h - s - 1 states, a run of
-another length per start), its back substitutions, its visit row and its
-checks.
+target's power up to s and the attacker alone above it. ``solve_each``
+solves a table of such cores, one per start, each through ``solve_race``'s
+own path: it sweeps states 0..s and folds in a run of h - s - 1 states, a
+run of another length per start.
 """
 from __future__ import annotations
 
@@ -235,13 +234,9 @@ def _holds(compare, values: list, tol: float) -> bool:
     return bool(compare(np.array(values), tol).all())
 
 
-def _eliminate(p: list, run: _Run | None, head: tuple | None = None):
+def _eliminate(p: list, run: _Run | None):
     """The success and failure columns of B over states 0..n-1 of fork
-    powers p (q = 1 - p), by one Thomas sweep. ``head``, where given, is
-    the sweep's forward elimination of states 0..n-2 (their pivots, ``up``
-    and reduced success right-hand sides, as lists), as a forward sweep at
-    one power holds it (``_Forward.head``): only the last state is
-    eliminated here.
+    powers p (q = 1 - p), by one Thomas sweep.
 
     Each p_i is a Python float (one core) or a numpy column (a batch of
     cores, one per element, that share the run): every step is the same
@@ -262,15 +257,11 @@ def _eliminate(p: list, run: _Run | None, head: tuple | None = None):
     diag = [1.0] * n
     diag[-1] = 1.0 - q[-1] * g
 
-    # forward elimination (up: q_i / pivot_i; win: reduced success right-hand side)
-    if head is None:
-        d = diag[0]
-        piv, up, win = [d], [q[0] / d], [p[0] / d]
-    else:
-        piv, up, win = head
-    u, w = up[-1], win[-1]
-    k = len(piv)
-    for pi, qi, di in zip(p[k:], q[k:], diag[k:]):
+    # forward elimination
+    d = diag[0]
+    u, w = q[0] / d, p[0] / d
+    piv, up, win = [d], [u], [w]  # up: q_i / pivot_i; win: reduced success right-hand side
+    for pi, qi, di in zip(p[1:], q[1:], diag[1:]):
         d = di - pi * u
         u = qi / d
         w = pi * w / d
@@ -340,17 +331,15 @@ def _check_start(start: int, h: int) -> None:
 class _Forward:
     """The forward half of the sweep of a run at one fork power, from its
     bottom: per state, the reduced success right-hand side, ``up`` (q over
-    the state's pivot), the forward half of the visit row from the bottom,
-    ``down`` (p over the state's pivot) and the pivot, each by
-    ``_eliminate``'s and ``_visit_row``'s operations. A run's last diagonal
-    is exactly 1.0, so these are the same at every length: a longer run
-    extends them. So are the states below the top of any chain of one
-    power, whose last diagonal alone differs (``head``)."""
+    the state's pivot), the forward half of the visit row from the bottom
+    and ``down`` (p over the state's pivot), each by ``_eliminate``'s and
+    ``_visit_row``'s operations. A run's last diagonal is exactly 1.0, so
+    these are the same at every length: a longer run extends them."""
 
     def __init__(self, power: float):
         p, q = power, 1.0 - power
         self.power, self.q = p, q
-        self.states = [(p, q, 1.0, p, 1.0)]  # the bottom's pivot is 1
+        self.states = [(p, q, 1.0, p)]  # the bottom's pivot is 1
         self.up = np.array([q])
         # the coefficients of the state below and above in the success,
         # failure and visit residuals, one row each
@@ -364,22 +353,14 @@ class _Forward:
             return
         states = self.states
         p, q = self.power, self.q
-        w, u, x, _, _ = states[-1]
+        w, u, x, _ = states[-1]
         for _ in range(length - len(states)):
             d = 1.0 - p * u
             u = q / d
             w = p * w / d
             x = q * x / d
-            states.append((w, u, x, p / d, d))
+            states.append((w, u, x, p / d))
         self.up = np.array([state[1] for state in states])
-
-    def head(self, length: int) -> tuple[tuple, tuple, tuple]:
-        """The pivots, ``up`` and reduced success right-hand sides of states
-        0..length-1, as tuples: ``_eliminate``'s forward elimination of a
-        sweep at this power below its last state."""
-        self.reach(length)
-        w, u, _, _, d = zip(*self.states[:length])
-        return d, u, w
 
 
 @lru_cache(maxsize=RUN_CACHE_SIZE)
@@ -398,9 +379,9 @@ def _run(power: float, length: int) -> _Run:
     fw = _forward(power)
     fw.reach(length)
     top = length - 1
-    b, _, x, _, _ = fw.states[top]
+    b, _, x, _ = fw.states[top]
     s, v = [b], [x]  # from the top state down
-    for w, u, r, dn, _ in reversed(fw.states[:top]):
+    for w, u, r, dn in reversed(fw.states[:top]):
         b = w + u * b
         x = r + dn * x
         s.append(b)
@@ -425,14 +406,24 @@ def _run(power: float, length: int) -> _Run:
                 float(table[1, 1]), (res_s, res_l, res_v), row_sum_error)
 
 
-def _head(core, mu: float) -> list[float]:
-    """``core`` as Python floats, after ``solve_race``'s input checks: a
-    non-empty vector of fork powers (``_check_fork_power``, as
-    ``AbsorbingChain``) and an attacker power, all strictly inside (0, 1)."""
-    core = np.asarray(core, dtype=float)
-    _check_fork_power(core)
+def _core_table(cores, mu: float, starts) -> tuple[np.ndarray, int]:
+    """``cores`` as a 2-D float array, one core per row, and the length h of
+    their race chains, after the input checks of every solve: a non-empty
+    table of cores of one length whose fork powers (``_check_fork_power``,
+    as ``AbsorbingChain``) and attacker power all lie strictly inside
+    (0, 1), and every start a state of the chain."""
+    try:
+        cores = np.array(cores, dtype=float)
+    except ValueError as exc:  # cores of different lengths
+        raise ChainError("fork_power must be a non-empty vector") from exc
+    if cores.ndim != 2 or cores.size < 1:
+        raise ChainError("fork_power must be a non-empty vector")
+    _check_fork_power(cores.ravel())
     _check_mu(mu)
-    return core.tolist()
+    h = cores.shape[1] + tail_depth(mu)
+    for start in starts:
+        _check_start(start, h)
+    return cores, h
 
 
 def _check_mu(mu: float) -> None:
@@ -440,14 +431,17 @@ def _check_mu(mu: float) -> None:
         raise ChainError("the tail's power must lie strictly inside (0, 1)")
 
 
-def _columns(p: list, run: _Run | None, head: tuple | None = None):
+def _columns(p: list, run: _Run | None):
     """The success and failure columns of the swept states p (floats or
     columns), with the run (None when the sweep reaches state h-1) folded
     into the last of them, after their checks: both columns' residuals, the
-    run's scaled ones included, and every row sum. ``head`` is the forward
-    elimination below the last state where it is known (``_eliminate``).
-    Returns q, the pivots and the two columns."""
-    q, piv, win, lose, res_b, res_f = _eliminate(p, run, head)
+    run's scaled ones included, and every row sum. A pivot of exactly 0 on
+    Python floats refuses the chain, as ``analyze`` does. Returns q, the
+    pivots and the two columns."""
+    try:
+        q, piv, win, lose, res_b, res_f = _eliminate(p, run)
+    except ZeroDivisionError as exc:
+        raise ChainError("transient block is singular; chain is not absorbing") from exc
     residuals = res_b + res_f
     sums = [abs(s + l - 1.0) for s, l in zip(win, lose)]
     if run is not None:
@@ -472,8 +466,7 @@ def solve_race(core: np.ndarray, mu: float, start: int) -> RaceSolution:
     by state: its profile (``_run``) is folded into the last row of the core
     below it, and the run's part of each result is a boundary value times
     that profile. This is ``solve_starts`` from one start."""
-    head = _head(core, mu)
-    return _solve(head, mu, len(head) + tail_depth(mu), (start,))[0]
+    return solve_starts(core, mu, [start])[0]
 
 
 def solve_starts(core: np.ndarray, mu: float, starts) -> list[RaceSolution]:
@@ -481,96 +474,63 @@ def solve_starts(core: np.ndarray, mu: float, starts) -> list[RaceSolution]:
     bit for bit, from one elimination per trim point: starts that share it
     share the success column and the pivots, and each distinct start adds
     one visit row. Every start is checked before any work."""
-    head = _head(core, mu)
-    return _solve(head, mu, len(head) + tail_depth(mu), starts)
+    (core,), h = _core_table([core], mu, starts)
+    return _solve(core.tolist(), mu, h, starts)
 
 
-def solve_prefixes(power: float, mu: float, length: int, starts) -> list[RaceSolution]:
-    """``solve_race(np.where(np.arange(length) <= s, power, mu), mu, s)``
-    for each s of ``starts``, in order and bit for bit: from each start,
-    the chain that holds ``power`` up to the start and the attacker alone
-    above it, as crb2 prices and runs a start. The starts lie in the core
-    (0 <= s < length); they and both powers are checked before any work.
-
-    A start s sweeps states 0..s, all at ``power``, so every start reads
-    the elimination of the states below it off one forward sweep at
-    ``power`` (``_Forward.head``). Each start pays its last pivot, whose
-    diagonal 1 - q g folds in its run (``_run``: h - s - 1 states at mu),
-    its back substitutions, its visit row (the start is the top of its
-    swept states) and ``solve_race``'s checks."""
-    if not (length >= 1 and 0.0 < power < 1.0):  # False on NaN
-        _check_fork_power(np.full(max(length, 0), power))  # refuses the core as solve_race
-    _check_mu(mu)
-    for start in starts:
-        _check_start(start, length)
-    distinct = sorted(set(starts))
-    if not distinct:
-        return []
-    h = length + tail_depth(mu)
-    piv, up, win = _forward(power).head(max(distinct[-1], 1))
-    solved = {}
-    for start in distinct:
-        below = (list(piv[:start]), list(up[:start]), list(win[:start])) if start else None
-        solved.update(_solve_group(h, [power] * (start + 1), _run(mu, h - start - 1),
-                                   [start], below))
-    return [solved[start] for start in starts]
+def solve_each(cores, mu: float, starts) -> list[RaceSolution]:
+    """``solve_race(cores[k], mu, starts[k])`` for each k, in order and bit
+    for bit: a table of cores of one length, one per start, as a crb2 start
+    sweep prices and runs each start on its own chain. The table, mu and
+    every start are checked before any work; each row is then solved alone
+    through ``solve_race``'s path."""
+    cores, h = _core_table(cores, mu, starts)
+    if len(cores) != len(starts):
+        raise ChainError(f"one core per start: {len(cores)} cores for {len(starts)} starts")
+    return [_solve(core, mu, h, [start])[0] for core, start in zip(cores.tolist(), starts)]
 
 
-def _solve(head: list[float], power: float, h: int, starts) -> list[RaceSolution]:
-    """The body of ``solve_race`` and ``solve_starts``, over Python floats,
-    for a chain of h states whose first len(head) fork powers are ``head``
-    and whose others are ``power``.
+def _solve(core: list[float], power: float, h: int, starts) -> list[RaceSolution]:
+    """The body of ``solve_starts`` and ``solve_each``, over Python floats,
+    after their checks, for a chain of h states whose first len(core) fork
+    powers are ``core`` and whose others are ``power``.
 
     A start's sweep runs up to its trim point: the start state or the
     core's last change of power, whichever is higher. The distinct starts
     are taken in ascending order, so the starts of one trim point come
-    together and share its elimination (``_solve_group``)."""
-    for start in starts:
-        _check_start(start, h)
-    last = len(head)
-    while last and head[last - 1] == power:
+    together; each trim point gets its checked columns (``_columns``) once,
+    and each start its row of N, that row's residuals (the run's scaled)
+    and the full-length arrays."""
+    last = len(core)
+    while last and core[last - 1] == power:
         last -= 1
     solved = {}
     for n, group in groupby(sorted(set(starts)), key=lambda start: max(start + 1, last)):
-        p = head[:n]
+        p = core[:n]
         p += [power] * (n - len(p))
-        solved.update(_solve_group(h, p, None if n == h else _run(power, h - n), group))
-    return [solved[start] for start in starts]
-
-
-def _solve_group(h: int, p: list, run: _Run | None, starts,
-                 head: tuple | None = None) -> dict[int, RaceSolution]:
-    """The solution from each of ``starts`` of a chain of h states whose
-    swept fork powers are p, with the run above them (None when the sweep
-    reaches state h-1) and, where known, the forward elimination below the
-    last swept state (``head``, as ``_eliminate`` takes it). The starts
-    share the checked columns (``_columns``) and ``_down``; each start gets
-    its row of N, that row's residuals (the run's scaled) and the
-    full-length arrays."""
-    n = len(p)
-    q, piv, win, lose = _columns(p, run, head)
-    success = np.empty(h)
-    success[:n] = win
-    if run is not None:
-        np.multiply(run.success, win[-1], out=success[n:])
-    success.flags.writeable = False
-    down = _down(p, piv)
-    solved = {}
-    for start in starts:
-        row, residuals = _visit_row(p, q, piv, down, start, run)
-        visits = np.empty(h)
-        run_steps = 0.0
+        run = None if n == h else _run(power, h - n)
+        q, piv, win, lose = _columns(p, run)
+        success = np.empty(h)
+        success[:n] = win
         if run is not None:
-            # at run state j the full chain's visit residual is c r^v_j
-            c = q[-1] * row[-1]
-            residuals.append(abs(c) * run.residuals[2])
-            np.multiply(run.visits, c, out=visits[n:])
-            run_steps = c * run.steps
-        _check_residuals(residuals, "the start row of N")
-        visits[:n] = row
-        visits.flags.writeable = False
-        solved[start] = RaceSolution(success, visits, math.fsum(row + [run_steps]))
-    return solved
+            np.multiply(run.success, win[-1], out=success[n:])
+        success.flags.writeable = False
+        down = _down(p, piv)
+        for start in group:
+            row, residuals = _visit_row(p, q, piv, down, start, run)
+            visits = np.empty(h)
+            run_steps = 0.0
+            if run is not None:
+                # at run state j the full chain's visit residual is c r^v_j
+                c = q[-1] * row[-1]
+                residuals.append(abs(c) * run.residuals[2])
+                np.multiply(run.visits, c, out=visits[n:])
+                run_steps = c * run.steps
+            _check_residuals(residuals, "the start row of N")
+            visits[:n] = row
+            visits.flags.writeable = False
+            solved[start] = RaceSolution(success, visits, math.fsum(row + [run_steps]))
+    return [solved[start] for start in starts]
 
 
 def _solve_cores(cores, mu: float, start: int, full) -> tuple[np.ndarray, np.ndarray]:
@@ -589,17 +549,8 @@ def _solve_cores(cores, mu: float, start: int, full) -> tuple[np.ndarray, np.nda
     the row it does not get: below the top of a valley the walk almost never
     leaves (N ~ 1e10), only that row's residual trips, and the success
     column checks out to about 1e-16. One bad core refuses the batch."""
-    try:
-        cores = np.array(cores, dtype=float)
-    except ValueError as exc:  # cores of different lengths
-        raise ChainError("fork_power must be a non-empty vector") from exc
-    if cores.ndim != 2 or cores.size < 1:
-        raise ChainError("fork_power must be a non-empty vector")
-    _check_fork_power(cores.ravel())
-    _check_mu(mu)
+    cores, h = _core_table(cores, mu, [start])
     width, length = cores.shape
-    h = length + tail_depth(mu)
-    _check_start(start, h)
     full = np.asarray(full, dtype=bool)
     # each core's last change of power: the highest state (counted from 1)
     # whose power is not mu, 0 when there is none

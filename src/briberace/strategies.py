@@ -33,7 +33,7 @@ and refuses one that is not finite, naming the miner and state, before any
 solve (``_payable``). crb prices its constant on the chain its outcomes run
 on, so ``sweep_crb`` makes that one solve itself, from the pricing state
 and the starts it prices: crb1 prices every start on one chain, crb2 each
-start on its own, all of them solved together (``markov.solve_prefixes``).
+start on its own chain, one row of a table of cores (``markov.solve_each``).
 Each pricing state's membership, fork total and fork powers are rows of one
 table of the target aboard. A sweep builds its outcomes in one
 ``_outcomes`` call, with the visit rows, success columns and bribe vectors
@@ -454,7 +454,7 @@ def sweep_crb(
     start from C, crb2 each start from itself. A pricing state's chain has
     the target aboard up to it and the attacker alone above it, so its
     membership, fork total and fork powers are rows of one table each, and
-    crb2 solves its starts' chains together (``markov.solve_prefixes``)."""
+    crb2 solves each start on its row of the cores (``markov.solve_each``)."""
     if variant not in ("crb1", "crb2"):
         raise StrategyError(f"variant must be crb1 or crb2, got {variant!r}")
     starts = [_resolve_start(scenario, start) for start in starts]
@@ -482,10 +482,8 @@ def sweep_crb(
     if variant == "crb1":
         pricings = markov.solve_starts(cores[0], mu, [c, *distinct])
         solutions = pricings[1:]
-    elif mu <= 1.0 - MIN_MAIN_SHARE:  # the target's power up to the start, mu above
-        pricings = solutions = markov.solve_prefixes(float(cores[0, 0]), mu, c + 1, distinct)
-    else:  # mu itself is capped, so every pricing chain is the same
-        pricings = solutions = markov.solve_starts(cores[0], mu, distinct)
+    else:
+        pricings = solutions = markov.solve_each(cores, mu, distinct)
     solution_of = dict(zip(distinct, solutions))
     chains = list(zip(map(MembershipMatrix, repeat(aboard.miner_ids), aboard.zeta & on[:, None, :]),
                       fork_total.tolist(), fork_power))

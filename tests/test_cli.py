@@ -416,6 +416,10 @@ def sweep_reward(strategy, pools, rewards=REWARDS):
        ["analyze", "--pools", DEEP512, "--strategy", strategy, "--confirmations", "11",
         "--start-state", "7", "--format", "json"])
       for strategy in ("crb2", "bs")],
+    # an attacker within 1e-12 of the whole network: crb2's chains are capped
+    ("analyze_crb2_capped_c3_start2.json",
+     ["analyze", "--pools", str(DATA / "capped.pools"), "--target", "M1", "--strategy", "crb2",
+      "--confirmations", "3", "--start-state", "2", "--format", "json"]),
 ])
 def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
     # a *_stdout.txt or help golden is what the command prints (help at 80

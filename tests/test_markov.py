@@ -12,7 +12,7 @@ from briberace.markov import (
     analyze,
     catchup_prob,
     extend_fork_power,
-    solve_prefixes,
+    solve_each,
     solve_race,
     solve_starts,
     tail_depth,
@@ -248,6 +248,15 @@ def test_both_solvers_reject_the_same_bad_chains():
     for start in (0, 8, 15, 15 + tail_depth(0.95)):
         with pytest.raises(ChainError):
             solve_race(trap, 0.95, start)
+    # eleven states at 0.03125 under a 512-state tail at 0.55, which comes
+    # back with probability 1.0 in floats: a sweep through the tail's first
+    # state meets a pivot of exactly 0.0, a refusal and not a traceback
+    valley = np.full(11, 0.03125)
+    with pytest.raises(ChainError):
+        analyze(AbsorbingChain(extend_fork_power(valley, 0.55)))
+    for start in (0, 11, 100):
+        with pytest.raises(ChainError):
+            solve_race(valley, 0.55, start)
 
 
 def test_solve_core_rejects_what_the_chain_rejects():
@@ -310,25 +319,39 @@ def test_solve_starts_checks_every_start_first(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_solve_prefixes_is_solve_race_start_by_start(data):
-    """solve_prefixes gives each start solve_race's success column, visit
-    row and step count on the chain that holds the power up to the start
-    and mu above it, bit for bit, whatever the order and repeats of the
-    starts: C 1-12, and attacker powers 0.5, 0.55 and 0.6 (the 512-state
-    tail) drawn on purpose. Where solve_race refuses, solve_prefixes
-    refuses."""
+def test_solve_each_is_solve_race_row_by_row(data):
+    """solve_each gives row k of the table solve_race's success column,
+    visit row and step count from starts[k], bit for bit, whatever the order
+    and repeats of the starts: rows that hold one power up to their start
+    and mu above it (a crb2 start sweep's chains), capped rows (every state
+    at 1 - 1e-12, as an attacker within 1e-12 of the whole network is) and
+    race cores of 1-13 states, with attacker powers 0.5, 0.55 and 0.6 (the
+    512-state tail) drawn on purpose and starts in the core and the tail.
+    Where solve_race refuses a row, solve_each refuses the table."""
     mu = data.draw(st.one_of(ATTACKER_POWERS, st.sampled_from([0.5, 0.55, 0.6])))
-    power = data.draw(st.one_of(fork_powers(mu), st.just(mu), st.floats(0.01, 0.99)))
-    length = data.draw(st.integers(min_value=2, max_value=13))
-    starts = data.draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=8))
+    length = data.draw(st.integers(min_value=1, max_value=13))
+    h = length + tail_depth(mu)
+    starts = data.draw(st.lists(st.one_of(st.integers(0, length - 1), st.integers(0, h - 1)),
+                                min_size=1, max_size=8))
     states = np.arange(length)
+
+    def row(start):
+        kind = data.draw(st.sampled_from(["prefix", "capped", "core"]))
+        if kind == "prefix":
+            power = data.draw(st.one_of(fork_powers(mu), st.just(mu), st.floats(0.01, 0.99)))
+            return np.where(states <= start, power, mu)
+        if kind == "capped":
+            return np.full(length, 1 - 1e-12)
+        return np.array(data.draw(st.lists(fork_powers(mu), min_size=length, max_size=length)))
+
+    cores = np.array([row(start) for start in starts])
     try:
-        want = [solve_race(np.where(states <= start, power, mu), mu, start) for start in starts]
+        want = [solve_race(core, mu, start) for core, start in zip(cores, starts)]
     except ChainError:
         with pytest.raises(ChainError):
-            solve_prefixes(power, mu, length, starts)
+            solve_each(cores, mu, starts)
         return
-    got = solve_prefixes(power, mu, length, starts)
+    got = solve_each(cores, mu, starts)
     assert len(got) == len(starts)
     for g, w in zip(got, want):
         assert g.success.tobytes() == w.success.tobytes()
@@ -337,23 +360,32 @@ def test_solve_prefixes_is_solve_race_start_by_start(data):
         assert not (g.success.flags.writeable or g.visits.flags.writeable)
 
 
-def test_solve_prefixes_checks_everything_first(monkeypatch):
-    # solve_prefixes refuses, before any solve, what solve_race refuses of
-    # its chains (a start outside the chain, a power outside (0, 1), NaN),
-    # and a start above the core, where the chain is no such prefix
-    nan, h = float("nan"), 3 + tail_depth(0.3)
-    refused = [(0.4, 0.3, -1), (0.4, 0.3, h), (0.0, 0.3, 0), (1.0, 0.3, 0), (nan, 0.3, 1),
-               (0.4, 0.0, 0), (0.4, 1.0, 0), (0.4, nan, 0)]
-    for power, mu, start in refused:
-        with pytest.raises(ChainError):
-            solve_race(np.where(np.arange(3) <= max(start, 0), power, mu), mu, start)
+def test_solve_each_checks_everything_first(monkeypatch):
+    # solve_each refuses, before any solve, what solve_race refuses of a row
+    # (NaN, a power outside (0, 1), a bad mu, a start outside the chain), a
+    # ragged or empty table, and a table with more or fewer rows than
+    # starts; a malformed table or mu gets _solve_cores's message
+    good, nan, h = [0.4, 0.5, 0.3], float("nan"), 3 + tail_depth(0.3)
+    malformed = [([good, [0.4, 0.5]], 0.3), ([good, [0.4, nan, 0.3]], 0.3),
+                 ([good, [0.4, 0.0, 0.3]], 0.3), ([good, [1.0, 0.5, 0.3]], 0.3),
+                 ([good, [0.4, 0.5, -0.1]], 0.3), ([good, good], 0.0), ([good, good], 1.0),
+                 ([good, good], nan), ([[], []], 0.3)]
+    messages = []
+    for cores, mu in malformed:
+        with pytest.raises(ChainError) as exc:
+            _solve_cores(cores, mu, 0, [True, True])
+        messages.append(str(exc.value))
+    assert len(solve_each([good, good], 0.3, [0, h - 1])) == 2
     monkeypatch.setattr(markov, "_columns", None)  # any solve fails with TypeError
     monkeypatch.setattr(markov, "_run", None)
-    for power, mu, start in refused + [(0.4, 0.3, 3)]:
+    for (cores, mu), message in zip(malformed, messages):
+        with pytest.raises(ChainError) as exc:
+            solve_each(cores, mu, [0, 1])
+        assert str(exc.value) == message
+    for cores, starts in (([good, good], [0, h]), ([good, good], [-1, 0]),
+                          ([good, good], [0]), ([good], [0, 1]), ([], [])):
         with pytest.raises(ChainError):
-            solve_prefixes(power, mu, 3, [0, start])
-    with pytest.raises(ChainError):
-        solve_prefixes(0.4, 0.3, 0, [])
+            solve_each(cores, 0.3, starts)
 
 
 @st.composite

@@ -1052,8 +1052,7 @@ def test_a_bribe_beyond_the_grid_is_refused(table2_scenario):
 def test_crb2_of_a_capped_attacker_equals_the_strategy_step_by_step():
     # an attacker within 1e-12 of the whole network is capped like any
     # fork: then every pricing chain is the capped power at every bribed
-    # state, not the prefix chains solve_prefixes reads, and the sweep
-    # solves them as one chain
+    # state, and the sweep solves each as a row of its cores like any other
     ms = load_pool_distribution("A 0.9999999999995 attacker\nM1 3e-13\nM2 2e-13")
     assert ms.attacker_power > 1.0 - MIN_MAIN_SHARE
     scenario = make_scenario(ms, "M1", 3, 1, 6.25)
