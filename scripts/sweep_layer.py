@@ -18,7 +18,11 @@ invocations that succeed; the one-miner roster's are refused). Each
 invocation writes its report anew, as the benchmark does. A time is the
 best of ``--repeats`` cycles, divided by the outcomes, in total and by
 kind of invocation (strategy and sweep axis): raw wall-clock time on this
-host, so compare trees on one host, run after run.
+host, so compare trees on one host, run after run. Next to it, the
+microseconds per call of ``cli.main`` outside the sweep (its time less
+``cli._outcomes``'), over every invocation, split into parsing
+(``cli._parse``), loading the scenario (``cli._load_scenario``), writing the
+report (``cli._emit``) and the rest, from the cycle where it is least.
 
 The counts are deterministic: the script prints them and exits 1 unless
 they equal PINNED.
@@ -40,6 +44,7 @@ import workloads  # noqa: E402  (the benchmark's corpus, read as it stands)
 SEED = 0
 PINNED = {"operations": 136, "failed": 8, "outcomes": 736,
           "eliminations": 232, "visit rows": 544, "run misses": 120, "power sweeps": 16}
+PARTS = {"parse": "_parse", "load": "_load_scenario", "emit": "_emit", "sweep": "_outcomes"}
 
 
 def kind(op) -> str:
@@ -47,12 +52,15 @@ def kind(op) -> str:
     return f"{op.argv[op.argv.index('--strategy') + 1]} {op.argv[0].split('-')[1]}"
 
 
-def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list]]:
-    """One cycle's counts, its wall-clock seconds, and the seconds and
-    outcomes of each kind of invocation that succeeds."""
+def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list], dict[str, float]]:
+    """One cycle's counts, its wall-clock seconds, the seconds and outcomes
+    of each kind of invocation that succeeds, and the seconds of ``main``
+    and of each of its PARTS."""
     counts = dict.fromkeys(PINNED, 0)
     by_kind = {}
+    times = dict.fromkeys(["main", *PARTS], 0.0)
     columns, visit_row = markov._columns, markov._visit_row
+    parts = {name: getattr(cli, attr) for name, attr in PARTS.items()}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -60,10 +68,21 @@ def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list]]:
             return fn(*args)
         return wrapper
 
+    def timed(key, fn):
+        def wrapper(*args, **kwargs):
+            t = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                times[key] += perf_counter() - t
+        return wrapper
+
     markov._run.cache_clear()
     markov._forward.cache_clear()
     markov._columns = counted("eliminations", columns)
     markov._visit_row = counted("visit rows", visit_row)
+    for name, fn in parts.items():
+        setattr(cli, PARTS[name], timed(name, fn))
     try:
         t0 = perf_counter()
         for op in ops:
@@ -71,6 +90,7 @@ def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list]]:
             t = perf_counter()
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
                 rc = cli.main(list(op.argv))
+            times["main"] += perf_counter() - t
             counts["operations"] += 1
             if rc == 0:
                 counts["outcomes"] += op.rows
@@ -82,9 +102,11 @@ def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list]]:
         seconds = perf_counter() - t0
     finally:
         markov._columns, markov._visit_row = columns, visit_row
+        for name, fn in parts.items():
+            setattr(cli, PARTS[name], fn)
     counts["run misses"] = markov._run.cache_info().misses
     counts["power sweeps"] = markov._forward.cache_info().misses
-    return counts, seconds, by_kind
+    return counts, seconds, by_kind, times
 
 
 def main() -> int:
@@ -95,14 +117,21 @@ def main() -> int:
         ops = [op for op in workloads.sweep_grid(ROOT, Path(work), SEED) if op.main]
         runs = [run_cycle(ops) for _ in range(args.repeats)]
     counts = runs[0][0]
-    best = min(seconds for _, seconds, _ in runs)
+    best = min(seconds for _, seconds, _, _ in runs)
     for key, value in counts.items():
         print(f"{key:<14}{value:>8}")
     print(f"{'us/outcome':<14}{best / counts['outcomes'] * 1e6:>8.1f}")
     for name, (_, rows) in sorted(runs[0][2].items()):
-        seconds = min(by_kind[name][0] for _, _, by_kind in runs)
+        seconds = min(by_kind[name][0] for _, _, by_kind, _ in runs)
         print(f"  {name:<12}{seconds / rows * 1e6:>8.1f}")
-    if any(c != counts for c, _, _ in runs):
+    fastest = min((times for *_, times in runs), key=lambda t: t["main"] - t["sweep"])
+    us = {key: value / counts["operations"] * 1e6 for key, value in fastest.items()}
+    outside = us["main"] - us["sweep"]
+    print(f"{'us/call':<14}{outside:>8.1f}  (cli.main outside the sweep)")
+    for key in ("parse", "load", "emit"):
+        print(f"  {key:<12}{us[key]:>8.1f}")
+    print(f"  {'other':<12}{outside - us['parse'] - us['load'] - us['emit']:>8.1f}")
+    if any(c != counts for c, *_ in runs):
         print("counts differ between cycles")
         return 1
     if counts != PINNED:

@@ -1,12 +1,18 @@
 """Command line interface: analyze, sweep-start, sweep-reward, validate.
 
-``build_parser`` declares each option once, on the commands that read it;
-the commands read the parsed namespace, after ``_refuse`` has made, before
-any work, the refusals that argparse cannot state (a start state outside
-[0, C] among them). Every command gets its outcomes from ``_outcomes``:
-sweep-start and sweep-reward run one strategy sweep (``strategies.sweep_*``)
-over all their points, which solves each chain once, and analyze and
-validate a sweep of one point; gvc runs one search per point.
+``build_parser`` declares each option once, on the commands that read it,
+and ``_parser`` builds it once per process. ``main`` parses a call that
+starts with a command's name by that command's own parser, the one the full
+parser would hand it to; the full parser takes every other call (none,
+``-h``, an unknown command) and a command call that leaves arguments
+unread, so help, usage errors and "unrecognized arguments" keep their
+bytes. The commands read the parsed namespace, after ``_refuse``
+has made, before any work, the refusals that argparse cannot state (a start
+state outside [0, C] among them). Every command gets its outcomes from
+``_outcomes``: sweep-start and sweep-reward run one strategy sweep
+(``strategies.sweep_*``) over all their points, which solves each chain
+once, and analyze and validate a sweep of one point; gvc runs one search
+per point.
 Reports are deterministic for fixed inputs and seed: CSV with a header row,
 LF line endings and 2-decimal BTC amounts, or JSON carrying a schema-version
 field. Dust-level bribe entries are rendered as ``1e-8``, never as zero.
@@ -50,10 +56,11 @@ def format_prob(p: float) -> str:
 
 def _load_scenario(args: argparse.Namespace, reward: float) -> model.Scenario:
     try:
-        raw = Path(args.pools).read_text(encoding="utf-8")
+        with open(args.pools, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise CliError(f"cannot read pool file: {exc}") from exc
-    miner_set = model.load_pool_distribution(raw, args.attacker)
+    miner_set = model.load_pool_distribution(raw.decode("utf-8"), args.attacker)
     target = args.target or miner_set.miners[0].id  # biggest main-chain miner
     return model.make_scenario(
         miner_set, target, args.confirmations, args.premined, reward
@@ -138,8 +145,9 @@ def _emit(args: argparse.Namespace, table: list[dict], **fields) -> None:
         text = buf.getvalue()
     if args.out_path is None:
         sys.stdout.write(text)
-    else:
-        Path(args.out_path).write_text(text, encoding="utf-8", newline="")
+    else:  # one binary write: no text layer, no newline translation
+        with open(args.out_path, "wb") as f:
+            f.write(text.encode("utf-8"))
 
 
 def _fmt_row_value(v) -> str:
@@ -265,9 +273,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser; its ``commands`` maps each command's name to the
+    parser of that command."""
     parser = argparse.ArgumentParser(
         prog="briberace",
         description="Fork-race bribery attack analysis and Monte Carlo validation",
+        epilog="exit codes: 0 = a report, or a passed validate; 1 = only validate's "
+               "failed verdict; 2 = a usage error or a named refusal; a traceback is a bug",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
@@ -301,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     option("--out", dest="out_path", default=None)
     option("--states", required=True, help="comma-separated start states", only=("sweep-start",))
     option("--rewards", required=True, help="comma-separated BTC rewards", only=("sweep-reward",))
+    parser.commands = commands
     return parser
 
 
@@ -341,8 +354,22 @@ def _refuse(args: argparse.Namespace) -> None:
             raise CliError(f"--rewards must be positive and finite, got {text!r}")
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full parser gives ``argv``, through the command's
+    own parser when ``argv`` is a command call that it reads whole: the
+    full parser would hand it the same arguments and add only the command's
+    name."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, unread = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not unread:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         _refuse(args)
         return args.handler(args)

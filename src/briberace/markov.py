@@ -435,12 +435,16 @@ def _columns(p: list, run: _Run | None):
     """The success and failure columns of the swept states p (floats or
     columns), with the run (None when the sweep reaches state h-1) folded
     into the last of them, after their checks: both columns' residuals, the
-    run's scaled ones included, and every row sum. A pivot of exactly 0 on
-    Python floats refuses the chain, as ``analyze`` does. Returns q, the
-    pivots and the two columns."""
+    run's scaled ones included, and every row sum. A pivot of exactly 0
+    refuses the chain, as ``analyze`` does; in a column it refuses the
+    batch, with no warning. Returns q, the pivots and the two columns."""
     try:
-        q, piv, win, lose, res_b, res_f = _eliminate(p, run)
-    except ZeroDivisionError as exc:
+        if type(p[0]) is float:
+            q, piv, win, lose, res_b, res_f = _eliminate(p, run)
+        else:
+            with np.errstate(divide="raise"):
+                q, piv, win, lose, res_b, res_f = _eliminate(p, run)
+    except (ZeroDivisionError, FloatingPointError) as exc:
         raise ChainError("transient block is singular; chain is not absorbing") from exc
     residuals = res_b + res_f
     sums = [abs(s + l - 1.0) for s, l in zip(win, lose)]

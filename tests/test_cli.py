@@ -386,7 +386,7 @@ def sweep_reward(strategy, pools, rewards=REWARDS):
     return ["sweep-reward", "--pools", *pools, "--strategy", strategy, "--rewards", rewards]
 
 
-@pytest.mark.parametrize("golden, args", [
+GOLDENS = [
     ("sweep_reward_crb1_table2_start4.csv", SWEEP_REWARD),
     ("sweep_reward_crb1_table2_start4.json", [*SWEEP_REWARD, "--format", "json"]),
     ("validate_bff_table2_start4_seed7.csv", VALIDATE),
@@ -420,21 +420,74 @@ def sweep_reward(strategy, pools, rewards=REWARDS):
     ("analyze_crb2_capped_c3_start2.json",
      ["analyze", "--pools", str(DATA / "capped.pools"), "--target", "M1", "--strategy", "crb2",
       "--confirmations", "3", "--start-state", "2", "--format", "json"]),
-])
-def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
+]
+
+
+def answer(argv, capsys):
+    """``main(argv)``'s exit code, stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def check_golden(golden, args, capsys, tmp_path, monkeypatch):
     # a *_stdout.txt or help golden is what the command prints (help at 80
     # columns); any other golden is the report that --out writes
     monkeypatch.setenv("COLUMNS", "80")
     expected = (DATA / golden).read_bytes()
     to_stdout = golden.endswith(".txt")
     out_file = tmp_path / golden
-    try:
-        got = main(args if to_stdout else [*args, "--out", str(out_file)])
-    except SystemExit as exc:
-        got = exc.code
-    out, err = capsys.readouterr()
+    got, out, err = answer(args if to_stdout else [*args, "--out", str(out_file)], capsys)
     assert got == 0 and err == ""
     assert (out.encode() if to_stdout else out_file.read_bytes()) == expected
+
+
+@pytest.mark.parametrize("golden, args", GOLDENS)
+def test_output_matches_golden(golden, args, capsys, tmp_path, monkeypatch):
+    check_golden(golden, args, capsys, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("golden, args", [g for g in GOLDENS if g[0] != "help.txt"])
+def test_a_command_call_skips_the_full_parser(golden, args, capsys, tmp_path, monkeypatch):
+    # a call that starts with a command and reads whole is parsed by that
+    # command's parser alone, and still reproduces its golden
+    def refuse(*_):
+        raise AssertionError("the full parser parsed a command call")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+    check_golden(golden, args, capsys, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    *[args for _, args in GOLDENS],
+    [], ["-h"], ["--help"], ["foo"], ["-h", "sweep-start"], ["sweep-start", "--help"],
+    ["sweep-start", "--pools", TABLE2, "--states", "0"],  # no --strategy
+    ["analyze", "--pools", TABLE2, "--strategy", "bs", "--confirmations", "x"],
+    ["sweep-start", "--pools", TABLE2, "--strategy", "bs", "--states", "0", "--trials", "0"],
+    ["analyze", "--pools", TABLE2, "--strategy", "bs", "stray"],
+    ["analyze", "--pool", TABLE2, "--strategy", "bs"],  # no abbreviations
+    ["--"], ["analyze", "--", "--pools", TABLE2, "--strategy", "bs"],
+    ["analyze", "--pools", TABLE2, "--strategy", "bs", "--"],
+    ["analyze", "--pools", TABLE2, "--strategy", "all"],  # a refusal of _refuse
+])
+def test_main_answers_as_the_full_parser(argv, capsys, monkeypatch):
+    # the same exit code, stdout and stderr as parsing every call with the
+    # full parser, and for a call it parses the same namespace
+    monkeypatch.setenv("COLUMNS", "80")
+    got = answer(argv, capsys)
+    try:
+        namespace = cli._parser().parse_args(argv)
+    except SystemExit:
+        namespace = None
+    capsys.readouterr()
+    if namespace is not None:
+        assert cli._parse(argv) == namespace
+    monkeypatch.setattr(cli, "_parse", cli._parser().parse_args)
+    assert answer(argv, capsys) == got
 
 
 def test_a_target_a_hair_below_the_whole_main_chain_reports_at_depth(capsys, tmp_path):

@@ -232,6 +232,7 @@ def test_solve_race_matches_dense_reference(fork_power):
         assert abs(sol.steps - dense.e[start]) <= tol * dense.e[start]
 
 
+@pytest.mark.filterwarnings("error")
 def test_both_solvers_reject_the_same_bad_chains():
     malformed = ([], [[0.3, 0.4]], [0.3, 0.0, 0.4], [0.3, 1.0], [-0.1], [1.1],
                  [0.3, float("nan")], [float("inf")])
@@ -257,6 +258,11 @@ def test_both_solvers_reject_the_same_bad_chains():
     for start in (0, 11, 100):
         with pytest.raises(ChainError):
             solve_race(valley, 0.55, start)
+    # as numpy columns, the batch solve refuses it the same way, with no
+    # warning (under this test's filter a warning is an error)
+    for cores in ([valley], [valley, np.full(11, 0.5)]):
+        with pytest.raises(ChainError, match="transient block is singular"):
+            _solve_cores(cores, 0.55, 11, [True] * len(cores))
 
 
 def test_solve_core_rejects_what_the_chain_rejects():
