@@ -13,8 +13,10 @@ runs and of their per-power forward sweeps. It counts the eliminations
 the success and failure columns), the visit rows (``markov._visit_row``:
 one start row of N each), the attacker-only runs solved (``markov._run``
 misses), the per-power forward sweeps they read (``markov._forward``
-misses: one per attacker power) and the outcomes (report rows of the
-invocations that succeed; the one-miner roster's are refused). Each
+misses: one per attacker power), the outcomes (report rows of the
+invocations that succeed; the one-miner roster's are refused) and the
+``model.Miner`` and ``model.Scenario`` objects built: none per pool line
+and one scenario per invocation, none per swept reward. Each
 invocation writes its report anew, as the benchmark does. A time is the
 best of ``--repeats`` cycles, divided by the outcomes, in total and by
 kind of invocation (strategy and sweep axis): raw wall-clock time on this
@@ -35,7 +37,7 @@ from io import StringIO
 from pathlib import Path
 from time import perf_counter
 
-from briberace import cli, markov
+from briberace import cli, markov, model
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -43,7 +45,9 @@ import workloads  # noqa: E402  (the benchmark's corpus, read as it stands)
 
 SEED = 0
 PINNED = {"operations": 136, "failed": 8, "outcomes": 736,
-          "eliminations": 232, "visit rows": 544, "run misses": 120, "power sweeps": 16}
+          "eliminations": 232, "visit rows": 544, "run misses": 120, "power sweeps": 16,
+          "miners built": 0, "scenarios built": 136}
+BUILT = {"miners built": model.Miner, "scenarios built": model.Scenario}
 PARTS = {"parse": "_parse", "load": "_load_scenario", "emit": "_emit", "sweep": "_outcomes"}
 
 
@@ -63,9 +67,9 @@ def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list], dict[str, fl
     parts = {name: getattr(cli, attr) for name, attr in PARTS.items()}
 
     def counted(key, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     def timed(key, fn):
@@ -81,6 +85,9 @@ def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list], dict[str, fl
     markov._forward.cache_clear()
     markov._columns = counted("eliminations", columns)
     markov._visit_row = counted("visit rows", visit_row)
+    inits = {key: cls.__init__ for key, cls in BUILT.items()}
+    for key, cls in BUILT.items():
+        cls.__init__ = counted(key, inits[key])
     for name, fn in parts.items():
         setattr(cli, PARTS[name], timed(name, fn))
     try:
@@ -102,6 +109,8 @@ def run_cycle(ops) -> tuple[dict[str, int], float, dict[str, list], dict[str, fl
         seconds = perf_counter() - t0
     finally:
         markov._columns, markov._visit_row = columns, visit_row
+        for key, cls in BUILT.items():
+            cls.__init__ = inits[key]
         for name, fn in parts.items():
             setattr(cli, PARTS[name], fn)
     counts["run misses"] = markov._run.cache_info().misses
@@ -119,18 +128,18 @@ def main() -> int:
     counts = runs[0][0]
     best = min(seconds for _, seconds, _, _ in runs)
     for key, value in counts.items():
-        print(f"{key:<14}{value:>8}")
-    print(f"{'us/outcome':<14}{best / counts['outcomes'] * 1e6:>8.1f}")
+        print(f"{key:<16}{value:>8}")
+    print(f"{'us/outcome':<16}{best / counts['outcomes'] * 1e6:>8.1f}")
     for name, (_, rows) in sorted(runs[0][2].items()):
         seconds = min(by_kind[name][0] for _, _, by_kind, _ in runs)
-        print(f"  {name:<12}{seconds / rows * 1e6:>8.1f}")
+        print(f"  {name:<14}{seconds / rows * 1e6:>8.1f}")
     fastest = min((times for *_, times in runs), key=lambda t: t["main"] - t["sweep"])
     us = {key: value / counts["operations"] * 1e6 for key, value in fastest.items()}
     outside = us["main"] - us["sweep"]
-    print(f"{'us/call':<14}{outside:>8.1f}  (cli.main outside the sweep)")
+    print(f"{'us/call':<16}{outside:>8.1f}  (cli.main outside the sweep)")
     for key in ("parse", "load", "emit"):
-        print(f"  {key:<12}{us[key]:>8.1f}")
-    print(f"  {'other':<12}{outside - us['parse'] - us['load'] - us['emit']:>8.1f}")
+        print(f"  {key:<14}{us[key]:>8.1f}")
+    print(f"  {'other':<14}{outside - us['parse'] - us['load'] - us['emit']:>8.1f}")
     if any(c != counts for c, *_ in runs):
         print("counts differ between cycles")
         return 1

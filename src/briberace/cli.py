@@ -61,7 +61,7 @@ def _load_scenario(args: argparse.Namespace, reward: float) -> model.Scenario:
     except OSError as exc:
         raise CliError(f"cannot read pool file: {exc}") from exc
     miner_set = model.load_pool_distribution(raw.decode("utf-8"), args.attacker)
-    target = args.target or miner_set.miners[0].id  # biggest main-chain miner
+    target = args.target or miner_set.ids[0]  # biggest main-chain miner
     return model.make_scenario(
         miner_set, target, args.confirmations, args.premined, reward
     )
@@ -131,7 +131,8 @@ def _summary_lines(outcome) -> list[str]:
 
 def _emit(args: argparse.Namespace, table: list[dict], **fields) -> None:
     """Write the report to ``--out``, or to stdout without it: the CSV of
-    ``table``, or with ``--format json`` the JSON of ``fields``."""
+    ``table``, or with ``--format json`` the JSON of ``fields``. An ``--out``
+    that cannot be opened is refused by name, at the write itself."""
     if args.out_format == "json":
         payload = {"schema_version": SCHEMA_VERSION, **fields}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -146,7 +147,11 @@ def _emit(args: argparse.Namespace, table: list[dict], **fields) -> None:
     if args.out_path is None:
         sys.stdout.write(text)
     else:  # one binary write: no text layer, no newline translation
-        with open(args.out_path, "wb") as f:
+        try:
+            f = open(args.out_path, "wb")
+        except OSError as exc:  # a directory, a missing parent directory, no permission
+            raise CliError(f"cannot write --out: {exc}") from exc
+        with f:
             f.write(text.encode("utf-8"))
 
 

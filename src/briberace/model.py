@@ -2,7 +2,15 @@
 
 All types are immutable after construction; the functions here are pure.
 Powers are fractions of total network hash power and are renormalized on
-load so that attacker power plus main-chain power equals one.
+load so that attacker power plus main-chain power equals one. The total
+they are divided by is correctly rounded (``math.fsum``), so a roster does
+not depend on the order of its file's lines.
+
+A roster (``MinerSet``) is two fields in roster order, ``ids`` and
+``powers`` (a read-only float array), which the loader fills from one pass
+over the file's lines. ``Miner`` is the per-miner view of a roster row,
+built on demand (``MinerSet.miner``, ``MinerSet.miners``,
+``Scenario.target``); the engine reads rows and powers, not Miners.
 """
 from __future__ import annotations
 
@@ -30,7 +38,8 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Miner:
-    """A main-chain miner with a fixed share of the network hash power."""
+    """A main-chain miner with a fixed share of the network hash power: the
+    view of one roster row, built on demand."""
 
     id: str
     power: float
@@ -40,28 +49,36 @@ class Miner:
             raise PoolFileError(f"miner {self.id!r}: power must be in (0, 1], got {self.power}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinerSet:
     """Main-chain miners in non-increasing power order, plus the attacker.
 
-    ``attacker_power + lam == 1`` within 1e-9 after renormalization.
-    Ties in power are broken by id so "next biggest miner" is deterministic.
+    The roster is two fields in roster order: ``ids`` and ``powers``, a
+    read-only float array. ``attacker_power + lam == 1`` within 1e-9 after
+    renormalization. Ties in power are broken by id so "next biggest miner"
+    is deterministic.
     """
 
-    miners: tuple[Miner, ...]
+    ids: tuple[str, ...]
+    powers: np.ndarray
     attacker_id: str
     attacker_power: float
     lam: float
 
     def __post_init__(self) -> None:
+        powers = np.asarray(self.powers, dtype=float)
+        if powers.shape != (len(self.ids),):
+            raise PoolFileError("the roster needs one power per miner id")
         if abs(self.attacker_power + self.lam - 1.0) > 1e-9:
             raise PoolFileError("attacker power and main-chain power must sum to 1")
-        powers = [m.power for m in self.miners]
-        if any(powers[i] < powers[i + 1] for i in range(len(powers) - 1)):
+        if (powers[1:] > powers[:-1]).any():
             raise PoolFileError("miners must be sorted by non-increasing power")
+        powers.flags.writeable = False
+        object.__setattr__(self, "powers", powers)
 
     def miner(self, miner_id: str) -> Miner:
-        return self.miners[self.row(miner_id)]
+        """The per-miner view of one roster miner, built on each call."""
+        return Miner(miner_id, float(self.powers[self.row(miner_id)]))
 
     def row(self, miner_id: str) -> int:
         """Position of a miner in the roster."""
@@ -70,16 +87,10 @@ class MinerSet:
         except ValueError:
             raise ScenarioError(f"unknown miner id {miner_id!r}") from None
 
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(m.id for m in self.miners)
-
-    @cached_property
-    def powers(self) -> np.ndarray:
-        """Roster powers in roster order, built once (read-only)."""
-        powers = np.array([m.power for m in self.miners], dtype=float)
-        powers.flags.writeable = False
-        return powers
+    @property
+    def miners(self) -> tuple[Miner, ...]:
+        """The per-miner view of the whole roster, built on each read."""
+        return tuple(map(Miner, self.ids, self.powers.tolist()))
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,7 @@ class Scenario:
     def _threshold_table(self, snapped: bool) -> np.ndarray:
         from . import rationality  # rationality reads DUST from this module
 
-        powers = [m.power for m in self.miner_set.miners]
+        powers = self.miner_set.powers.tolist()
         if snapped:
             powers = [rationality.persuadable_grid_floor(p, self.lam) for p in powers]
         states = range(self.confirmations + 1)
@@ -147,12 +158,24 @@ class Scenario:
         return table
 
 
-def _parse_pool_lines(raw: str):
+def load_pool_distribution(raw: str, attacker_id: str | None = None) -> MinerSet:
+    """Parse a pool file and build a renormalized MinerSet.
+
+    The file is line oriented: ``id power`` records, ``#`` comments, and
+    exactly one record flagged ``attacker`` (or an explicit ``attacker_id``
+    override). Powers are proportionally renormalized to sum to 1; inputs
+    off by more than POWER_SUM_TOLERANCE are rejected. Each record is read
+    once into the id and power lists, refused at its own line; the roster's
+    arrays are built from them.
+    """
+    ids: list[str] = []
+    powers: list[float] = []
+    seen: set[str] = set()
+    flagged: str | None = None
     for lineno, line in enumerate(raw.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = body.split()
         if len(parts) not in (2, 3):
             raise PoolFileError(f"line {lineno}: expected 'id power [attacker]', got {line!r}")
         ident, power_text = parts[0], parts[1]
@@ -162,21 +185,6 @@ def _parse_pool_lines(raw: str):
             power = float(power_text)
         except ValueError as exc:
             raise PoolFileError(f"line {lineno}: bad power {power_text!r}") from exc
-        yield lineno, ident, power, len(parts) == 3
-
-
-def load_pool_distribution(raw: str, attacker_id: str | None = None) -> MinerSet:
-    """Parse a pool file and build a renormalized MinerSet.
-
-    The file is line oriented: ``id power`` records, ``#`` comments, and
-    exactly one record flagged ``attacker`` (or an explicit ``attacker_id``
-    override). Powers are proportionally renormalized to sum to 1; inputs
-    off by more than POWER_SUM_TOLERANCE are rejected.
-    """
-    entries: list[tuple[str, float]] = []
-    seen: set[str] = set()
-    flagged: str | None = None
-    for lineno, ident, power, is_attacker in _parse_pool_lines(raw):
         if ident in seen:
             raise PoolFileError(f"line {lineno}: duplicate id {ident!r}")
         seen.add(ident)
@@ -184,11 +192,12 @@ def load_pool_distribution(raw: str, attacker_id: str | None = None) -> MinerSet
             raise PoolFileError(f"line {lineno}: non-finite power for {ident!r}")
         if power <= 0:
             raise PoolFileError(f"line {lineno}: nonpositive power for {ident!r}")
-        if is_attacker:
+        if len(parts) == 3:
             if flagged is not None:
                 raise PoolFileError(f"line {lineno}: second attacker flag on {ident!r}")
             flagged = ident
-        entries.append((ident, power))
+        ids.append(ident)
+        powers.append(power)
 
     if attacker_id is not None:
         if attacker_id not in seen:
@@ -196,24 +205,28 @@ def load_pool_distribution(raw: str, attacker_id: str | None = None) -> MinerSet
         flagged = attacker_id
     if flagged is None:
         raise PoolFileError("no attacker entry designated")
-    if len(entries) < 2:
+    if len(ids) < 2:
         raise PoolFileError("need at least one main-chain miner besides the attacker")
 
-    total = sum(p for _, p in entries)
+    total = math.fsum(powers)  # correctly rounded: the same in any line order
     if abs(total - 1.0) > POWER_SUM_TOLERANCE:
         raise PoolFileError(f"powers sum to {total:.6f}, more than 5% away from 1")
 
     scale = 1.0 / total
-    attacker_power = 0.0
-    miners = []
-    for ident, power in entries:
-        if ident == flagged:
-            attacker_power = power * scale
-        else:
-            miners.append(Miner(ident, power * scale))
-    miners.sort(key=lambda m: (-m.power, m.id))
-    lam = sum(m.power for m in miners)
-    return MinerSet(tuple(miners), flagged, attacker_power, lam)
+    attacker_power = powers[ids.index(flagged)] * scale
+    # the roster by (-power, id), ids being distinct
+    ranked = sorted([(-(power * scale), ident) for ident, power in zip(ids, powers)
+                     if ident != flagged])
+    roster = [-neg for neg, _ in ranked]
+    return MinerSet(tuple([ident for _, ident in ranked]), np.array(roster), flagged,
+                    attacker_power, sum(roster))
+
+
+def checked_reward(reward: float) -> float:
+    """A block reward as ``make_scenario`` accepts it: positive and finite."""
+    if not (math.isfinite(reward) and reward > 0):
+        raise ScenarioError(f"block reward must be positive and finite, got {reward}")
+    return reward
 
 
 def make_scenario(
@@ -230,10 +243,9 @@ def make_scenario(
         raise ScenarioError(
             f"premined blocks must be in [1, {confirmations}], got {premined}"
         )
-    if not (math.isfinite(reward) and reward > 0):
-        raise ScenarioError(f"block reward must be positive and finite, got {reward}")
+    checked_reward(reward)
     if target_id == miner_set.attacker_id:
         raise ScenarioError("target must not be the attacker")
-    miner_set.miner(target_id)  # raises on unknown id
+    miner_set.row(target_id)  # raises on unknown id
     d0 = confirmations - premined + 1
     return Scenario(miner_set, target_id, confirmations, premined, reward, d0)

@@ -78,7 +78,7 @@ from typing import Sequence
 import numpy as np
 
 from . import markov, rationality
-from .model import DUST, Miner, Scenario
+from .model import DUST, Scenario, checked_reward
 
 # Keep at least this much main-chain share at every state so the chain stays
 # strictly inside (0, 1) when a schedule recruits the entire roster.
@@ -352,23 +352,27 @@ def _payable(thresholds: list[float], miners: Sequence[str]) -> list[float]:
     return thresholds
 
 
-def _sweep_scenarios(scenario: Scenario, rewards: Sequence[float] | None) -> list[Scenario]:
-    return [scenario] if rewards is None else [scenario.at_reward(r) for r in rewards]
+def _sweep_rewards(scenario: Scenario, rewards: Sequence[float] | None) -> list[float]:
+    """The scenario's own reward without ``rewards``, else each of them,
+    refused as ``make_scenario`` refuses it."""
+    return [scenario.reward] if rewards is None else list(map(checked_reward, rewards))
 
 
 def _sweep(
     scenario: Scenario,
     membership: MembershipMatrix,
-    paid: Sequence[Miner],
+    paid: Sequence[int],
     tag: str,
     starts: Sequence[int | None],
     rewards: Sequence[float] | None,
 ) -> list[StrategyOutcome]:
     """The sweep of a strategy whose membership is fixed and which pays at
-    each state i the settled basic threshold of the miner ``paid[i]``."""
+    each state i the settled basic threshold of the miner in roster row
+    ``paid[i]``."""
     starts = [_resolve_start(scenario, start) for start in starts]
-    rewards = [sc.reward for sc in _sweep_scenarios(scenario, rewards)]
-    powers, ids = [miner.power for miner in paid], [miner.id for miner in paid]
+    rewards = _sweep_rewards(scenario, rewards)
+    ms = scenario.miner_set
+    powers, ids = ms.powers[paid].tolist(), [ms.ids[r] for r in paid]
     schedules = [
         BribeSchedule(tuple(map(rationality.settled_bribe, _payable(thresholds, ids))), False, tag)
         for thresholds in rationality.basic_thresholds(powers, scenario.mu, scenario.lam, rewards)
@@ -390,7 +394,8 @@ def sweep_bs(
 ) -> list[StrategyOutcome]:
     """``run_bs`` at every reward and start, from one solve."""
     states = range(scenario.confirmations + 1)
-    return _sweep(scenario, _target_only(scenario, states), [scenario.target] * len(states),
+    row = scenario.miner_set.row(scenario.target_id)
+    return _sweep(scenario, _target_only(scenario, states), [row] * len(states),
                   "BS", starts, rewards)
 
 def bff_membership(scenario: Scenario) -> MembershipMatrix:
@@ -418,8 +423,8 @@ def sweep_bff(
 ) -> list[StrategyOutcome]:
     """``run_bff`` at every reward and start, from one solve: each state
     pays its newest recruit's threshold."""
-    roster, c = scenario.miner_set.miners, scenario.confirmations
-    newest = [roster[min(c - i, len(roster) - 1)] for i in range(c + 1)]
+    last, c = len(scenario.miner_set.ids) - 1, scenario.confirmations
+    newest = [min(c - i, last) for i in range(c + 1)]
     return _sweep(scenario, bff_membership(scenario), newest, "BFF", starts, rewards)
 
 
@@ -458,12 +463,12 @@ def sweep_crb(
     if variant not in ("crb1", "crb2"):
         raise StrategyError(f"variant must be crb1 or crb2, got {variant!r}")
     starts = [_resolve_start(scenario, start) for start in starts]
-    rewards = [sc.reward for sc in _sweep_scenarios(scenario, rewards)]
-    c, mu, lam = scenario.confirmations, scenario.mu, scenario.lam
-    target = scenario.target
-    targets = [target.id] * (c + 1)
+    rewards = _sweep_rewards(scenario, rewards)
+    c, mu, lam, ms = scenario.confirmations, scenario.mu, scenario.lam, scenario.miner_set
+    p_t = float(ms.powers[ms.row(scenario.target_id)])
+    targets = [scenario.target_id] * (c + 1)
     quotes = [_payable(thresholds, targets) for thresholds in
-              rationality.basic_thresholds([target.power] * (c + 1), mu, lam, rewards)]
+              rationality.basic_thresholds([p_t] * (c + 1), mu, lam, rewards)]
     distinct = list(dict.fromkeys(starts))
     if not distinct:
         return []
@@ -474,7 +479,7 @@ def sweep_crb(
     states = np.arange(c + 1)
     aboard = _target_only(scenario, states)
     on = states <= np.array(pricing)[:, None]
-    fork_total = np.where(on, mu + _joined_power(aboard.zeta, scenario.miner_set.powers), mu)
+    fork_total = np.where(on, mu + _joined_power(aboard.zeta, ms.powers), mu)
     fork_power = np.concatenate(
         [_capped(fork_total), np.full((len(pricing), markov.tail_depth(mu)), mu)], axis=1)
     fork_power.flags.writeable = False
@@ -561,7 +566,7 @@ def gvc_member_thresholds(
     """
     ms, mu = scenario.miner_set, scenario.mu
     r = ms.row(miner_id)
-    p_m = ms.miners[r].power
+    p_m = float(ms.powers[r])
     aboard = recruit.zeta[r]
     core = recruit.fork_power(ms.powers, mu)
     # both chains in one batch, flagged full so that each takes the checks
@@ -642,7 +647,7 @@ class _Search:
         self.mu = scenario.mu
         self.reward = scenario.reward
         self.row = ms.row(scenario.target_id)
-        self.power = ms.miners[self.row].power
+        self.power = float(ms.powers[self.row])
         self.start = start
         self.ac = objective == "ac"
         # an entry recruits, at its state, the miners whose recruit threshold

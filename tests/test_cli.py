@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from briberace import cli, simulate
+from briberace import cli, model, simulate
 from briberace.cli import fixture_path, format_btc, main
 
 WHALE = str(fixture_path("whale20"))
@@ -460,6 +464,77 @@ def test_a_command_call_skips_the_full_parser(golden, args, capsys, tmp_path, mo
     monkeypatch.setattr(cli._parser(), "parse_args", refuse)
     monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
     check_golden(golden, args, capsys, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("golden, args", [
+    g for g in GOLDENS if g[0].startswith(("sweep_start", "sweep_reward"))])
+def test_sweeps_build_no_miner_and_no_scenario_per_reward(golden, args, capsys, tmp_path,
+                                                          monkeypatch):
+    # the roster is ids and powers: a sweep reads no Miner, and checks each
+    # swept reward without building a Scenario for it
+    def refuse(*_, **__):
+        raise AssertionError("a sweep built a Miner or a Scenario per reward")
+
+    monkeypatch.setattr(model, "Miner", refuse)
+    monkeypatch.setattr(model.Scenario, "at_reward", refuse)
+    check_golden(golden, args, capsys, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_an_out_that_cannot_be_written_is_a_named_refusal(missing, capsys, tmp_path):
+    # an existing directory, or a file in a directory that does not exist
+    out = tmp_path / "missing" / "report.csv" if missing else tmp_path
+    code, _, err = answer(["sweep-start", "--pools", TABLE2, "--strategy", "bs", "--states", "0",
+                           "--out", str(out)], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "CliError"
+    assert "--out" in error["message"] and repr(str(out)) in error["message"]
+
+
+@st.composite
+def shuffled_rosters(draw):
+    """A roster's pool text in roster-building order, the same lines
+    shuffled with comments and blank lines among them, and a start state."""
+    n = draw(st.integers(2, 12))
+    weights = draw(st.lists(st.sampled_from([1.0, 3.0]) | st.floats(0.01, 10.0),
+                            min_size=n, max_size=n))
+    mu = draw(st.floats(0.05, 0.45))
+    total = sum(weights) / (1.0 - mu)
+    lines = [f"M{k} {w / total!r}" for k, w in enumerate(weights)] + [f"A {mu!r} attacker"]
+    shuffled = draw(st.permutations(lines))
+    for extra in draw(st.lists(st.sampled_from(["# a comment", "", "   "]), min_size=1,
+                               max_size=3)):
+        shuffled.insert(draw(st.integers(0, len(shuffled))), extra)
+    return "\n".join(lines) + "\n", "\n".join(shuffled) + "\n", draw(st.integers(0, 6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shuffled_rosters())
+def test_line_order_moves_neither_the_roster_nor_a_report(case):
+    # the powers' total is correctly rounded, so it does not depend on the
+    # order of the lines, and neither does anything built from it
+    text, shuffled, start = case
+    a, b = model.load_pool_distribution(text), model.load_pool_distribution(shuffled)
+    assert a.ids == b.ids and a.powers.tobytes() == b.powers.tobytes()
+    assert (a.attacker_power.hex(), a.lam.hex()) == (b.attacker_power.hex(), b.lam.hex())
+    with tempfile.TemporaryDirectory() as work:
+        reports = []
+        for name, body in (("file", text), ("shuffled", shuffled)):
+            pools = Path(work) / f"{name}.pools"
+            pools.write_text(body)
+            reports.append([json_report(pools, strategy, start)
+                            for strategy in ("bs", "bff", "crb1", "crb2")])
+    assert reports[0] == reports[1]
+
+
+def json_report(pools, strategy, start):
+    """What ``analyze --format json`` prints, the JSON report alone."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", "--pools", str(pools), "--strategy", strategy,
+                     "--start-state", str(start), "--format", "json"]) == 0
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("argv", [

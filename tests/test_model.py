@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import pool_reference
 from briberace.model import (
+    MinerSet,
     PoolFileError,
     ScenarioError,
     load_pool_distribution,
@@ -137,3 +140,79 @@ def test_renormalized_powers_always_sum_to_one(powers):
     ms = load_pool_distribution("\n".join(lines))
     assert ms.attacker_power + ms.lam == pytest.approx(1.0, abs=1e-9)
     assert math.isclose(sum(ms.powers) + ms.attacker_power, 1.0, abs_tol=1e-9)
+
+
+# pool texts for the reference property: ties in power (broken by id),
+# repeated ids, the attacker flag on any line or on none, comments, blank
+# lines and malformed or refused records anywhere, and an attacker_id
+# override that may name no line
+COMMENTS = st.sampled_from(["# a comment", "", "   ", " # indented"])
+EXTRA_LINES = st.sampled_from([
+    "x", "x 0.1 boss", "x 0.1 attacker extra", "x 0.1 ATTACKER",
+    "x nan", "x -0.1", "x 0", "x abc", "x inf", "x 1e309", "x 0.05 # trailing comment",
+])
+
+
+@st.composite
+def pool_texts(draw):
+    n = draw(st.integers(1, 10))
+    ids = draw(st.lists(st.text("abP10", min_size=1, max_size=3), min_size=n, max_size=n,
+                        unique=True))
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        ids[draw(st.integers(1, n - 1))] = ids[0]
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0, 5.0]) | st.floats(0.01, 10.0),
+                            min_size=n, max_size=n))
+    total = sum(weights) * draw(st.sampled_from([1.0, 1.0, 0.9999, 1.04, 0.9]))
+    flagged = draw(st.integers(-1, n - 1))
+    space = draw(st.sampled_from([" ", "\t", "   "]))
+    lines = [f"{ident}{space}{w / total!r}" + (" attacker" if k == flagged else "")
+             for k, (ident, w) in enumerate(zip(ids, weights))]
+    for extra in draw(st.lists(COMMENTS | EXTRA_LINES, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    attacker_id = draw(st.none() | st.sampled_from([*ids, "zz"]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), attacker_id
+
+
+def roster(ids, powers, ms):
+    """What a loaded roster is, bit for bit."""
+    return (tuple(ids), np.array(powers, dtype=float).tobytes(), ms.attacker_id,
+            ms.attacker_power.hex(), ms.lam.hex())
+
+
+def loaded(text, attacker_id):
+    try:
+        ms = load_pool_distribution(text, attacker_id)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return roster(ms.ids, ms.powers, ms)
+
+
+def loaded_by_reference(text, attacker_id):
+    try:
+        ms = pool_reference.load_pool_distribution(text, attacker_id)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return roster([m.id for m in ms.miners], [m.power for m in ms.miners], ms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pool_texts())
+def test_the_loader_matches_the_reference(case):
+    # the same ids, powers bit for bit, attacker and lambda, or the same
+    # refusal, as the loader that built one Miner per line
+    text, attacker_id = case
+    assert loaded(text, attacker_id) == loaded_by_reference(text, attacker_id)
+
+
+def test_the_roster_is_ids_and_powers_and_miners_are_views(table2_set):
+    ms = table2_set
+    assert not ms.powers.flags.writeable
+    assert ms.miner("P3").power == ms.powers[ms.row("P3")]
+    assert [(m.id, m.power) for m in ms.miners] == list(zip(ms.ids, ms.powers.tolist()))
+    with pytest.raises(ScenarioError, match="unknown miner id 'P1'"):
+        ms.miner("P1")  # the attacker is not on the roster
+    rest = ms.attacker_id, ms.attacker_power, ms.lam
+    with pytest.raises(PoolFileError, match="one power per miner id"):
+        MinerSet(ms.ids[1:], ms.powers, *rest)
+    with pytest.raises(PoolFileError, match="non-increasing"):
+        MinerSet(ms.ids, ms.powers[::-1], *rest)

@@ -4,9 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from briberace.model import DUST, load_pool_distribution, make_scenario
+from briberace.model import DUST, ScenarioError, load_pool_distribution, make_scenario
 from briberace.rationality import (
     basic_threshold,
     crb_min_constant,
@@ -1100,6 +1100,21 @@ def test_the_engine_builds_no_absorbing_chain(table2_scenario, monkeypatch):
     assert run_gvc(sc, PUBLISHED_GVC, 4).fork_power.size == 7 + markov.tail_depth(sc.mu)
 
 
+@pytest.mark.parametrize("reward", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("strategy", SWEEPS)
+def test_a_swept_reward_is_refused_as_make_scenario_refuses_it(strategy, reward, table2_scenario):
+    # the sweep checks each reward with make_scenario's own check, and
+    # builds no scenario per reward to do it
+    sc = table2_scenario
+    with pytest.raises(ScenarioError) as made:
+        make_scenario(sc.miner_set, sc.target_id, sc.confirmations, sc.premined, reward)
+    assert str(made.value) == f"block reward must be positive and finite, got {reward}"
+    sweep, _ = SWEEPS[strategy]
+    with pytest.raises(ScenarioError) as swept:
+        sweep(sc, starts=[4], rewards=[6.25, reward])
+    assert str(swept.value) == str(made.value)
+
+
 def count_solves(monkeypatch):
     """Counts of eliminations (``markov._columns``) and visit rows
     (``markov._visit_row``) from here on."""
@@ -1145,3 +1160,85 @@ def test_a_sweep_checks_every_start_before_any_work(table2_scenario, monkeypatch
         with pytest.raises(StrategyError):
             sweep(table2_scenario, starts=[0, 1, 9])
     assert counts == {"eliminations": 0, "visit rows": 0}
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: what a report must keep when the roster is spelled
+# differently or the reward is scaled, where no oracle gives the numbers
+
+@st.composite
+def roster_cases(draw):
+    """(pool lines of 2-12 main-chain miners with ties in power, attacker
+    power 0.05-0.45, C 1-8, the target's line)."""
+    mu = draw(st.floats(0.05, 0.45))
+    weights = draw(st.lists(st.sampled_from([0.25, 0.5]) | st.floats(0.01, 1.0),
+                            min_size=2, max_size=12))
+    lines = [f"m{k:03d} {(1.0 - mu) * w / sum(weights)!r}" for k, w in enumerate(weights)]
+    return lines, mu, draw(st.integers(1, 8)), draw(st.integers(0, len(lines) - 1))
+
+
+def roster_scenario(lines, mu, c, target, reward=6.25):
+    ms = load_pool_distribution("\n".join([*lines, f"atk {mu!r} attacker"]))
+    return make_scenario(ms, lines[target].split()[0], c, 1, reward)
+
+
+def numbers(outcome):
+    """Every number of an outcome, bit for bit: all but its roster's ids and
+    the row order of its membership."""
+    return [bits(getattr(outcome, f.name)) for f in dataclasses.fields(outcome)
+            if f.name != "membership"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=roster_cases(), entries=st.lists(st.sampled_from([DUST, 1.0, 5.0, 25.0, 100.0]),
+                                             min_size=9, max_size=9))
+def test_renaming_the_miners_moves_no_number(case, entries):
+    # m000, m001, ... become q999, q998, ...: ties in power sort the other
+    # way round, and every number stays. A target that ties another miner
+    # is left out: the id order decides which of the two bff recruits
+    # first, and so the target's recapture
+    lines, mu, c, target = case
+    renamed = [f"q{999 - int(line[1:4]):03d}{line[4:]}" for line in lines]
+    states = range(c + 1)
+    a, b = roster_scenario(lines, mu, c, target), roster_scenario(renamed, mu, c, target)
+    assert a.miner_set.powers.tobytes() == b.miner_set.powers.tobytes()
+    assume((a.miner_set.powers == a.target.power).sum() == 1)
+    for sweep, _ in SWEEPS.values():
+        assert ([numbers(o) for o in sweep(a, starts=states)]
+                == [numbers(o) for o in sweep(b, starts=states)])
+    schedule = BribeSchedule(tuple(entries[: c + 1]), True, "GVC_AC")
+    for start in states:
+        assert numbers(run_gvc(a, schedule, start)) == numbers(run_gvc(b, schedule, start))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=roster_cases(), k=st.sampled_from([2.0, 16.0]))
+def test_scaling_the_reward_keeps_success_and_scales_the_cost(case, k):
+    # a power-of-two factor scales every threshold exactly, so success stays
+    # bit for bit and the cost scales by k up to the satoshi that each paid
+    # state adds (settled_bribe), or that dust stands for, and the rounding
+    # of the c + 1 paid terms on either side (a cost of 3e8 BTC, at an
+    # attacker of 5% and C = 8, rounds by more than its satoshis)
+    lines, mu, c, target = case
+    sc = roster_scenario(lines, mu, c, target)
+    eps = np.finfo(float).eps
+    for sweep, _ in SWEEPS.values():
+        outcomes = sweep(sc, starts=range(c + 1), rewards=[sc.reward, k * sc.reward])
+        for base, scaled in zip(outcomes[: c + 1], outcomes[c + 1 :]):
+            assert scaled.success_prob == base.success_prob
+            cost = k * base.cost_unconditional
+            slack = (k + 1) * DUST * base.visits[: c + 1].sum() + 2 * (c + 2) * eps * cost
+            assert abs(scaled.cost_unconditional - cost) <= slack
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=roster_cases())
+def test_success_falls_with_the_start_state(case):
+    # bs, bff and crb1 run every start on one chain, and a start farther
+    # from the winning edge has no better odds
+    lines, mu, c, target = case
+    sc = roster_scenario(lines, mu, c, target)
+    for strategy in ("bs", "bff", "crb1"):
+        sweep, _ = SWEEPS[strategy]
+        success = [o.success_prob for o in sweep(sc, starts=range(c + 1))]
+        assert success == sorted(success, reverse=True)
