@@ -31,10 +31,19 @@ column per trial; an event adds one (``np.add.at``) at
 ``offset[state] + trial``, with ``offset`` the precomputed flat start of
 each state's row, so no per-trial row offsets are kept or compacted.
 
-A chunk is aggregated along those rows without copying them unless it
-discarded trials: visit sums and sums of squares are exact int64 sums
-(a square overflows int32 past 46,340 visits), and each trial's cost is
-its visit column dotted with the bribes.
+The counts are allocated once per call: one flat int32 buffer of
+(n_track + 1) x min(CHUNK, trials), which each chunk views as a contiguous
+(n_track + 1, n) array and zeroes in place. A chunk is aggregated along its
+rows without copying them unless it discarded trials: visit sums and sums
+of squares are exact int64 sums (a square overflows int32 past 46,340
+visits), and each trial's cost is its int32 visit column dotted with the
+bribes, ``visits.T @ bribe``. numpy casts the int32 operand to a float64
+copy for that product, so a chunk whose column count is a multiple of
+``COST_BLOCK`` (every full chunk) takes it over blocks of ``COST_BLOCK``
+trials, one block of float64 scratch at a time. On every OpenBLAS kernel
+tried, power-of-two blocks of a full chunk give the whole product's bits
+(the tests hold them to it); the tail of an odd-sized chunk need not, so a
+partial chunk takes the whole product.
 """
 from __future__ import annotations
 
@@ -44,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CHUNK = 1 << 16
+COST_BLOCK = 1 << 12  # trials per float64 cost block; a power of two, as the cost bits need
 _ONE = np.int32(1)  # add.at takes its fast path for a scalar of the counts' dtype
 
 
@@ -116,6 +126,18 @@ def _thresholds(fork: np.ndarray) -> np.ndarray:
     return np.ceil(fork * 2.0**53).astype(np.uint64)
 
 
+def _trial_costs(visits: np.ndarray, bribe: np.ndarray) -> np.ndarray:
+    """Each trial's cost, ``visits.T @ bribe`` on the int32 counts, taken
+    over blocks of ``COST_BLOCK`` trials when they divide the columns."""
+    m = visits.shape[1]
+    if m % COST_BLOCK:
+        return visits.T @ bribe
+    cost = np.empty(m)
+    for a in range(0, m, COST_BLOCK):
+        cost[a:a + COST_BLOCK] = visits[:, a:a + COST_BLOCK].T @ bribe
+    return cost
+
+
 def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
     """Run independent race trials and aggregate outcome statistics.
 
@@ -155,15 +177,18 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
     visit_sum = np.zeros(n_track)
     visit_sq = np.zeros(n_track)
 
+    buffer = np.empty((n_track + 1) * min(CHUNK, config.trials), dtype=np.int32)
     done = 0
     chunk_idx = 0
     while done < config.trials:
         n = min(CHUNK, config.trials - done)
         bits = np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_idx,)))
-        # visit counts state-major: row row_of[s], column the trial
-        counts = np.zeros((n_track + 1, n), dtype=np.int32)
+        # visit counts state-major: row row_of[s], column the trial; flat is a
+        # leading slice of the buffer, so counts is a contiguous view of it
+        flat = buffer[:(n_track + 1) * n]
+        flat.fill(0)
+        counts = flat.reshape(n_track + 1, n)
         counts[row_of[start]] = 1
-        flat = counts.reshape(-1)
         offset = row_of * n
         steps = np.full(n, max_events, dtype=np.int64)  # a trial ending at iteration k took k + 1
         result = np.full(n, -1, dtype=np.int8)  # -1 running, 1 success, 0 failure
@@ -198,7 +223,7 @@ def simulate_race(policy: RacePolicy, config: SimConfig) -> SimReport:
             kept = result != -1
             visits, result, steps = visits[:, kept], result[kept], steps[kept]
         if dropped < n:
-            cost = visits.T @ bribe[:n_track]
+            cost = _trial_costs(visits, bribe[:n_track])
             won = result == 1
             succ += int(np.count_nonzero(won))
             events += int(steps.sum())

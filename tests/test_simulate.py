@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,10 +13,12 @@ from briberace.cli import fixture_path
 from briberace.model import load_pool_distribution, make_scenario
 from briberace.simulate import (
     CHUNK,
+    COST_BLOCK,
     RacePolicy,
     SimConfig,
     SimulationError,
     _thresholds,
+    _trial_costs,
     compare_reports,
     simulate_race,
 )
@@ -363,12 +366,62 @@ def test_reports_equal_the_reference_loops(data):
 
 
 def test_reports_equal_the_reference_loops_over_full_chunks():
-    # two full chunks and a partial one, at CHUNK: a capped run that
-    # discards, with a shorter tracked region, a sure step and a top start
+    # two full chunks and a partial one, at CHUNK, with a shorter tracked
+    # region, a sure step and a top start: a capped run that discards in
+    # every chunk, and an uncapped one whose full chunks keep every trial
+    # and so take their costs block by block
     policy = RacePolicy((0.6, 1.0, 0.45, 0.3, 0.5, 0.2), (3.0, 0.5, 7.25, 0.0, 0.0, 0.0), 5,
                         scheduled_states=3)
     rep = _check_against_reference(policy, SimConfig(trials=2 * CHUNK + 9, seed=2, max_events=9), CHUNK)
     assert 0 < rep.discarded < rep.trials
+    rep = _check_against_reference(policy, SimConfig(trials=2 * CHUNK + 9, seed=2), CHUNK)
+    assert rep.discarded == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 120),
+    st.integers(1, CHUNK // COST_BLOCK),
+    st.sampled_from([1, 2, 50, 2**12, 2**24]),
+    st.lists(st.floats(1e-8, 1e8) | st.just(0.0), min_size=120, max_size=120),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_trial_costs_are_the_whole_product(n_track, k, most, paid, seed):
+    # the counts are the simulator's: the leading rows of a contiguous int32
+    # (n_track + 1, m) array. The int32 operand is kept on both sides: the
+    # same counts cast first with astype(float) give other last bits.
+    m = k * COST_BLOCK
+    counts = np.random.default_rng(seed).integers(0, most, size=(n_track + 1, m), dtype=np.int32)
+    visits = counts[:n_track]
+    bribe = np.array(paid[:n_track])
+    assert _trial_costs(visits, bribe).tobytes() == (visits.T @ bribe).tobytes()
+
+
+def _peak_mib(policy, config) -> float:
+    """Peak traced memory of one simulate_race call, in MiB."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_race(policy, config)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("confirmations, start", [(100, 1), (6, 4)])
+def test_one_chunk_stays_within_its_memory_budget(confirmations, start):
+    # one table2 bs chunk holds the visit counts, (C + 2) rows of CHUNK
+    # int32s, one block of float64 cost scratch, and the loop's per-trial
+    # arrays, allowed a dozen 8-byte values per trial
+    ms = load_pool_distribution(fixture_path("table2").read_text())
+    policy = RacePolicy.from_outcome(run_bs(make_scenario(ms, "P2", confirmations, 1, 6.25), start))
+    n_track = confirmations + 1
+    budget = ((n_track + 1) * CHUNK * 4 + n_track * COST_BLOCK * 8 + 12 * CHUNK * 8) / 2**20
+    assert _peak_mib(policy, SimConfig(trials=CHUNK, seed=0)) <= budget
 
 
 if __name__ == "__main__":
